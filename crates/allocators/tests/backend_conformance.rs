@@ -148,10 +148,7 @@ fn cross_thread_free_under_remote_queue_stays_lock_free() {
         HermesHeapConfig::small(),
         HermesHeapConfig::small().with_reserve_factor(4),
     ] {
-        let mut cfg = base.with_arena_count(4);
-        cfg.hermes = HermesConfig::default()
-            .with_tcache(true)
-            .with_remote_queue(true);
+        let cfg = base.with_arena_count(4);
         let mut b = RealHermesBackend::with_heap_config(cfg).expect("arena reservation");
         let label = b.kind().label();
         let main_home = b.heap().home_arena();

@@ -1,25 +1,19 @@
 //! Contention: allocation scaling of the sharded runtime.
 //!
-//! Sweeps 1/2/4/8 threads over one `HermesHeap` along two axes — arena
-//! count {1, 4} and thread caches {off, on} — and reports allocation
-//! throughput (Mops/s) and per-op p50/p99 latency. The single-arena,
-//! cache-off column is the paper's prototype shape (one heap, one lock);
-//! 4 arenas cache-off is the PR-3 sharded runtime; 4 arenas cache-on adds
-//! the magazine layer that serves the common case with no shard lock at
-//! all. Shape claims: at 4+ threads sharding beats the single arena, and
-//! at 8 threads the caches beat bare sharding (arenas fixed).
+//! Sweeps 1/2/4/8 threads over one `HermesHeap` at arena counts {1, 4}
+//! and reports allocation throughput (Mops/s) and per-op p50/p99
+//! latency. The single-arena column is the paper's prototype shape (one
+//! heap); 4 arenas is the sharded runtime. Shape claim: at 4+ threads
+//! sharding beats the single arena.
 //!
-//! A third sweep — the `remote_free` axis — measures the cross-shard
-//! *free* path: producer/consumer pairs over an mpsc pipeline (every
-//! consumer free lands on a foreign shard) with the remote-free inboxes
-//! off (each free takes the owner's lock) versus on (frees stage into
-//! the lock-free queues). The 1-thread cell is the owner-local control:
-//! both knob settings take the same home paths, so its paired ratio
-//! doubles as the no-regression check for local workloads.
+//! A second sweep — the `remote_free` series — measures the cross-shard
+//! *free* path: producer/consumer pairs over an mpsc pipeline, where
+//! every consumer free lands on a foreign shard and stages into that
+//! shard's lock-free inbox.
 //!
 //! Besides the CSV series, the run writes `results/BENCH_PR.json` — the
-//! threads × tcache median-ns/op summary that CI's `bench-smoke` job
-//! uploads on every PR, extending the performance trajectory.
+//! per-thread-count median summaries that CI's `bench-smoke` job uploads
+//! on every PR, extending the performance trajectory.
 
 use hermes_bench::stats::{self, Ci};
 use hermes_bench::{full_scale, header, results_dir, write_bench_pr_section, Checks};
@@ -55,11 +49,10 @@ fn total_ops() -> usize {
     }
 }
 
-/// One measured configuration.
+/// One measured configuration (of either sweep).
 struct Cell {
     threads: usize,
     arenas: usize,
-    tcache: bool,
     mops: f64,
     p50_ns: u64,
     p99_ns: u64,
@@ -68,20 +61,20 @@ struct Cell {
 /// Deterministic per-thread size schedule: mixed small-path requests
 /// (17 B – ~6 KB), the regime where lock contention dominates. Roughly a
 /// third of the sizes exceed the cacheable bound (4 KiB chunks, i.e.
-/// payloads above ~4080 B), so the cache-on cells keep exercising the
-/// locking path alongside the magazines.
+/// payloads above ~4080 B), so the cells keep exercising the shard locks
+/// alongside the magazines.
 fn size_for(thread: usize, i: usize) -> usize {
     17 + (i * 131 + thread * 977) % 6_000
 }
 
-fn run_cell(threads: usize, arenas: usize, tcache: bool) -> Cell {
+fn run_cell(threads: usize, arenas: usize) -> Cell {
     let heap = Arc::new(
         HermesHeap::new(HermesHeapConfig {
             heap_capacity: 64 << 20,
             large_capacity: 64 << 20,
             arenas,
             reserve_factor: 1,
-            hermes: HermesConfig::default().with_tcache(tcache),
+            hermes: HermesConfig::default(),
         })
         .expect("arena reservation"),
     );
@@ -110,8 +103,7 @@ fn run_cell(threads: usize, arenas: usize, tcache: bool) -> Cell {
                 // thread's working set, settle its arena affinity, and
                 // churn through the size-class schedule so first-touch
                 // page carves and magazine refills happen before the
-                // clock starts — both tcache axes pay the same warm-up,
-                // so the timed loop compares steady states.
+                // clock starts and the timed loop measures steady state.
                 let warm = (ops / 4).clamp(LIVE_CAP, 4096);
                 for (i, &l) in layouts.iter().take(warm).enumerate() {
                     let p = heap.allocate(l).expect("capacity");
@@ -174,7 +166,27 @@ fn run_cell(threads: usize, arenas: usize, tcache: bool) -> Cell {
         heap.run_management_round();
     }
     barrier.wait(); // measurement starts
-    let mut lats: Vec<u64> = Vec::with_capacity(ops * threads);
+    let (wall, p50_ns, p99_ns) = join_workers(handles);
+    heap.check_integrity().expect("heap intact after sweep");
+    Cell {
+        threads,
+        arenas,
+        mops: (ops * threads) as f64 / wall / 1e6,
+        p50_ns,
+        p99_ns,
+    }
+}
+
+/// A worker's own `(start, end)` timestamps plus its latency samples.
+type WorkerRun = (Instant, Instant, Vec<u64>);
+
+/// Joins a cell's workers and reduces their reports to `(wall seconds,
+/// p50 ns, p99 ns)`. Each worker timestamps its own span: on an over-
+/// subscribed host the main thread may be scheduled out of the barrier
+/// *after* workers have already run, so a main-side clock would start
+/// late and inflate fast cells. The wall time is max(end) - min(start).
+fn join_workers(handles: Vec<std::thread::JoinHandle<WorkerRun>>) -> (f64, u64, u64) {
+    let mut lats: Vec<u64> = Vec::new();
     let mut first_start: Option<Instant> = None;
     let mut last_end: Option<Instant> = None;
     for h in handles {
@@ -184,33 +196,18 @@ fn run_cell(threads: usize, arenas: usize, tcache: bool) -> Cell {
         lats.extend(lat);
     }
     let wall = last_end.unwrap() - first_start.unwrap();
-    heap.check_integrity().expect("heap intact after sweep");
-
     lats.sort_unstable();
     let pick = |q: f64| lats[((lats.len() as f64 * q) as usize).min(lats.len() - 1)];
-    Cell {
-        threads,
-        arenas,
-        tcache,
-        mops: (ops * threads) as f64 / wall.as_secs_f64() / 1e6,
-        p50_ns: pick(0.50),
-        p99_ns: pick(0.99),
-    }
+    (wall.as_secs_f64(), pick(0.50), pick(0.99))
 }
 
-/// One measured configuration of the `remote_free` axis.
-struct RemoteCell {
-    /// Total worker threads (producers + consumers; 1 = local control).
-    threads: usize,
-    queue: bool,
-    mops: f64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
+/// Thread counts of the `remote_free` series: whole producer/consumer
+/// pairs.
+const PIPELINE_THREADS: [usize; 3] = [2, 4, 8];
 
-/// Cacheable-only size schedule for the remote axis: every free is a
-/// small-path free, so the two knob settings compare the cross-shard
-/// *free* protocols and nothing else.
+/// Cacheable-only size schedule for the `remote_free` series: every free
+/// is a small-path free, so the series measures the cross-shard *free*
+/// protocol and nothing else.
 fn remote_size_for(pair: usize, i: usize) -> usize {
     17 + (i * 131 + pair * 977) % 2_000
 }
@@ -226,372 +223,237 @@ fn remote_total_ops() -> usize {
 /// decouple the pair, shallow enough that the footprint stays small.
 const PIPELINE_DEPTH: usize = 256;
 
-/// Producer/consumer cell: `threads / 2` pairs (or, at `threads == 1`,
-/// one thread churning its own blocks — the owner-local control). The
-/// sampled latency is the *consumer free*, the op whose path the knob
-/// changes; throughput counts allocations.
-fn run_remote_cell(threads: usize, queue: bool) -> RemoteCell {
+/// Producer/consumer cell: `threads / 2` pairs. The sampled latency is
+/// the *consumer free* — the cross-shard op; throughput counts
+/// allocations.
+fn run_remote_cell(threads: usize) -> Cell {
     let heap = Arc::new(
         HermesHeap::new(HermesHeapConfig {
             heap_capacity: 64 << 20,
             large_capacity: 64 << 20,
             arenas: MULTI_ARENAS,
             reserve_factor: 1,
-            hermes: HermesConfig::default()
-                .with_tcache(true)
-                .with_remote_queue(queue),
+            hermes: HermesConfig::default(),
         })
         .expect("arena reservation"),
     );
     for _ in 0..4 {
         heap.run_management_round();
     }
-    let pairs = (threads / 2).max(1);
+    let pairs = threads / 2;
     let ops = remote_total_ops() / pairs;
-    let workers = if threads == 1 { 1 } else { pairs * 2 };
-    let barrier = Arc::new(Barrier::new(workers + 1));
+    let barrier = Arc::new(Barrier::new(pairs * 2 + 1));
 
     let mut handles = Vec::new();
-    if threads == 1 {
-        let heap = Arc::clone(&heap);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            let layouts: Vec<Layout> = (0..ops)
-                .map(|i| Layout::from_size_align(remote_size_for(0, i), 16).unwrap())
-                .collect();
-            let mut live: Vec<(usize, Layout)> = Vec::with_capacity(LIVE_CAP);
-            let mut lat = Vec::with_capacity(ops / LAT_EVERY + 1);
-            barrier.wait();
-            let t_start = Instant::now();
-            for (i, &l) in layouts.iter().enumerate() {
-                let p = heap.allocate(l).expect("capacity");
-                // SAFETY: fresh allocation; first byte is writable.
-                unsafe { std::ptr::write_volatile(p.as_ptr(), 1) };
-                live.push((p.as_ptr() as usize, l));
-                if live.len() >= LIVE_CAP {
-                    let (addr, fl) = live.swap_remove(i % LIVE_CAP);
-                    let fp = std::ptr::NonNull::new(addr as *mut u8).unwrap();
+    for pair in 0..pairs {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Layout)>(PIPELINE_DEPTH);
+        let producer = {
+            let heap = Arc::clone(&heap);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let layouts: Vec<Layout> = (0..ops)
+                    .map(|i| Layout::from_size_align(remote_size_for(pair, i), 16).unwrap())
+                    .collect();
+                barrier.wait();
+                let t_start = Instant::now();
+                for &l in &layouts {
+                    let p = heap.allocate(l).expect("capacity");
+                    // SAFETY: fresh allocation; first byte writable.
+                    unsafe { std::ptr::write_volatile(p.as_ptr(), 1) };
+                    tx.send((p.as_ptr() as usize, l)).expect("consumer alive");
+                }
+                drop(tx);
+                heap.drain_thread_cache();
+                (t_start, Instant::now(), Vec::new())
+            })
+        };
+        let consumer = {
+            let heap = Arc::clone(&heap);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut lat = Vec::with_capacity(ops / LAT_EVERY + 1);
+                barrier.wait();
+                let t_start = Instant::now();
+                let mut i = 0usize;
+                while let Ok((addr, l)) = rx.recv() {
+                    let p = std::ptr::NonNull::new(addr as *mut u8).unwrap();
                     if i % LAT_EVERY == 0 {
                         let t0 = Instant::now();
-                        // SAFETY: removed from the live set; freed once.
-                        unsafe { heap.deallocate(fp, fl) };
+                        // SAFETY: handed off by the producer; freed once.
+                        unsafe { heap.deallocate(p, l) };
                         lat.push(t0.elapsed().as_nanos() as u64);
                     } else {
-                        // SAFETY: removed from the live set; freed once.
-                        unsafe { heap.deallocate(fp, fl) };
+                        // SAFETY: handed off by the producer; freed once.
+                        unsafe { heap.deallocate(p, l) };
                     }
+                    i += 1;
                 }
-            }
-            for (addr, fl) in live {
-                let fp = std::ptr::NonNull::new(addr as *mut u8).unwrap();
-                // SAFETY: still live; freed exactly once.
-                unsafe { heap.deallocate(fp, fl) };
-            }
-            heap.drain_thread_cache();
-            (t_start, Instant::now(), lat)
-        }));
-    } else {
-        for pair in 0..pairs {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Layout)>(PIPELINE_DEPTH);
-            let producer = {
-                let heap = Arc::clone(&heap);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    let layouts: Vec<Layout> = (0..ops)
-                        .map(|i| Layout::from_size_align(remote_size_for(pair, i), 16).unwrap())
-                        .collect();
-                    barrier.wait();
-                    let t_start = Instant::now();
-                    for &l in &layouts {
-                        let p = heap.allocate(l).expect("capacity");
-                        // SAFETY: fresh allocation; first byte writable.
-                        unsafe { std::ptr::write_volatile(p.as_ptr(), 1) };
-                        tx.send((p.as_ptr() as usize, l)).expect("consumer alive");
-                    }
-                    drop(tx);
-                    heap.drain_thread_cache();
-                    (t_start, Instant::now(), Vec::new())
-                })
-            };
-            let consumer = {
-                let heap = Arc::clone(&heap);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    let mut lat = Vec::with_capacity(ops / LAT_EVERY + 1);
-                    barrier.wait();
-                    let t_start = Instant::now();
-                    let mut i = 0usize;
-                    while let Ok((addr, l)) = rx.recv() {
-                        let p = std::ptr::NonNull::new(addr as *mut u8).unwrap();
-                        if i % LAT_EVERY == 0 {
-                            let t0 = Instant::now();
-                            // SAFETY: handed off by the producer; freed once.
-                            unsafe { heap.deallocate(p, l) };
-                            lat.push(t0.elapsed().as_nanos() as u64);
-                        } else {
-                            // SAFETY: handed off by the producer; freed once.
-                            unsafe { heap.deallocate(p, l) };
-                        }
-                        i += 1;
-                    }
-                    heap.drain_thread_cache();
-                    (t_start, Instant::now(), lat)
-                })
-            };
-            handles.push(producer);
-            handles.push(consumer);
-        }
+                heap.drain_thread_cache();
+                (t_start, Instant::now(), lat)
+            })
+        };
+        handles.push(producer);
+        handles.push(consumer);
     }
 
     barrier.wait();
-    let mut lats: Vec<u64> = Vec::new();
-    let mut first_start: Option<Instant> = None;
-    let mut last_end: Option<Instant> = None;
-    for h in handles {
-        let (start, end, lat) = h.join().expect("worker thread");
-        first_start = Some(first_start.map_or(start, |s| s.min(start)));
-        last_end = Some(last_end.map_or(end, |e| e.max(end)));
-        lats.extend(lat);
-    }
-    let wall = last_end.unwrap() - first_start.unwrap();
+    let (wall, p50_ns, p99_ns) = join_workers(handles);
     heap.drain_remote_inboxes();
-    if queue {
-        let c = heap.counters();
-        assert_eq!(
-            c.remote_lock_falls, 0,
-            "remote frees must never fall back to the owner's lock"
-        );
-    }
+    assert_eq!(
+        heap.counters().remote_lock_falls,
+        0,
+        "remote frees must never fall back to the owner's lock"
+    );
     heap.check_integrity().expect("heap intact after sweep");
-
-    lats.sort_unstable();
-    let pick = |q: f64| lats[((lats.len() as f64 * q) as usize).min(lats.len() - 1)];
-    RemoteCell {
+    Cell {
         threads,
-        queue,
-        mops: (ops * pairs) as f64 / wall.as_secs_f64() / 1e6,
-        p50_ns: pick(0.50),
-        p99_ns: pick(0.99),
+        arenas: MULTI_ARENAS,
+        mops: (ops * pairs) as f64 / wall / 1e6,
+        p50_ns,
+        p99_ns,
     }
 }
 
-fn find(cells: &[(Cell, Ci)], threads: usize, arenas: usize, tcache: bool) -> &Cell {
+fn find(cells: &[(Cell, Ci)], threads: usize, arenas: usize) -> &Cell {
     cells
         .iter()
-        .find(|(c, _)| c.threads == threads && c.arenas == arenas && c.tcache == tcache)
+        .find(|(c, _)| c.threads == threads && c.arenas == arenas)
         .map(|(c, _)| c)
         .expect("cell measured")
 }
 
-/// Median of integer nanosecond values via the stats layer.
-fn median_ns<I: Iterator<Item = u64>>(xs: I) -> u64 {
-    stats::median(&xs.map(|x| x as f64).collect::<Vec<_>>()).round() as u64
+/// Reduces one configuration's repetitions to its reported cell: median
+/// throughput with a bootstrap CI, median of the per-repetition p50/p99.
+fn summarize(runs: &[Cell]) -> (Cell, Ci) {
+    let median_ns = |f: fn(&Cell) -> u64| {
+        stats::median(&runs.iter().map(|c| f(c) as f64).collect::<Vec<_>>()).round() as u64
+    };
+    let (mops, ci) = stats::median_ci(&runs.iter().map(|c| c.mops).collect::<Vec<_>>());
+    (
+        Cell {
+            threads: runs[0].threads,
+            arenas: runs[0].arenas,
+            mops,
+            p50_ns: median_ns(|c| c.p50_ns),
+            p99_ns: median_ns(|c| c.p99_ns),
+        },
+        ci,
+    )
 }
-
-/// The two paired comparisons, tagged for the ratio ledger.
-const CMP_SHARDING: &str = "sharding";
-const CMP_TCACHE: &str = "tcache";
 
 fn main() {
     header(
         "Contention",
-        "allocation scaling: threads x {1, 4 arenas} x {tcache off, on}",
+        "allocation scaling: threads x {1, 4 arenas}, plus a producer/consumer series",
     );
     // Paired design via `stats::run_palindrome`: at each thread count
-    // the configurations run in an A-B-C-C-B-A palindrome (A = 1 arena
-    // off, B = 4 arenas off, C = 4 arenas on), so each compared pair
-    // samples adjacent host states — burstable machines intermittently
-    // grant extra CPU, and the geometric mean of the two orderings
-    // cancels that drift out of both comparisons. Each cell reports its
-    // median across repetitions with a bootstrap CI; the shape checks
-    // compare the median of the per-repetition paired *ratios* (B/A for
-    // sharding, C/B for the caches).
-    const CONFIGS: [(usize, bool); 3] = [(1, false), (MULTI_ARENAS, false), (MULTI_ARENAS, true)];
+    // the two arena counts run in an A-B-B-A palindrome (A = 1 arena,
+    // B = 4 arenas), so the compared pair samples adjacent host states —
+    // burstable machines intermittently grant extra CPU, and the
+    // geometric mean of the two orderings cancels that drift out of the
+    // comparison. Each cell reports its median across repetitions with a
+    // bootstrap CI; the shape checks compare the median of the
+    // per-repetition paired ratios B/A.
+    const ARENAS: [usize; 2] = [1, MULTI_ARENAS];
     let mut cells: Vec<(Cell, Ci)> = Vec::new();
-    let mut ratios: Vec<(&str, usize, f64)> = Vec::new(); // (cmp, threads, ratio)
+    let mut ratios: Vec<(usize, f64)> = Vec::new(); // (threads, B/A)
     for &threads in &THREAD_COUNTS {
-        let mut runs: Vec<Vec<Cell>> = (0..CONFIGS.len()).map(|_| Vec::new()).collect();
-        let pal = stats::run_palindrome(CONFIGS.len(), REPS, |cfg, _rep, _pass| {
-            let (arenas, tcache) = CONFIGS[cfg];
-            let cell = run_cell(threads, arenas, tcache);
+        let mut runs: Vec<Vec<Cell>> = (0..ARENAS.len()).map(|_| Vec::new()).collect();
+        let pal = stats::run_palindrome(ARENAS.len(), REPS, |cfg, _rep, _pass| {
+            let cell = run_cell(threads, ARENAS[cfg]);
             let mops = cell.mops;
             runs[cfg].push(cell);
             mops
         });
-        ratios.extend(
-            pal.ratio_samples(1, 0)
-                .into_iter()
-                .map(|q| (CMP_SHARDING, threads, q)),
-        );
-        ratios.extend(
-            pal.ratio_samples(2, 1)
-                .into_iter()
-                .map(|q| (CMP_TCACHE, threads, q)),
-        );
-        for (cfg, &(arenas, tcache)) in CONFIGS.iter().enumerate() {
-            let (mops, ci) = stats::median_ci(&pal.samples(cfg));
-            cells.push((
-                Cell {
-                    threads,
-                    arenas,
-                    tcache,
-                    mops,
-                    p50_ns: median_ns(runs[cfg].iter().map(|c| c.p50_ns)),
-                    p99_ns: median_ns(runs[cfg].iter().map(|c| c.p99_ns)),
-                },
-                ci,
-            ));
-        }
+        ratios.extend(pal.ratio_samples(1, 0).into_iter().map(|q| (threads, q)));
+        cells.extend(runs.iter().map(|r| summarize(r)));
     }
-    cells.sort_by_key(|(c, _)| (c.arenas, c.tcache, c.threads));
-    let ratio_samples = |cmp: &str, threads: Option<usize>| -> Vec<f64> {
+    cells.sort_by_key(|(c, _)| (c.arenas, c.threads));
+    let ratio_samples = |threads: Option<usize>| -> Vec<f64> {
         ratios
-            .iter()
-            .filter(|&&(c, t, _)| c == cmp && threads.map_or(t >= 4, |want| t == want))
-            .map(|&(_, _, q)| q)
-            .collect()
-    };
-    let median_ratio =
-        |cmp: &str, threads: usize| stats::median(&ratio_samples(cmp, Some(threads)));
-    let pooled_ratio = |cmp: &str| stats::median_ci(&ratio_samples(cmp, None));
-
-    // remote_free axis: producer/consumer pipeline, queue off vs on, in
-    // an A-B-B-A palindrome per repetition for the same drift-cancelling
-    // pairing as above (A = queue off, B = queue on).
-    let mut r_cells: Vec<(RemoteCell, Ci)> = Vec::new();
-    let mut r_ratios: Vec<(usize, f64)> = Vec::new(); // (threads, B/A)
-    for &threads in &THREAD_COUNTS {
-        let mut runs: Vec<Vec<RemoteCell>> = (0..2).map(|_| Vec::new()).collect();
-        let pal = stats::run_palindrome(2, REPS, |cfg, _rep, _pass| {
-            let cell = run_remote_cell(threads, cfg == 1);
-            let mops = cell.mops;
-            runs[cfg].push(cell);
-            mops
-        });
-        r_ratios.extend(pal.ratio_samples(1, 0).into_iter().map(|q| (threads, q)));
-        for (cfg, &queue) in [false, true].iter().enumerate() {
-            let (mops, ci) = stats::median_ci(&pal.samples(cfg));
-            r_cells.push((
-                RemoteCell {
-                    threads,
-                    queue,
-                    mops,
-                    p50_ns: median_ns(runs[cfg].iter().map(|c| c.p50_ns)),
-                    p99_ns: median_ns(runs[cfg].iter().map(|c| c.p99_ns)),
-                },
-                ci,
-            ));
-        }
-    }
-    r_cells.sort_by_key(|(c, _)| (c.queue, c.threads));
-    let r_ratio_samples = |threads: Option<usize>| -> Vec<f64> {
-        r_ratios
             .iter()
             .filter(|&&(t, _)| threads.map_or(t >= 4, |want| t == want))
             .map(|&(_, q)| q)
             .collect()
     };
-    let r_median_ratio = |threads: usize| stats::median(&r_ratio_samples(Some(threads)));
-    let r_pooled_ratio = || stats::median_ci(&r_ratio_samples(None));
 
-    println!(
-        "\n{:>7} {:>7} {:>7} {:>10} {:>21} {:>9} {:>9}",
-        "threads", "arenas", "tcache", "Mops/s", "95% CI", "p50(ns)", "p99(ns)"
-    );
-    for (c, ci) in &cells {
+    // remote_free series: the same repetition count, unpaired — there is
+    // one cross-shard free protocol, so each cell stands on its own CI.
+    let r_cells: Vec<(Cell, Ci)> = PIPELINE_THREADS
+        .iter()
+        .map(|&threads| {
+            summarize(
+                &(0..REPS)
+                    .map(|_| run_remote_cell(threads))
+                    .collect::<Vec<_>>(),
+            )
+        })
+        .collect();
+
+    let print_table = |title: &str, cells: &[(Cell, Ci)]| {
         println!(
-            "{:>7} {:>7} {:>7} {:>10.2} [{:>8.2}, {:>8.2}] {:>9} {:>9}",
-            c.threads,
-            c.arenas,
-            if c.tcache { "on" } else { "off" },
-            c.mops,
-            ci.lo,
-            ci.hi,
-            c.p50_ns,
-            c.p99_ns
+            "\n{title}\n{:>7} {:>7} {:>10} {:>21} {:>9} {:>9}",
+            "threads", "arenas", "Mops/s", "95% CI", "p50(ns)", "p99(ns)"
         );
-    }
-
-    println!(
-        "\nremote_free (producer/consumer, {MULTI_ARENAS} arenas, tcache on; free-side latency)"
+        for (c, ci) in cells {
+            println!(
+                "{:>7} {:>7} {:>10.2} [{:>8.2}, {:>8.2}] {:>9} {:>9}",
+                c.threads, c.arenas, c.mops, ci.lo, ci.hi, c.p50_ns, c.p99_ns
+            );
+        }
+    };
+    print_table("allocation sweep (allocation latency)", &cells);
+    print_table(
+        "remote_free (producer/consumer pairs; free-side latency)",
+        &r_cells,
     );
-    println!(
-        "{:>7} {:>7} {:>10} {:>21} {:>9} {:>9}",
-        "threads", "queue", "Mops/s", "95% CI", "p50(ns)", "p99(ns)"
-    );
-    for (c, ci) in &r_cells {
-        println!(
-            "{:>7} {:>7} {:>10.2} [{:>8.2}, {:>8.2}] {:>9} {:>9}",
-            c.threads,
-            if c.queue { "on" } else { "off" },
-            c.mops,
-            ci.lo,
-            ci.hi,
-            c.p50_ns,
-            c.p99_ns
-        );
-    }
 
-    let csv = results_dir().join("contention.csv");
-    let mut out = String::from("threads,arenas,tcache,mops,mops_ci_lo,mops_ci_hi,p50_ns,p99_ns\n");
-    for (c, ci) in &cells {
-        out.push_str(&format!(
-            "{},{},{},{:.3},{:.3},{:.3},{},{}\n",
-            c.threads,
-            c.arenas,
-            u8::from(c.tcache),
-            c.mops,
-            ci.lo,
-            ci.hi,
-            c.p50_ns,
-            c.p99_ns
-        ));
-    }
-    if std::fs::create_dir_all(results_dir())
-        .and_then(|()| std::fs::write(&csv, out))
-        .is_ok()
-    {
-        println!("\ncsv: {}", csv.display());
-    }
-
-    let r_csv = results_dir().join("remote_free.csv");
-    let mut r_out = String::from("threads,queue,mops,mops_ci_lo,mops_ci_hi,p50_ns,p99_ns\n");
-    for (c, ci) in &r_cells {
-        r_out.push_str(&format!(
-            "{},{},{:.3},{:.3},{:.3},{},{}\n",
-            c.threads,
-            u8::from(c.queue),
-            c.mops,
-            ci.lo,
-            ci.hi,
-            c.p50_ns,
-            c.p99_ns
-        ));
-    }
-    if std::fs::write(&r_csv, r_out).is_ok() {
-        println!("csv: {}", r_csv.display());
-    }
+    let write_csv = |name: &str, cells: &[(Cell, Ci)]| {
+        let csv = results_dir().join(name);
+        let mut out = String::from("threads,arenas,mops,mops_ci_lo,mops_ci_hi,p50_ns,p99_ns\n");
+        for (c, ci) in cells {
+            out.push_str(&format!(
+                "{},{},{:.3},{:.3},{:.3},{},{}\n",
+                c.threads, c.arenas, c.mops, ci.lo, ci.hi, c.p50_ns, c.p99_ns
+            ));
+        }
+        if std::fs::create_dir_all(results_dir())
+            .and_then(|()| std::fs::write(&csv, out))
+            .is_ok()
+        {
+            println!("csv: {}", csv.display());
+        }
+    };
+    println!();
+    write_csv("contention.csv", &cells);
+    write_csv("remote_free.csv", &r_cells);
 
     // The per-PR perf-trajectory summary CI uploads as an artifact and
-    // `bench_diff` gates on: threads x tcache cells at the multi-arena
-    // configuration plus the headline paired speedups, every gateable
-    // metric carrying its bootstrap CI.
-    write_bench_pr_json(&cells, pooled_ratio(CMP_SHARDING), pooled_ratio(CMP_TCACHE));
-    write_remote_free_json(
-        &r_cells,
-        r_pooled_ratio(),
-        stats::median_ci(&r_ratio_samples(Some(8))),
+    // `bench_diff` gates on: one series entry per thread count at the
+    // multi-arena configuration, every gateable metric carrying its
+    // bootstrap CI, plus the headline paired sharding speedup.
+    let (pooled_q, pooled_q_ci) = stats::median_ci(&ratio_samples(None));
+    write_section(
+        "contention",
+        total_ops(),
+        "",
+        &cells,
+        &[paired_entry(
+            "sharding_4plus_threads",
+            pooled_q,
+            pooled_q_ci,
+        )],
     );
+    write_section("remote_free", remote_total_ops(), "free_", &r_cells, &[]);
 
     let mut checks = Checks::new();
-    // Headline sharding acceptance (PR-3): pooled over the contended
-    // regime (>= 4 threads), the paired ratios put sharding strictly
-    // ahead. No separate 8-thread sharding check: on a single-CPU host,
-    // 8x oversubscription timeshares the threads, a shard lock is only
-    // contended when its holder is preempted mid-critical-section, and
-    // the per-point ratio degenerates to noise around 1.0 — the pooled
-    // median is the statistically meaningful form of the claim there.
-    let (pooled_q, pooled_q_ci) = pooled_ratio(CMP_SHARDING);
+    // Headline sharding acceptance: pooled over the contended regime
+    // (>= 4 threads), the paired ratios put sharding strictly ahead. No
+    // separate 8-thread check: on a single-CPU host, 8x oversubscription
+    // timeshares the threads, a shard lock is only contended when its
+    // holder is preempted mid-critical-section, and the per-point ratio
+    // degenerates to noise around 1.0 — the pooled median is the
+    // statistically meaningful form of the claim there.
     checks.check(
         &format!("4+ threads: {MULTI_ARENAS} arenas beat 1 arena"),
         "sharding wins under contention",
@@ -601,84 +463,20 @@ fn main() {
         ),
         pooled_q > 1.0,
     );
-    let q4 = median_ratio(CMP_SHARDING, 4);
+    let q4 = stats::median(&ratio_samples(Some(4)));
     checks.check(
         &format!("4 threads: {MULTI_ARENAS} arenas beat 1 arena"),
         "sharding wins under contention",
         &format!("median paired speedup {q4:.3}x"),
         q4 > 1.0,
     );
-    // The new layer's acceptance: with arenas fixed, the thread caches
-    // beat bare sharding once the shard locks are contended.
-    let q8 = median_ratio(CMP_TCACHE, 8);
-    checks.check(
-        &format!("8 threads: tcache on beats off at {MULTI_ARENAS} arenas"),
-        "magazines bypass the shard locks",
-        &format!("median paired speedup {q8:.3}x"),
-        q8 > 1.0,
-    );
-    let (pooled_t, pooled_t_ci) = pooled_ratio(CMP_TCACHE);
-    checks.check(
-        "4+ threads pooled: tcache on beats off",
-        "magazines bypass the shard locks",
-        &format!(
-            "median paired speedup {pooled_t:.3}x (CI [{:.3}, {:.3}])",
-            pooled_t_ci.lo, pooled_t_ci.hi
-        ),
-        pooled_t > 1.0,
-    );
-    let s1 = find(&cells, 4, 1, false);
-    let m1 = find(&cells, 4, MULTI_ARENAS, false);
+    let s1 = find(&cells, 4, 1);
+    let m1 = find(&cells, 4, MULTI_ARENAS);
     checks.check(
         "4 threads: sharding does not worsen p99",
         "p99 no worse under sharding",
         &format!("{} vs {} ns", m1.p99_ns, s1.p99_ns),
         m1.p99_ns <= s1.p99_ns * 2,
-    );
-    // The remote-free inbox acceptance: where consumer frees cross
-    // shards, queueing beats locking; where they don't (the 1-thread
-    // owner-local control), the knob is free. The speedup is a
-    // *parallelism* claim — the freeing thread sheds the owner's lock
-    // and the drain work lands on other cores — so it is only
-    // measurable where producer, consumer and the draining manager can
-    // actually run concurrently. On hosts with fewer than 3 cores the
-    // threads time-slice one CPU, wall clock measures total
-    // instructions rather than contention, and the honest requirement
-    // degrades to "the queue does not collapse throughput".
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parallel_host = cores >= 3;
-    let rq_note = if parallel_host {
-        String::new()
-    } else {
-        format!(" ({cores} core(s): time-sliced, requiring >=0.7x)")
-    };
-    let rq8 = r_median_ratio(8);
-    checks.check(
-        "8 threads: remote queue beats locked cross-shard frees",
-        "inboxes bypass the owner's lock",
-        &format!("median paired speedup {rq8:.3}x{rq_note}"),
-        if parallel_host { rq8 > 1.0 } else { rq8 >= 0.7 },
-    );
-    let (rq_pooled, rq_pooled_ci) = r_pooled_ratio();
-    checks.check(
-        "4+ threads pooled: remote queue wins",
-        "inboxes bypass the owner's lock",
-        &format!(
-            "median paired speedup {rq_pooled:.3}x (CI [{:.3}, {:.3}]){rq_note}",
-            rq_pooled_ci.lo, rq_pooled_ci.hi
-        ),
-        if parallel_host {
-            rq_pooled > 1.0
-        } else {
-            rq_pooled >= 0.7
-        },
-    );
-    let rq1 = r_median_ratio(1);
-    checks.check(
-        "1 thread: owner-local control unharmed by the queue",
-        "home frees keep their cheap path",
-        &format!("median paired ratio {rq1:.3}x"),
-        rq1 >= 0.85,
     );
     checks.finish();
 }
@@ -692,69 +490,40 @@ fn paired_entry(cmp: &str, speedup: f64, ci: Ci) -> String {
     )
 }
 
-/// The `remote_free` section of `results/BENCH_PR.json`: one series
-/// entry per (threads, queue) cell plus the headline paired speedups,
-/// each with its bootstrap CI. Host metadata (cores — the paired
-/// speedups are parallelism claims — toolchain, kernel) is injected by
-/// [`write_bench_pr_section`].
-fn write_remote_free_json(cells: &[(RemoteCell, Ci)], pooled: (f64, Ci), at8: (f64, Ci)) {
-    let mut series = String::new();
-    for (i, (c, ci)) in cells.iter().enumerate() {
-        if i > 0 {
-            series.push_str(",\n");
-        }
-        series.push_str(&format!(
-            "    {{\"threads\": {}, \"queue\": {}, \"mops\": {:.3}, \"ci_metric\": \"mops\", \"ci_lo\": {:.3}, \"ci_hi\": {:.3}, \"free_p50_ns\": {}, \"free_p99_ns\": {}}}",
-            c.threads, c.queue, c.mops, ci.lo, ci.hi, c.p50_ns, c.p99_ns
-        ));
-    }
-    let paired = [
-        paired_entry("queue_4plus_threads", pooled.0, pooled.1),
-        paired_entry("queue_8_threads", at8.0, at8.1),
-    ]
-    .join(",\n");
-    let json = format!(
-        "{{\n  \"arenas\": {MULTI_ARENAS},\n  \"reps\": {REPS},\n  \"ops_per_cell\": {},\n  \"series\": [\n{series}\n  ],\n  \"paired\": [\n{paired}\n  ]\n}}\n",
-        remote_total_ops(),
-    );
-    write_bench_pr_section("remote_free", &json);
-}
-
-/// Writes this bench's section of `results/BENCH_PR.json` by hand (no
-/// serde in the workspace): one series entry per (threads, tcache) cell
-/// at `MULTI_ARENAS` arenas, with the cell's throughput bootstrap CI as
-/// its gateable metric. Other benches' sections are preserved by the
-/// fragment merge in [`write_bench_pr_section`].
-fn write_bench_pr_json(cells: &[(Cell, Ci)], sharding: (f64, Ci), tcache: (f64, Ci)) {
-    let mut series = String::new();
-    for (i, (c, ci)) in cells
+/// Writes one section of `results/BENCH_PR.json` by hand (no serde in
+/// the workspace): one series entry per `MULTI_ARENAS` cell with the
+/// cell's throughput bootstrap CI as its gateable metric (`lat_prefix`
+/// says which op the sampled latency is of), plus the `paired` speedups.
+/// Host metadata (cores — the paired speedups are parallelism claims —
+/// toolchain, kernel) is injected, and other benches' sections
+/// preserved, by [`write_bench_pr_section`].
+fn write_section(
+    name: &str,
+    ops_per_cell: usize,
+    lat_prefix: &str,
+    cells: &[(Cell, Ci)],
+    paired: &[String],
+) {
+    let series: Vec<String> = cells
         .iter()
         .filter(|(c, _)| c.arenas == MULTI_ARENAS)
-        .enumerate()
-    {
-        if i > 0 {
-            series.push_str(",\n");
-        }
-        series.push_str(&format!(
-            "    {{\"threads\": {}, \"tcache\": {}, \"median_ns_per_op\": {:.1}, \"mops\": {:.3}, \"ci_metric\": \"mops\", \"ci_lo\": {:.3}, \"ci_hi\": {:.3}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-            c.threads,
-            c.tcache,
-            1e3 / c.mops,
-            c.mops,
-            ci.lo,
-            ci.hi,
-            c.p50_ns,
-            c.p99_ns
-        ));
-    }
-    let paired = [
-        paired_entry("sharding_4plus_threads", sharding.0, sharding.1),
-        paired_entry("tcache_4plus_threads", tcache.0, tcache.1),
-    ]
-    .join(",\n");
+        .map(|(c, ci)| {
+            format!(
+                "    {{\"threads\": {}, \"median_ns_per_op\": {:.1}, \"mops\": {:.3}, \"ci_metric\": \"mops\", \"ci_lo\": {:.3}, \"ci_hi\": {:.3}, \"{lat_prefix}p50_ns\": {}, \"{lat_prefix}p99_ns\": {}}}",
+                c.threads,
+                1e3 / c.mops,
+                c.mops,
+                ci.lo,
+                ci.hi,
+                c.p50_ns,
+                c.p99_ns
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"arenas\": {MULTI_ARENAS},\n  \"reps\": {REPS},\n  \"ops_per_cell\": {},\n  \"series\": [\n{series}\n  ],\n  \"paired\": [\n{paired}\n  ]\n}}\n",
-        total_ops(),
+        "{{\n  \"arenas\": {MULTI_ARENAS},\n  \"reps\": {REPS},\n  \"ops_per_cell\": {ops_per_cell},\n  \"series\": [\n{}\n  ],\n  \"paired\": [\n{}\n  ]\n}}\n",
+        series.join(",\n"),
+        paired.join(",\n"),
     );
-    write_bench_pr_section("contention", &json);
+    write_bench_pr_section(name, &json);
 }

@@ -14,7 +14,7 @@
 //! `--scenario` is shorthand for the pressure-scenario matrix: it runs
 //! the `scenario` bench, which always covers all six backends itself.
 
-use hermes_core::config::{default_arena_count, default_tcache_enabled};
+use hermes_core::config::default_arena_count;
 use std::process::Command;
 
 const BENCHES: [&str; 23] = [
@@ -88,16 +88,10 @@ fn main() {
         BENCHES.to_vec()
     };
     println!(
-        "repro_all: backend={backend} (HERMES_BACKEND={}), arenas={} (HERMES_ARENAS={}), tcache={} (HERMES_TCACHE={}), benches={}/{}",
+        "repro_all: backend={backend} (HERMES_BACKEND={}), arenas={} (HERMES_ARENAS={}), benches={}/{}",
         std::env::var("HERMES_BACKEND").unwrap_or_else(|_| "unset".into()),
         default_arena_count(),
         std::env::var("HERMES_ARENAS").unwrap_or_else(|_| "unset".into()),
-        if default_tcache_enabled() {
-            "on"
-        } else {
-            "off"
-        },
-        std::env::var("HERMES_TCACHE").unwrap_or_else(|_| "unset".into()),
         selected.len(),
         BENCHES.len(),
     );

@@ -53,7 +53,7 @@ fn parse_capacity_mb(raw: &str) -> Option<usize> {
         .map(|mb| mb.clamp(MIN_CAPACITY_MB, MAX_CAPACITY_MB) << 20)
 }
 
-/// Parses an on/off switch such as `HERMES_TCACHE`. Accepts the usual
+/// Parses an on/off switch such as `HERMES_HUGEPAGES`. Accepts the usual
 /// spellings; `None` for anything else (empty string, garbage).
 fn parse_switch(raw: &str) -> Option<bool> {
     match raw.trim().to_ascii_lowercase().as_str() {
@@ -88,36 +88,6 @@ pub fn default_arena_count() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(MAX_DEFAULT_ARENAS)
-}
-
-/// Default state of the thread-local allocation caches: enabled, unless
-/// `HERMES_TCACHE=0` (or `false`/`off`/`no`) disables them — restoring
-/// the PR-3 lock-per-allocation shape. Unparsable values warn once on
-/// stderr and keep the caches enabled.
-pub fn default_tcache_enabled() -> bool {
-    static WARN: Once = Once::new();
-    if let Ok(v) = std::env::var("HERMES_TCACHE") {
-        match parse_switch(&v) {
-            Some(b) => return b,
-            None => warn_invalid(&WARN, "HERMES_TCACHE", &v, "enabled"),
-        }
-    }
-    true
-}
-
-/// Default state of the lock-free remote-free inboxes: enabled, unless
-/// `HERMES_REMOTE_QUEUE=0` (or `false`/`off`/`no`) disables them —
-/// restoring the locked cross-shard free path. Unparsable values warn
-/// once on stderr and keep the inboxes enabled.
-pub fn default_remote_queue_enabled() -> bool {
-    static WARN: Once = Once::new();
-    if let Ok(v) = std::env::var("HERMES_REMOTE_QUEUE") {
-        match parse_switch(&v) {
-            Some(b) => return b,
-            None => warn_invalid(&WARN, "HERMES_REMOTE_QUEUE", &v, "enabled"),
-        }
-    }
-    true
 }
 
 /// Default management-thread CPU pin: none, unless `HERMES_MANAGER_CORE`
@@ -186,8 +156,7 @@ pub fn default_huge_pages() -> bool {
 ///
 /// The defaults reproduce the paper's implementation choices:
 /// a 2 ms management-thread interval, reservation factor 2, a 5 MB
-/// reservation floor, an 8-bucket segregated free list (1 MB / 128 KB) and
-/// `mlock`-delegated mapping construction.
+/// reservation floor and an 8-bucket segregated free list (1 MB / 128 KB).
 #[derive(Debug, Clone)]
 pub struct HermesConfig {
     /// Wake-up interval `f` of the memory management thread.
@@ -207,8 +176,6 @@ pub struct HermesConfig {
     pub rsv_trigger_ratio: f64,
     /// `TRIM_THR` as a multiple of `TGT_MEM`: release reserve above it.
     pub trim_ratio: f64,
-    /// Construct mappings via `mlock` (true) or zero-fill touch (false).
-    pub use_mlock: bool,
     /// Enable the monitor daemon's proactive file-cache reclamation.
     pub proactive_reclaim: bool,
     /// Daemon trigger: advise reclaim when node memory usage exceeds this
@@ -223,10 +190,6 @@ pub struct HermesConfig {
     /// Delayed shrink of over-sized mmap hand-outs (§3.2.2). `false`
     /// shrinks synchronously on the allocation path; ablation knob.
     pub delayed_shrink: bool,
-    /// Thread-local allocation caches in front of the arena shards
-    /// (`rt::tcache`). `false` restores the PR-3 lock-per-allocation
-    /// shape; default from `HERMES_TCACHE` (enabled unless `=0`).
-    pub tcache: bool,
     /// Consecutive *quiet* management rounds (no allocation or free
     /// observed runtime-wide) after which the manager drains every
     /// registered thread cache back to its shard, so reserved-unused
@@ -237,12 +200,6 @@ pub struct HermesConfig {
     /// `HERMES_HUGEPAGES` (off unless `=1`; see [`default_huge_pages`]
     /// for why it is opt-in).
     pub huge_pages: bool,
-    /// Lock-free remote-free inboxes (`rt::remote`): cross-shard frees
-    /// are staged per thread and pushed onto the owning arena's MPSC
-    /// queue instead of taking its lock. `false` restores the locked
-    /// cross-shard free path; default from `HERMES_REMOTE_QUEUE`
-    /// (enabled unless `=0`).
-    pub remote_queue: bool,
     /// Pin the management thread to this CPU (SpeedMalloc's dedicated
     /// management-core model); `None` leaves scheduling to the kernel.
     /// Default from `HERMES_MANAGER_CORE` (unset = unpinned).
@@ -259,16 +216,13 @@ impl Default for HermesConfig {
             table_size: 8,
             rsv_trigger_ratio: 0.5,
             trim_ratio: 2.0,
-            use_mlock: true,
             proactive_reclaim: true,
             adv_thr: 0.90,
             cache_target: 0.03,
             gradual_reservation: true,
             delayed_shrink: true,
-            tcache: default_tcache_enabled(),
             tcache_idle_rounds: 8,
             huge_pages: default_huge_pages(),
-            remote_queue: default_remote_queue_enabled(),
             manager_core: default_manager_core(),
         }
     }
@@ -289,26 +243,10 @@ impl HermesConfig {
         self
     }
 
-    /// Returns a copy with the thread-local caches forced on or off
-    /// (ignoring the `HERMES_TCACHE` environment default) — the axis the
-    /// `contention` bench sweeps.
-    pub fn with_tcache(mut self, enabled: bool) -> Self {
-        self.tcache = enabled;
-        self
-    }
-
     /// Returns a copy with the transparent-huge-page hint forced on or
     /// off (ignoring the `HERMES_HUGEPAGES` environment default).
     pub fn with_huge_pages(mut self, enabled: bool) -> Self {
         self.huge_pages = enabled;
-        self
-    }
-
-    /// Returns a copy with the remote-free inboxes forced on or off
-    /// (ignoring the `HERMES_REMOTE_QUEUE` environment default) — the
-    /// axis the `contention` bench's `remote_free` rows sweep.
-    pub fn with_remote_queue(mut self, enabled: bool) -> Self {
-        self.remote_queue = enabled;
         self
     }
 
@@ -363,7 +301,6 @@ mod tests {
         assert_eq!(c.min_rsv, 5 * 1024 * 1024);
         assert_eq!(c.mmap_threshold, 128 * 1024);
         assert_eq!(c.table_size, 8); // 1 MB / 128 KB
-        assert!(c.use_mlock);
         assert!(c.proactive_reclaim);
         assert!(c.gradual_reservation);
         assert!(c.delayed_shrink);
@@ -429,9 +366,6 @@ mod tests {
         if std::env::var("HERMES_HUGEPAGES").is_err() {
             assert!(!default_huge_pages());
         }
-        if std::env::var("HERMES_REMOTE_QUEUE").is_err() {
-            assert!(default_remote_queue_enabled());
-        }
         if std::env::var("HERMES_MANAGER_CORE").is_err() {
             assert_eq!(default_manager_core(), None);
         }
@@ -454,16 +388,8 @@ mod tests {
         assert_eq!(c.rsv_factor, 0.5);
         let c = HermesConfig::default().without_proactive_reclaim();
         assert!(!c.proactive_reclaim);
-        let c = HermesConfig::default().with_tcache(false);
-        assert!(!c.tcache);
-        let c = HermesConfig::default().with_tcache(true);
-        assert!(c.tcache);
         let c = HermesConfig::default().with_huge_pages(false);
         assert!(!c.huge_pages);
-        let c = HermesConfig::default().with_remote_queue(false);
-        assert!(!c.remote_queue);
-        let c = HermesConfig::default().with_remote_queue(true);
-        assert!(c.remote_queue);
         let c = HermesConfig::default().with_manager_core(Some(3));
         assert_eq!(c.manager_core, Some(3));
         let c = HermesConfig::default().with_manager_core(None);

@@ -363,7 +363,7 @@ impl LargePool {
         for e in entries {
             let off = e.id as usize;
             let tail = e.allocated - e.requested;
-            debug_assert!(tail % PAGE == 0 || tail > 0);
+            debug_assert!(tail % PAGE == 0, "pool chunks and requests are whole pages");
             let tail_pages = tail / PAGE * PAGE;
             if tail_pages == 0 {
                 continue;

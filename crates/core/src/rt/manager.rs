@@ -16,23 +16,22 @@
 //! Reservation and trim byte counters are recorded on the shard they
 //! belong to; round bookkeeping lands on the runtime-wide counters.
 //!
-//! When the remote-free queue is enabled the round starts by **draining
-//! every shard's inbox** — the SpeedMalloc-style dedicated-core model:
-//! application threads push cross-shard frees lock-free and this thread
-//! retires them, so a pure producer/consumer service sees its memory
-//! recycled every `f` even if the owning shard never allocates again.
-//! `HERMES_MANAGER_CORE` (or `HermesConfig::manager_core`) pins the
-//! thread to a CPU so those drains and the reservation work stay off the
-//! application's cores.
+//! Every round starts by **draining every shard's remote-free inbox** —
+//! the SpeedMalloc-style dedicated-core model: application threads push
+//! cross-shard frees lock-free and this thread retires them, so a pure
+//! producer/consumer service sees its memory recycled every `f` even if
+//! the owning shard never allocates again. `HERMES_MANAGER_CORE` (or
+//! `HermesConfig::manager_core`) pins the thread to a CPU so those
+//! drains and the reservation work stay off the application's cores.
 //!
-//! When the thread caches or the remote queue are enabled the round also
-//! runs **idle reclaim**: after `tcache_idle_rounds` consecutive rounds
-//! with no allocation or free anywhere in the runtime, the manager
-//! requests a drain of every thread cache (epoch bump; each owner thread
-//! answers on its next allocator touch or at exit — flushing its remote
-//! staging chains too), so a service that goes quiet does not strand
-//! reserve in per-thread magazines or half-built remote chains and the
-//! §5.5 reserved-unused metric converges back to the tracker targets.
+//! The round ends with **idle reclaim**: after `tcache_idle_rounds`
+//! consecutive rounds with no allocation or free anywhere in the
+//! runtime, the manager requests a drain of every thread cache (epoch
+//! bump; each owner thread answers on its next allocator touch or at
+//! exit — flushing its remote staging chains too), so a service that
+//! goes quiet does not strand reserve in per-thread magazines or
+//! half-built remote chains and the §5.5 reserved-unused metric
+//! converges back to the tracker targets.
 
 use super::stats::Counters;
 use super::{lock, remote, tcache, Shard, Shared};
@@ -90,17 +89,15 @@ fn manager_loop(shared: Arc<Shared>, stop_rx: Receiver<()>) {
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
         }
-        if shared.cfg.remote_queue {
-            let mut drained = 0u64;
-            for i in 0..shared.shards.len() {
-                drained += remote::drain(&shared, i, usize::MAX);
-            }
-            tick = if drained > 0 {
-                fine
-            } else {
-                (tick * 2).min(interval)
-            };
+        let mut drained = 0u64;
+        for i in 0..shared.shards.len() {
+            drained += remote::drain(&shared, i, usize::MAX);
         }
+        tick = if drained > 0 {
+            fine
+        } else {
+            (tick * 2).min(interval)
+        };
         if last_round.elapsed() >= interval {
             run_round(&shared);
             last_round = Instant::now();
@@ -114,17 +111,13 @@ fn manager_loop(shared: Arc<Shared>, stop_rx: Receiver<()>) {
 pub(crate) fn run_round(shared: &Shared) {
     let t0 = Instant::now();
     for (i, shard) in shared.shards.iter().enumerate() {
-        if shared.cfg.remote_queue {
-            // Retire queued remote frees before sizing the reserve, so
-            // the thresholds see the heap the application actually holds.
-            remote::drain(shared, i, usize::MAX);
-        }
+        // Retire queued remote frees before sizing the reserve, so the
+        // thresholds see the heap the application actually holds.
+        remote::drain(shared, i, usize::MAX);
         heap_round(shared, shard);
         large_round(shard);
     }
-    if shared.cfg.tcache || shared.cfg.remote_queue {
-        idle_cache_round(shared);
-    }
+    idle_cache_round(shared);
     Counters::add(&shared.counters.manager_rounds, 1);
     Counters::add(
         &shared.counters.manager_busy_ns,

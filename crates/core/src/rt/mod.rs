@@ -19,8 +19,8 @@
 //! * [`tcache`] — per-thread magazine caches in front of the shards:
 //!   small allocations and same-shard frees are served with no shard lock
 //!   at all, refilling/flushing in batches so the lock is amortised over
-//!   dozens of blocks (`HERMES_TCACHE=0` disables, restoring the
-//!   lock-per-allocation shape).
+//!   dozens of blocks; cross-shard frees stage into the owning shard's
+//!   lock-free inbox instead of taking its lock.
 //! * [`global::Hermes`] — a zero-sized `#[global_allocator]` facade that
 //!   lazily boots a [`HermesHeap`] over lazily *mapped* per-shard arenas
 //!   (sized by the `HERMES_HEAP_MB`/`HERMES_LARGE_MB` knobs, growable on
@@ -512,6 +512,25 @@ impl HermesHeap {
         manager::run_round(&self.shared);
     }
 
+    /// Adds to `c` what the durable counters of `shard` (or of every
+    /// shard) have not absorbed yet — the live thread caches' gauges and
+    /// pending op tallies, and the remote-inbox gauges — and returns the
+    /// `(blocks, bytes)` a shard heap books as in use that no user holds:
+    /// parked in magazines, or staged/queued for an inbox.
+    fn add_live(&self, c: &mut CountersSnapshot, shard: Option<usize>) -> (u64, u64) {
+        let t = tcache::tallies(&self.shared, shard);
+        c.cached_bytes += t.bytes;
+        c.cached_blocks += t.blocks;
+        c.tcache_hits += t.hits;
+        c.alloc_count += t.alloc_ops;
+        c.free_count += t.free_ops;
+        c.fast_small += t.fast_ops;
+        let (rblocks, rbytes) = self.shared.remote_gauges(shard);
+        c.remote_queued_blocks += rblocks;
+        c.remote_queued_bytes += rbytes;
+        (t.blocks + rblocks, t.bytes + rbytes)
+    }
+
     /// Merged counter snapshot across all arenas, including the gauges
     /// and pending hit tallies of every live thread cache.
     pub fn counters(&self) -> CountersSnapshot {
@@ -519,16 +538,7 @@ impl HermesHeap {
         for s in self.shared.shards.iter() {
             total.accumulate(&s.counters.snapshot());
         }
-        let t = tcache::tallies(&self.shared, None);
-        total.cached_bytes += t.bytes;
-        total.cached_blocks += t.blocks;
-        total.tcache_hits += t.hits;
-        total.alloc_count += t.alloc_ops;
-        total.free_count += t.free_ops;
-        total.fast_small += t.fast_ops;
-        let (rblocks, rbytes) = self.shared.remote_gauges(None);
-        total.remote_queued_blocks += rblocks;
-        total.remote_queued_bytes += rbytes;
+        self.add_live(&mut total, None);
         total
     }
 
@@ -544,9 +554,9 @@ impl HermesHeap {
         for s in self.shared.shards.iter() {
             total.accumulate(&lock(&s.heap).raw.stats());
         }
-        subtract_cached(&mut total, tcache::tallies(&self.shared, None));
+        let t = tcache::tallies(&self.shared, None);
         let (rblocks, rbytes) = self.shared.remote_gauges(None);
-        subtract_in_transit(&mut total, rblocks, rbytes);
+        subtract_not_user_held(&mut total, t.blocks + rblocks, t.bytes + rbytes);
         total
     }
 
@@ -567,19 +577,9 @@ impl HermesHeap {
     pub fn arena_stats(&self, index: usize) -> ArenaStats {
         let s = &self.shared.shards[index];
         let mut heap = lock(&s.heap).raw.stats();
-        let t = tcache::tallies(&self.shared, Some(index));
-        subtract_cached(&mut heap, t);
-        let (rblocks, rbytes) = self.shared.remote_gauges(Some(index));
-        subtract_in_transit(&mut heap, rblocks, rbytes);
         let mut counters = s.counters.snapshot();
-        counters.remote_queued_blocks += rblocks;
-        counters.remote_queued_bytes += rbytes;
-        counters.cached_bytes += t.bytes;
-        counters.cached_blocks += t.blocks;
-        counters.tcache_hits += t.hits;
-        counters.alloc_count += t.alloc_ops;
-        counters.free_count += t.free_ops;
-        counters.fast_small += t.fast_ops;
+        let (blocks, bytes) = self.add_live(&mut counters, Some(index));
+        subtract_not_user_held(&mut heap, blocks, bytes);
         ArenaStats {
             index,
             heap,
@@ -661,9 +661,9 @@ impl HermesHeap {
         }
         if size < self.shared.cfg.mmap_threshold {
             // Fast path: serve cacheable requests from the thread cache,
-            // no shard lock. Falls through when the cache layer is off,
-            // unavailable, or the home shard cannot refill.
-            if self.shared.cfg.tcache && layout.align() <= heap::ALIGN {
+            // no shard lock. Falls through when the cache is unavailable
+            // or the home shard cannot refill.
+            if layout.align() <= heap::ALIGN {
                 if let Some(cls) = tcache::request_class(size) {
                     if let Some(p) = tcache::allocate(&self.shared, cls) {
                         return Ok(p);
@@ -678,35 +678,26 @@ impl HermesHeap {
         }
     }
 
-    /// Takes the heap lock of the home shard, stealing an uncontended
-    /// neighbour's lock ptmalloc-style when the home shard is busy. Falls
-    /// back to a blocking acquisition of the home lock.
-    fn lock_small(&self, home: usize) -> (usize, MutexGuard<'_, HeapState>) {
+    /// Takes the home shard's lock — the mutex `of` projects, heap or
+    /// large — stealing an uncontended neighbour's ptmalloc-style when
+    /// the home shard is busy. Falls back to a blocking acquisition of
+    /// the home lock.
+    fn lock_stealing<T>(
+        &self,
+        home: usize,
+        of: impl Fn(&Shard) -> &Mutex<T>,
+    ) -> (usize, MutexGuard<'_, T>) {
         let shards = &self.shared.shards;
         let n = shards.len();
         if n > 1 {
             for k in 0..n {
                 let i = (home + k) % n;
-                if let Some(g) = try_lock(&shards[i].heap) {
+                if let Some(g) = try_lock(of(&shards[i])) {
                     return (i, g);
                 }
             }
         }
-        (home, lock(&shards[home].heap))
-    }
-
-    fn lock_large(&self, home: usize) -> (usize, MutexGuard<'_, LargeState>) {
-        let shards = &self.shared.shards;
-        let n = shards.len();
-        if n > 1 {
-            for k in 0..n {
-                let i = (home + k) % n;
-                if let Some(g) = try_lock(&shards[i].large) {
-                    return (i, g);
-                }
-            }
-        }
-        (home, lock(&shards[home].large))
+        (home, lock(of(&shards[home])))
     }
 
     /// One allocation attempt against `shard`'s main heap: records the
@@ -763,34 +754,27 @@ impl HermesHeap {
 
     fn allocate_small(&self, home: usize, layout: Layout, size: usize) -> Option<NonNull<u8>> {
         let shards = &self.shared.shards;
-        let queue_on = self.shared.cfg.remote_queue;
-        if queue_on {
-            // Opportunistic inbox drain: this is already a slow path (the
-            // thread cache missed), so spend a bounded amount of it
-            // returning remotely freed blocks before carving new memory.
-            remote::drain(&self.shared, home, remote::OPPORTUNISTIC_CHAINS);
-        }
-        let (idx, g) = self.lock_small(home);
+        // Opportunistic inbox drain: this is already a slow path (the
+        // thread cache missed), so spend a bounded amount of it
+        // returning remotely freed blocks before carving new memory.
+        remote::drain(&self.shared, home, remote::OPPORTUNISTIC_CHAINS);
+        let (idx, g) = self.lock_stealing(home, |s| &s.heap);
         if let Some(p) = Self::small_attempt(&shards[idx], g, layout, size) {
             return Some(p);
         }
-        if queue_on {
-            // Before declaring the serving shard exhausted, pull back
-            // everything parked in its inbox and retry once.
-            if remote::drain(&self.shared, idx, usize::MAX) > 0 {
-                let shard = &shards[idx];
-                if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
-                    return Some(p);
-                }
+        // Before declaring the serving shard exhausted, pull back
+        // everything parked in its inbox and retry once.
+        if remote::drain(&self.shared, idx, usize::MAX) > 0 {
+            let shard = &shards[idx];
+            if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
+                return Some(p);
             }
         }
         // The serving shard is exhausted: sweep the remaining shards so
         // the runtime only fails once *all* arenas are full.
         for k in 1..shards.len() {
             let j = (idx + k) % shards.len();
-            if queue_on {
-                remote::drain(&self.shared, j, usize::MAX);
-            }
+            remote::drain(&self.shared, j, usize::MAX);
             let shard = &shards[j];
             if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
                 return Some(p);
@@ -803,7 +787,7 @@ impl HermesHeap {
 
     fn allocate_large(&self, home: usize, layout: Layout, size: usize) -> Option<NonNull<u8>> {
         let shards = &self.shared.shards;
-        let (idx, g) = self.lock_large(home);
+        let (idx, g) = self.lock_stealing(home, |s| &s.large);
         if let Some(p) = Self::large_attempt(&shards[idx], g, layout, size) {
             return Some(p);
         }
@@ -826,7 +810,6 @@ impl HermesHeap {
     /// `ptr` must come from this heap's `allocate` with the same `layout`
     /// and must not have been freed already.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
-        let _ = layout;
         let addr = ptr.as_ptr() as usize;
         let (idx, is_large) = match self.shared.shard_of(addr) {
             Some(found) => found,
@@ -843,41 +826,25 @@ impl HermesHeap {
             unsafe { lock(&shard.large).pool.free(ptr) };
             return;
         }
-        let cfg = &self.shared.cfg;
-        if cfg.tcache || cfg.remote_queue {
-            // Classify by the *actual* chunk size from the boundary tag.
-            // Reading it without the shard lock is sound: the size word of
-            // a live chunk is written at allocation and untouched until
-            // its free — neighbours only ever write the prev_size word.
-            // SAFETY: per the caller's contract `ptr` heads a live
-            // heap-path allocation, so `ptr - 8` is its size|flags word.
-            let chunk = unsafe { (ptr.as_ptr() as *const usize).sub(1).read() } & !1;
-            if cfg.tcache && layout.align() <= heap::ALIGN {
-                if let Some(cls) = tcache::chunk_class(chunk) {
-                    if tcache::free(&self.shared, idx, cls, ptr.as_ptr() as usize) {
-                        return;
-                    }
-                }
-            }
-            if cfg.remote_queue {
-                // Cross-shard (and cache-miss) frees stage into the lock-
-                // free inbox instead of taking the owner's lock. Over-
-                // aligned and over-sized blocks qualify too: any heap-path
-                // pointer heads a real boundary-tag chunk.
-                match tcache::remote_free(&self.shared, idx, chunk, addr) {
-                    tcache::RemoteFree::Queued => return,
-                    // The caller's own shard: the locked path below is the
-                    // cheap, uncontended-by-construction route.
-                    tcache::RemoteFree::Home => {}
-                    // No thread cache (TLS teardown, mid-registration):
-                    // fall back to the lock and record the fall.
-                    tcache::RemoteFree::Unavailable => {
-                        Counters::add(&shard.counters.remote_lock_falls, 1);
-                    }
-                }
+        // Classify by the *actual* chunk size from the boundary tag.
+        // Reading it without the shard lock is sound: the size word of a
+        // live chunk is written at allocation and untouched until its
+        // free — neighbours only ever write the prev_size word.
+        // SAFETY: per the caller's contract `ptr` heads a live heap-path
+        // allocation, so `ptr - 8` is its size|flags word.
+        let chunk = unsafe { (ptr.as_ptr() as *const usize).sub(1).read() } & !1;
+        match tcache::free(&self.shared, idx, chunk, layout.align(), addr) {
+            tcache::Freed::Done => return,
+            // The caller's own shard, a shape no magazine takes: the
+            // lock below is uncontended by construction.
+            tcache::Freed::Home => {}
+            // No thread cache (TLS teardown, mid-registration): fall
+            // back to the lock and record the fall.
+            tcache::Freed::Unavailable => {
+                Counters::add(&shard.counters.remote_lock_falls, 1);
             }
         }
-        // Locked path: owner-local frees, queue off, or TLS teardown.
+        // Locked path: home blocks no magazine holds, or TLS teardown.
         Counters::add(&shard.counters.free_count, 1);
         // SAFETY: pointer belongs to this shard's main heap.
         unsafe { lock(&shard.heap).raw.free(ptr) }
@@ -890,20 +857,13 @@ fn per_shard_capacity(total: usize, n: usize) -> usize {
     ((total / n) / PAGE * PAGE).max(PAGE * 64)
 }
 
-/// Re-books thread-cached blocks from "user-held" to "reserve" in a
-/// [`HeapStats`] view. Saturating: the tallies and the locked stats
-/// snapshot are read at slightly different instants, so a racing pop may
-/// transiently exceed the snapshot.
-fn subtract_cached(stats: &mut HeapStats, t: tcache::CacheTallies) {
-    stats.in_use = stats.in_use.saturating_sub(t.bytes as usize);
-    stats.live = stats.live.saturating_sub(t.blocks as usize);
-}
-
-/// Re-books remote-queued blocks (staged or inbox-resident, not yet
-/// drained) from "user-held" to "in transit" in a [`HeapStats`] view.
-/// Saturating for the same racing-snapshot reason as
-/// [`subtract_cached`].
-fn subtract_in_transit(stats: &mut HeapStats, blocks: u64, bytes: u64) {
+/// Re-books blocks no user holds — parked in thread caches (reserve) or
+/// staged/queued for a remote inbox (in transit) — out of a
+/// [`HeapStats`] view, where the shard heaps count them as in use.
+/// Saturating: the gauges and the locked stats snapshot are read at
+/// slightly different instants, so a racing pop may transiently exceed
+/// the snapshot.
+fn subtract_not_user_held(stats: &mut HeapStats, blocks: u64, bytes: u64) {
     stats.in_use = stats.in_use.saturating_sub(bytes as usize);
     stats.live = stats.live.saturating_sub(blocks as usize);
 }
@@ -1144,18 +1104,9 @@ mod tests {
         h.counters()
     }
 
-    /// A small config with the thread caches pinned on or off, immune to
-    /// the `HERMES_TCACHE` environment default.
-    fn small_with_tcache(enabled: bool) -> HermesHeapConfig {
-        HermesHeapConfig {
-            hermes: HermesConfig::default().with_tcache(enabled),
-            ..HermesHeapConfig::small()
-        }
-    }
-
     #[test]
     fn tcache_serves_second_allocation_from_the_magazine() {
-        let h = HermesHeap::new(small_with_tcache(true).with_arena_count(1)).unwrap();
+        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(1)).unwrap();
         let a = h.allocate(layout(256)).unwrap();
         // The refill carved a whole batch; all but the served block are
         // parked in this thread's magazine.
@@ -1185,23 +1136,8 @@ mod tests {
     }
 
     #[test]
-    fn tcache_knob_off_restores_lock_path() {
-        let h = HermesHeap::new(small_with_tcache(false)).unwrap();
-        let p = h.allocate(layout(256)).unwrap();
-        // SAFETY: p live, freed once.
-        unsafe { h.deallocate(p, layout(256)) };
-        let c = h.counters();
-        assert_eq!(c.tcache_refills, 0);
-        assert_eq!(c.tcache_hits, 0);
-        assert_eq!(c.cached_blocks, 0);
-        assert_eq!(c.alloc_count, 1);
-        assert_eq!(c.free_count, 1);
-        assert_eq!(h.heap_stats().live, 0);
-    }
-
-    #[test]
     fn manager_reclaims_caches_after_quiet_rounds() {
-        let mut cfg = small_with_tcache(true).with_arena_count(1);
+        let mut cfg = HermesHeapConfig::small().with_arena_count(1);
         cfg.hermes.tcache_idle_rounds = 2;
         let h = HermesHeap::new(cfg).unwrap();
         let a = h.allocate(layout(512)).unwrap();
@@ -1233,7 +1169,7 @@ mod tests {
 
     #[test]
     fn cross_thread_free_takes_bypass_and_balances() {
-        let h = Arc::new(HermesHeap::new(small_with_tcache(true).with_arena_count(4)).unwrap());
+        let h = Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
         // Allocate a cacheable block on another thread (its cache drains
         // at thread exit), free it here: the owner shard differs from
         // this thread's home for at least some of the 8 spawned threads.
@@ -1267,24 +1203,13 @@ mod tests {
         h.check_integrity().unwrap();
     }
 
-    /// A small config with the thread caches *and* the remote queue
-    /// pinned, immune to both environment defaults.
-    fn small_with_remote(tcache: bool, queue: bool) -> HermesHeapConfig {
-        HermesHeapConfig {
-            hermes: HermesConfig::default()
-                .with_tcache(tcache)
-                .with_remote_queue(queue),
-            ..HermesHeapConfig::small()
-        }
-    }
-
-    /// Allocates `count` blocks of `size` bytes on a worker thread whose
+    /// Allocates `count` blocks of layout `lay` on a worker thread whose
     /// home shard differs from the caller's, returning the addresses and
     /// the owning shard. Panics if no such worker appears in 8 tries
     /// (ticket assignment is round-robin, so one always does).
     fn alloc_on_foreign_home(
         h: &Arc<HermesHeap>,
-        size: usize,
+        lay: Layout,
         count: usize,
     ) -> (Vec<usize>, usize) {
         let my_home = h.home_arena();
@@ -1295,7 +1220,7 @@ mod tests {
                     return None;
                 }
                 let addrs: Vec<usize> = (0..count)
-                    .map(|_| hh.allocate(layout(size)).unwrap().as_ptr() as usize)
+                    .map(|_| hh.allocate(lay).unwrap().as_ptr() as usize)
                     .collect();
                 Some(addrs)
             })
@@ -1313,42 +1238,80 @@ mod tests {
 
     #[test]
     fn remote_free_queues_cross_thread_and_drains() {
-        let h =
-            Arc::new(HermesHeap::new(small_with_remote(false, true).with_arena_count(4)).unwrap());
-        let n = remote::REMOTE_BATCH + 4; // one pushed chain + a partial
-        let (addrs, owner) = alloc_on_foreign_home(&h, 256, n);
-        assert_ne!(owner, h.home_arena());
-        for &addr in &addrs {
-            // SAFETY: live, freed once, layout as allocated.
-            unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(256)) };
+        // Every heap-path shape stages: a magazine class, a chunk above
+        // the largest class, and an over-aligned block no magazine takes.
+        for lay in [
+            layout(256),
+            layout(PAGE * 2),
+            Layout::from_size_align(256, 64).unwrap(),
+        ] {
+            let h =
+                Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
+            let n = remote::REMOTE_BATCH + 4; // one pushed chain + a partial
+            let (addrs, owner) = alloc_on_foreign_home(&h, lay, n);
+            assert_ne!(owner, h.home_arena());
+            for &addr in &addrs {
+                assert_eq!(addr % lay.align(), 0, "{lay:?}");
+                // SAFETY: live, freed once, layout as allocated.
+                unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), lay) };
+            }
+            let c = h.counters();
+            assert_eq!(c.remote_frees, n as u64, "{lay:?}: every free staged");
+            assert_eq!(c.remote_lock_falls, 0, "{lay:?}: no lock fallbacks");
+            assert_eq!(c.free_count, n as u64, "{lay:?}: booked at stage time");
+            assert_eq!(c.remote_queued_blocks, n as u64, "{lay:?}: staged + queued");
+            assert!(c.remote_queued_bytes >= (lay.size() * n) as u64, "{lay:?}");
+            // Queued blocks are in transit, not user-held: the stats views
+            // balance without waiting for a drain.
+            assert_eq!(h.heap_stats().live, 0, "{lay:?}");
+            assert_eq!(h.heap_stats().in_use, 0, "{lay:?}");
+            assert_eq!(h.arena_stats(owner).heap.live, 0, "{lay:?}");
+            h.drain_remote_inboxes();
+            let c = h.counters();
+            assert_eq!(
+                c.remote_drained, n as u64,
+                "{lay:?}: drain retired the chains"
+            );
+            assert_eq!(c.remote_queued_blocks, 0, "{lay:?}");
+            assert_eq!(c.remote_queued_bytes, 0, "{lay:?}");
+            assert_eq!(h.heap_stats().live, 0, "{lay:?}");
+            assert_eq!(h.heap_stats().in_use, 0, "{lay:?}");
+            h.check_integrity().unwrap();
         }
-        let c = h.counters();
-        assert_eq!(c.remote_frees, n as u64, "every free staged remotely");
-        assert_eq!(c.remote_lock_falls, 0, "no lock fallbacks");
-        assert_eq!(c.free_count, n as u64, "frees booked at stage time");
-        assert_eq!(c.remote_queued_blocks, n as u64, "staged + queued gauge");
-        assert!(c.remote_queued_bytes >= 256 * n as u64);
-        // Queued blocks are in transit, not user-held: the stats views
-        // balance without waiting for a drain.
-        assert_eq!(h.heap_stats().live, 0);
-        assert_eq!(h.heap_stats().in_use, 0);
-        assert_eq!(h.arena_stats(owner).heap.live, 0);
-        h.drain_remote_inboxes();
-        let c = h.counters();
-        assert_eq!(c.remote_drained, n as u64, "drain retired the chains");
-        assert_eq!(c.remote_queued_blocks, 0);
-        assert_eq!(c.remote_queued_bytes, 0);
-        assert_eq!(h.heap_stats().live, 0);
+    }
+
+    #[test]
+    fn home_free_of_uncacheable_block_takes_the_locked_path() {
+        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap();
+        for lay in [layout(PAGE * 2), Layout::from_size_align(256, 64).unwrap()] {
+            let before = h.counters();
+            let p = h.allocate(lay).unwrap();
+            assert_eq!(
+                h.arena_of(p),
+                Some(h.home_arena()),
+                "{lay:?}: served at home"
+            );
+            // SAFETY: p live, freed once, layout as allocated.
+            unsafe { h.deallocate(p, lay) };
+            // The block went straight back into the home heap: parked in
+            // no magazine, staged for no inbox, nothing left to drain.
+            let c = h.counters();
+            assert_eq!(c.free_count, before.free_count + 1, "{lay:?}");
+            assert_eq!(c.cached_blocks, before.cached_blocks, "{lay:?}");
+            assert_eq!(c.remote_frees, 0, "{lay:?}");
+            assert_eq!(c.remote_lock_falls, 0, "{lay:?}");
+            assert_eq!(h.arena_stats(h.home_arena()).heap.in_use, 0, "{lay:?}");
+            assert_eq!(h.heap_stats().in_use, 0, "{lay:?}");
+        }
         h.check_integrity().unwrap();
     }
 
     #[test]
     fn manager_round_drains_pushed_chains() {
-        let h =
-            Arc::new(HermesHeap::new(small_with_remote(false, true).with_arena_count(4)).unwrap());
+        let h = Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
         // Exactly one full chain: the 16th free pushes it onto the inbox.
         let n = remote::REMOTE_BATCH;
-        let (addrs, _) = alloc_on_foreign_home(&h, 512, n);
+        let (addrs, _) = alloc_on_foreign_home(&h, layout(512), n);
         for &addr in &addrs {
             // SAFETY: live, freed once, layout as allocated.
             unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(512)) };
@@ -1363,34 +1326,13 @@ mod tests {
     }
 
     #[test]
-    fn remote_queue_knob_off_restores_locked_path() {
-        let h =
-            Arc::new(HermesHeap::new(small_with_remote(false, false).with_arena_count(4)).unwrap());
-        let (addrs, _) = alloc_on_foreign_home(&h, 256, 8);
-        for &addr in &addrs {
-            // SAFETY: live, freed once, layout as allocated.
-            unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(256)) };
-        }
-        let c = h.counters();
-        assert_eq!(c.remote_frees, 0, "queue off: no staging");
-        assert_eq!(c.remote_queued_blocks, 0);
-        assert_eq!(c.remote_drained, 0);
-        assert_eq!(c.free_count, 8);
-        // Locked frees return immediately: no drain needed to balance.
-        assert_eq!(h.heap_stats().live, 0);
-        h.check_integrity().unwrap();
-    }
-
-    #[test]
     fn exhausted_shards_recover_from_queued_remote_frees() {
         let cfg = HermesHeapConfig {
             heap_capacity: PAGE * 64 * 2,
             large_capacity: PAGE * 64 * 2,
             arenas: 2,
             reserve_factor: 1,
-            hermes: HermesConfig::default()
-                .with_tcache(false)
-                .with_remote_queue(true),
+            hermes: HermesConfig::default(),
         };
         let h = Arc::new(HermesHeap::new(cfg).unwrap());
         let mut live: Vec<usize> = Vec::new();

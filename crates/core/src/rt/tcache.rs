@@ -49,11 +49,11 @@
 //!
 //! Only same-shard frees are cached: `deallocate` routes a pointer to
 //! its owning shard through the range table first, and a pointer owned
-//! by a *different* shard takes the existing lock-and-free bypass path,
-//! so boundary-tag coalescing stays shard-local and a magazine never
-//! mixes shards.
+//! by a *different* shard is staged for that shard's remote inbox
+//! (below), so boundary-tag coalescing stays shard-local and a magazine
+//! never mixes shards.
 //!
-//! # Remote staging (`cfg.remote_queue`)
+//! # Remote staging
 //!
 //! Cross-shard frees get their own owner-only state here: a per-shard
 //! [`RemoteStage`] that chains dead blocks (intrusively, through each
@@ -63,8 +63,7 @@
 //! per sixteen frees. Counters and inbox gauges are booked per free at
 //! stage time. The stages drain with the magazines (thread exit,
 //! explicit drain, epoch reclaim), so a parked thread cannot strand a
-//! partial chain; with the magazines disabled (`HERMES_TCACHE=0`) a
-//! cache still registers purely to host the stages.
+//! partial chain.
 
 use super::heap::{RawHeap, ALIGN, HDR, MIN_CHUNK};
 use super::remote::{Chain, REMOTE_BATCH};
@@ -149,7 +148,7 @@ pub fn cache_chunk_for(size: usize) -> Option<usize> {
 /// class exactly; blocks carved by the locking path usually do not and
 /// take the bypass, which keeps magazine accounting exact.
 #[inline]
-pub(crate) fn chunk_class(chunk: usize) -> Option<usize> {
+fn chunk_class(chunk: usize) -> Option<usize> {
     if !(MIN_CHUNK..=TCACHE_MAX_CHUNK).contains(&chunk) || chunk % ALIGN != 0 {
         return None;
     }
@@ -187,12 +186,14 @@ struct RemoteStage {
     bytes: u64,
 }
 
-/// Outcome of routing a free through the remote-staging layer.
-pub(crate) enum RemoteFree {
-    /// Staged (and possibly pushed); the free is complete.
-    Queued,
-    /// The block belongs to the caller's own home shard — the cheap
-    /// locked path is the right one, not the inbox.
+/// Outcome of routing a heap-path free through the thread cache.
+pub(crate) enum Freed {
+    /// Parked in a magazine or staged for the owner's inbox; the free is
+    /// complete.
+    Done,
+    /// The block belongs to the caller's own home shard but no magazine
+    /// holds its shape (non-class chunk or over-aligned) — the home
+    /// shard's lock, uncontended by construction, is the right path.
     Home,
     /// No cache slot is usable (TLS teardown or mid-registration
     /// re-entry); the caller must take the locked fallback.
@@ -300,7 +301,7 @@ impl ThreadCache {
         // can free a segment through the global allocator and re-enter
         // this cache.
         let empty = unsafe { (*self.mags.get()).counts[cls] == 0 };
-        if empty && shared.cfg.remote_queue {
+        if empty {
             // A cold magazine is the recycling point: pull remotely freed
             // blocks back into the heap's bins before the refill carves
             // them — or, worse, carves fresh cold memory while the
@@ -632,40 +633,34 @@ pub(crate) fn allocate(shared: &Arc<Shared>, cls: usize) -> Option<NonNull<u8>> 
     with_cache(shared, |cache| cache.allocate(shared, cls)).flatten()
 }
 
-/// Cache-path free of `addr` (a block of class `cls` owned by shard
-/// `owner`). Returns `false` when the block must take the bypass path:
-/// cache unavailable, or the block belongs to a foreign shard.
-pub(crate) fn free(shared: &Arc<Shared>, owner: usize, cls: usize, addr: usize) -> bool {
-    with_cache(shared, |cache| {
-        if cache.home != owner {
-            return false;
-        }
-        cache.push(shared, cls, addr);
-        true
-    })
-    .unwrap_or(false)
-}
-
-/// Remote-queue free of `addr` (a live `chunk`-byte heap-path block
-/// owned by shard `owner`): stages the block for the owner's inbox.
-/// Works with the magazines disabled too — any heap-path chunk size
-/// stages, not just cache classes. See [`RemoteFree`] for the outcomes
-/// that bounce the caller back to a locked path.
-pub(crate) fn remote_free(
+/// Frees `addr` — a live `chunk`-byte heap-path block of shard `owner`,
+/// allocated with alignment `align` — through the calling thread's cache
+/// in one TLS lookup: a foreign shard's block (any chunk size: every
+/// heap-path pointer heads a real boundary-tag chunk) stages for the
+/// owner's inbox; a home block whose chunk is exactly a class size parks
+/// in its magazine. See [`Freed`] for the outcomes that send the caller
+/// to the owner's lock.
+pub(crate) fn free(
     shared: &Arc<Shared>,
     owner: usize,
     chunk: usize,
+    align: usize,
     addr: usize,
-) -> RemoteFree {
+) -> Freed {
     with_cache(shared, |cache| {
-        if cache.home == owner {
-            RemoteFree::Home
-        } else {
+        if cache.home != owner {
             cache.remote_push(shared, owner, chunk, addr);
-            RemoteFree::Queued
+            return Freed::Done;
+        }
+        match chunk_class(chunk) {
+            Some(cls) if align <= ALIGN => {
+                cache.push(shared, cls, addr);
+                Freed::Done
+            }
+            _ => Freed::Home,
         }
     })
-    .unwrap_or(RemoteFree::Unavailable)
+    .unwrap_or(Freed::Unavailable)
 }
 
 /// Flushes only the calling thread's remote staging chains for `shared`

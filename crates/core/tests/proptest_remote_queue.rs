@@ -19,9 +19,9 @@
 //!
 //! The foreign allocator is a persistent worker thread whose home shard
 //! differs from the main thread's, so `Free` exercises both the
-//! owner-local locked path and the remote staging path in one sequence.
+//! owner-local magazine path and the remote staging path in one sequence.
 
-use hermes_core::config::HermesConfig;
+use hermes_core::rt::tcache::cache_chunk_for;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
 use proptest::prelude::*;
 use std::alloc::Layout;
@@ -31,7 +31,7 @@ use std::sync::{mpsc, Arc};
 #[derive(Debug, Clone)]
 enum Op {
     /// Allocate on the main thread (home shard serves; frees of these
-    /// blocks take the cheap owner-local locked path).
+    /// blocks park in the main thread's magazines).
     AllocLocal { size: usize },
     /// Allocate on the foreign-home worker (frees of these blocks stage
     /// into the owner's remote inbox).
@@ -119,31 +119,26 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..200),
     ) {
         let mut cfg = HermesHeapConfig::small().with_arena_count(2);
-        cfg.hermes = HermesConfig::default()
-            .with_tcache(false)
-            .with_remote_queue(true);
         cfg.hermes.tcache_idle_rounds = 2;
         let heap = Arc::new(HermesHeap::new(cfg).unwrap());
         let foreign = ForeignAllocator::spawn(&heap);
         // The user's ledger: every live pointer with its size and the
-        // exact chunk it occupies (measured from the `in_use` delta the
-        // allocation produced — conservation then demands that frees,
-        // stages, flushes and drains give back exactly that).
+        // exact chunk it occupies (every size here is cache-served, so
+        // the class chunk — conservation then demands that refills,
+        // frees, stages, flushes and drains net out to exactly that).
         let mut live: Vec<(NonNull<u8>, usize, usize)> = Vec::new();
         let mut expected_in_use = 0usize;
         let mut stamp = 0u8;
         for op in ops {
             match op {
                 Op::AllocLocal { size } | Op::AllocRemote { size } => {
-                    let before = heap.heap_stats().in_use;
                     let p = match op {
                         Op::AllocLocal { .. } => heap
                             .allocate(Layout::from_size_align(size, 16).unwrap())
                             .expect("capacity suffices"),
                         _ => foreign.alloc(size),
                     };
-                    let chunk = heap.heap_stats().in_use - before;
-                    prop_assert!(chunk >= size, "chunk covers the payload");
+                    let chunk = cache_chunk_for(size).expect("cacheable");
                     stamp = stamp.wrapping_add(1);
                     // SAFETY: fresh allocation of `size` bytes.
                     unsafe { std::ptr::write_bytes(p.as_ptr(), stamp, size) };

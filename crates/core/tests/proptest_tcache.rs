@@ -14,7 +14,6 @@
 //! reported user totals, and a drain must zero the gauge while leaving
 //! user memory untouched.
 
-use hermes_core::config::HermesConfig;
 use hermes_core::rt::tcache::cache_chunk_for;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
 use proptest::prelude::*;
@@ -56,7 +55,6 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
         let mut cfg = HermesHeapConfig::small().with_arena_count(2);
-        cfg.hermes = HermesConfig::default().with_tcache(true);
         cfg.hermes.tcache_idle_rounds = 2;
         let heap = HermesHeap::new(cfg).unwrap();
         // The user's ledger: every live pointer with its exact chunk

@@ -3,12 +3,11 @@
 //! including *cross-thread* frees (allocations handed to a neighbouring
 //! thread for release), asserting no data corruption and that the merged
 //! statistics balance out — `in_use` returns to 0 once every thread has
-//! joined and every pointer is freed. Run once through the ring topology
-//! with the thread caches off, once as a producer/consumer pipeline with
-//! the caches enabled, and once as a *pure* producer/consumer pipeline —
-//! in all three, cross-shard frees ride the lock-free remote inboxes and
-//! the `remote_lock_falls` counter proves no free fell back to the
-//! owner's lock.
+//! joined and every pointer is freed. Run once through the ring topology,
+//! once as a producer/consumer pipeline, and once as a *pure*
+//! producer/consumer pipeline — in all three, cross-shard frees ride the
+//! lock-free remote inboxes and the `remote_lock_falls` counter proves no
+//! free fell back to the owner's lock.
 
 use hermes_core::config::HermesConfig;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
@@ -51,9 +50,7 @@ fn eight_threads_mixed_sizes_cross_thread_frees() {
             large_capacity: 256 << 20,
             arenas: 4,
             reserve_factor: 1,
-            hermes: HermesConfig::default()
-                .with_tcache(false)
-                .with_remote_queue(true),
+            hermes: HermesConfig::default(),
         })
         .unwrap(),
     );
@@ -151,14 +148,14 @@ fn eight_threads_mixed_sizes_cross_thread_frees() {
     heap.check_integrity().expect("no structural corruption");
 }
 
-/// Producer/consumer pipeline with the thread caches enabled: 4 producer
-/// threads allocate tagged blocks (mostly cacheable sizes, with a trickle
-/// of uncacheable and large-path ones) and hand *every* block to a paired
-/// consumer thread, which verifies the payload and frees it. A consumer's
-/// home shard usually differs from the block's owning shard, so these
-/// frees exercise the cache-bypass routing; producers churn a small local
-/// set too, so refills, hits and flushes all fire. After every thread has
-/// exited — draining its magazines — the merged statistics must balance.
+/// Producer/consumer pipeline: 4 producer threads allocate tagged blocks
+/// (mostly cacheable sizes, with a trickle of uncacheable and large-path
+/// ones) and hand *every* block to a paired consumer thread, which
+/// verifies the payload and frees it. A consumer's home shard usually
+/// differs from the block's owning shard, so these frees exercise the
+/// remote-staging routing; producers churn a small local set too, so
+/// refills, hits and flushes all fire. After every thread has exited —
+/// draining its magazines — the merged statistics must balance.
 #[test]
 fn producer_consumer_cross_thread_frees_with_caches() {
     const PAIRS: usize = 4;
@@ -169,9 +166,7 @@ fn producer_consumer_cross_thread_frees_with_caches() {
             large_capacity: 256 << 20,
             arenas: 4,
             reserve_factor: 1,
-            hermes: HermesConfig::default()
-                .with_tcache(true)
-                .with_remote_queue(true),
+            hermes: HermesConfig::default(),
         })
         .unwrap(),
     );
@@ -261,9 +256,9 @@ fn producer_consumer_cross_thread_frees_with_caches() {
 /// The tentpole's target workload, distilled: 4 producers do nothing but
 /// allocate and hand off, 4 consumers do nothing but verify and free —
 /// every single small free is a cross-shard free from a thread that never
-/// allocates. With the remote queue on, none of them may touch the owning
-/// shard's lock (`remote_lock_falls == 0`); the inboxes and the manager
-/// absorb the whole return flow.
+/// allocates. None of them may touch the owning shard's lock
+/// (`remote_lock_falls == 0`); the inboxes and the manager absorb the
+/// whole return flow.
 #[test]
 fn pure_producer_consumer_eight_threads_stays_lock_free() {
     const PAIRS: usize = 4;
@@ -274,9 +269,7 @@ fn pure_producer_consumer_eight_threads_stays_lock_free() {
             large_capacity: 256 << 20,
             arenas: 4,
             reserve_factor: 1,
-            hermes: HermesConfig::default()
-                .with_tcache(true)
-                .with_remote_queue(true),
+            hermes: HermesConfig::default(),
         })
         .unwrap(),
     );
