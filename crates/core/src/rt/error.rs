@@ -114,6 +114,12 @@ pub enum IntegrityViolation {
         /// Offset of the chunk with the bad link.
         off: usize,
     },
+    /// A bin's non-empty bit (or its level's summary bit) disagrees with
+    /// the bin's free list.
+    BinMapMismatch {
+        /// Bin index.
+        bin: usize,
+    },
     /// Total bin-linked bytes disagree with the walked free bytes.
     BinnedBytesMismatch {
         /// Bytes reachable through the bins.
@@ -163,6 +169,9 @@ impl fmt::Display for IntegrityViolation {
             }
             IntegrityViolation::BrokenBackLink { bin, off } => {
                 write!(f, "bin {bin}: back-link broken at {off:#x}")
+            }
+            IntegrityViolation::BinMapMismatch { bin } => {
+                write!(f, "bin {bin}: bitmap disagrees with free list")
             }
             IntegrityViolation::BinnedBytesMismatch { linked, walked } => {
                 write!(f, "binned {linked} != walked free {walked}")
@@ -257,6 +266,10 @@ mod tests {
             }
             .to_string(),
             "adjacent free chunks at 0x20 and 0x60"
+        );
+        assert_eq!(
+            IntegrityViolation::BinMapMismatch { bin: 70 }.to_string(),
+            "bin 70: bitmap disagrees with free list"
         );
         assert_eq!(
             IntegrityViolation::StatsDrift.to_string(),

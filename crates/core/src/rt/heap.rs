@@ -1,5 +1,5 @@
-//! The main-heap allocator: a boundary-tag, binned free-list malloc over a
-//! single arena, with an emulated program break.
+//! The main-heap allocator: a boundary-tag malloc over a single arena,
+//! with an emulated program break and two-level segregated-fit free lists.
 //!
 //! The layout mirrors Glibc's ptmalloc main heap (paper §2.1): an
 //! *allocated area* of boundary-tagged chunks followed by the *top chunk*,
@@ -22,6 +22,13 @@
 //! The first word at the top-chunk offset always stamps the size of the
 //! last allocated chunk, so carving from the top finds a valid `prev_size`
 //! already in place.
+//!
+//! Free chunks are filed by size (DESIGN.md §11): 63 exact bins for
+//! 32 B–1 KiB, then one bin per (⌊log2 size⌋, sixteenth of that power of
+//! two). Bitmaps record which bins are non-empty, so every take path finds
+//! "the lowest non-empty bin whose every chunk fits" with a mask and a
+//! trailing-zero count: the time spent under the shard lock does not grow
+//! with the number of free chunks.
 
 use super::arena::{Arena, PAGE};
 use super::error::{IntegrityError, IntegrityViolation};
@@ -44,9 +51,18 @@ const NIL: usize = usize::MAX;
 /// Small bins: exact-size classes 32, 48, ..., 1024.
 const SMALL_MAX: usize = 1024;
 const SMALL_BINS: usize = (SMALL_MAX - MIN_CHUNK) / ALIGN + 1; // 63
-/// Large bins: power-of-two groups (1 KiB, 2 KiB], ..., (64 KiB, 128 KiB], (128 KiB, inf).
-const LARGE_BINS: usize = 8;
-const NBINS: usize = SMALL_BINS + LARGE_BINS;
+/// Large bins: one level per power of two from 1 KiB up, each cut into
+/// `SUBS` equal sub-slots. 32 levels reach 4 TiB, beyond any arena; the
+/// last slot is open-ended and takes whatever is larger still.
+const LEVEL0_LOG2: u32 = SMALL_MAX.ilog2();
+const LEVELS: usize = 32;
+const SUB_LOG2: u32 = 4;
+const SUBS: usize = 1 << SUB_LOG2;
+const NBINS: usize = SMALL_BINS + LEVELS * SUBS;
+const LAST_BIN: usize = NBINS - 1;
+/// Nodes of a request's own sub-slot examined before the search rounds
+/// up to the next slot, where every chunk fits.
+const PROBE: usize = 4;
 
 /// Counters describing heap state (all byte quantities).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,7 +132,16 @@ pub struct RawHeap {
     /// Touched watermark: bytes `[0, committed_off)` have mappings.
     committed_off: usize,
     bins: [usize; NBINS],
+    /// Bit `b` set ⇔ small bin `b` is non-empty.
+    small_map: u64,
+    /// Bit `l` set ⇔ `sub_map[l]` is non-zero.
+    level_map: u32,
+    /// Bit `s` of word `l` set ⇔ large bin `(l, s)` is non-empty.
+    sub_map: [u16; LEVELS],
     stats: HeapStats,
+    /// Free-list nodes examined by the take paths.
+    #[cfg(test)]
+    steps: usize,
 }
 
 // SAFETY: RawHeap exclusively owns its arena; raw offsets never escape
@@ -139,16 +164,41 @@ fn round_up(v: usize, q: usize) -> usize {
     v.div_ceil(q) * q
 }
 
+/// The bin a free chunk of `chunk_size` bytes is filed in.
 #[inline]
 fn bin_index(chunk_size: usize) -> usize {
     debug_assert!(chunk_size >= MIN_CHUNK);
     if chunk_size <= SMALL_MAX {
-        (chunk_size - MIN_CHUNK) / ALIGN
-    } else {
-        // 1025..=2048 -> 0, 2049..=4096 -> 1, ... capped at LARGE_BINS-1.
-        let group = (usize::BITS - ((chunk_size - 1) / SMALL_MAX).leading_zeros()) as usize - 1;
-        SMALL_BINS + group.min(LARGE_BINS - 1)
+        return (chunk_size - MIN_CHUNK) / ALIGN;
     }
+    let log2 = chunk_size.ilog2();
+    let level = (log2 - LEVEL0_LOG2) as usize;
+    if level >= LEVELS {
+        return LAST_BIN;
+    }
+    let sub = (chunk_size >> (log2 - SUB_LOG2)) & (SUBS - 1);
+    SMALL_BINS + level * SUBS + sub
+}
+
+/// The lowest bin whose every chunk is at least `need` bytes: `need`
+/// rounded up to the next sub-slot boundary. `NBINS` when no bin gives
+/// that guarantee (only the open-ended last slot may still hold a fit).
+#[inline]
+fn bin_ceil(need: usize) -> usize {
+    if need <= SMALL_MAX {
+        return bin_index(need);
+    }
+    let step = 1usize << (need.ilog2() - SUB_LOG2);
+    match need.checked_add(step - 1) {
+        Some(rounded) if rounded.ilog2() - LEVEL0_LOG2 < LEVELS as u32 => bin_index(rounded),
+        _ => NBINS,
+    }
+}
+
+/// Splits the index of a large bin into its level and sub-slot.
+#[inline]
+fn level_sub(b: usize) -> (usize, usize) {
+    ((b - SMALL_BINS) / SUBS, (b - SMALL_BINS) % SUBS)
 }
 
 impl RawHeap {
@@ -160,7 +210,12 @@ impl RawHeap {
             brk_off: 0,
             committed_off: 0,
             bins: [NIL; NBINS],
+            small_map: 0,
+            level_map: 0,
+            sub_map: [0; LEVELS],
             stats: HeapStats::default(),
+            #[cfg(test)]
+            steps: 0,
         };
         // Commit the first page and stamp "previous chunk size = 0" at the
         // top-chunk position so the first carve reads a valid prev_size.
@@ -273,6 +328,59 @@ impl RawHeap {
         }
     }
 
+    /// Marks the (just filled) bin `b` non-empty in the bitmaps.
+    #[inline]
+    fn set_bin_bit(&mut self, b: usize) {
+        if b < SMALL_BINS {
+            self.small_map |= 1 << b;
+        } else {
+            let (level, sub) = level_sub(b);
+            self.sub_map[level] |= 1 << sub;
+            self.level_map |= 1 << level;
+        }
+    }
+
+    /// Marks the (just drained) bin `b` empty in the bitmaps.
+    #[inline]
+    fn clear_bin_bit(&mut self, b: usize) {
+        if b < SMALL_BINS {
+            self.small_map &= !(1 << b);
+        } else {
+            let (level, sub) = level_sub(b);
+            self.sub_map[level] &= !(1 << sub);
+            if self.sub_map[level] == 0 {
+                self.level_map &= !(1 << level);
+            }
+        }
+    }
+
+    /// The lowest non-empty bin at or above `start`.
+    #[inline]
+    fn first_bin_from(&self, start: usize) -> Option<usize> {
+        if start < SMALL_BINS {
+            let m = self.small_map & (u64::MAX << start);
+            if m != 0 {
+                return Some(m.trailing_zeros() as usize);
+            }
+        }
+        let (level, sub) = level_sub(start.max(SMALL_BINS));
+        if level >= LEVELS {
+            return None;
+        }
+        // The rest of `start`'s own level, then the lowest slot of the
+        // lowest non-empty level above it.
+        let own = self.sub_map[level] & (u16::MAX << sub);
+        if own != 0 {
+            return Some(SMALL_BINS + level * SUBS + own.trailing_zeros() as usize);
+        }
+        let above = u64::from(self.level_map) & (u64::MAX << (level + 1));
+        if above == 0 {
+            return None;
+        }
+        let level = above.trailing_zeros() as usize;
+        Some(SMALL_BINS + level * SUBS + self.sub_map[level].trailing_zeros() as usize)
+    }
+
     unsafe fn bin_push(&mut self, off: usize) {
         // SAFETY: `off` is a valid, free, committed chunk.
         unsafe {
@@ -285,6 +393,9 @@ impl RawHeap {
                 self.set_links(head, head_fd, off);
             }
             self.bins[b] = off;
+            if head == NIL {
+                self.set_bin_bit(b);
+            }
             self.stats.binned += size;
         }
     }
@@ -299,6 +410,9 @@ impl RawHeap {
             if bk == NIL {
                 debug_assert_eq!(self.bins[b], off, "unlink head mismatch");
                 self.bins[b] = fd;
+                if fd == NIL {
+                    self.clear_bin_bit(b);
+                }
             } else {
                 let bk_fd = self.fd(bk);
                 debug_assert_eq!(bk_fd, off);
@@ -425,7 +539,7 @@ impl RawHeap {
     /// Returns `None` when the arena is exhausted.
     pub fn malloc(&mut self, size: usize) -> Option<NonNull<u8>> {
         let need = Self::request_to_chunk(size);
-        // 1. Binned chunks: exact/first fit, then any larger bin.
+        // 1. Binned chunks: the lowest bin whose chunks all fit.
         // SAFETY: bin contents are valid free chunks by invariant.
         unsafe {
             if let Some(off) = self.bin_take(need) {
@@ -452,34 +566,75 @@ impl RawHeap {
     /// off a binned chunk would leave an unusable sliver; this path skips
     /// such chunks instead. One call means one lock acquisition for the
     /// whole batch — the amortisation the cache exists for.
+    ///
+    /// The blocks are carved as a run: first from one chunk that holds
+    /// everything still missing, then from whichever chunks split exactly,
+    /// then from the top. A refill's blocks are used together, so handing
+    /// them out back to back keeps them on the same pages, and the
+    /// remainder is binned once per chunk instead of once per block.
     pub fn malloc_batch(&mut self, size: usize, out: &mut [usize]) -> usize {
         let need = Self::request_to_chunk(size);
-        let base = self.arena.base().as_ptr() as usize;
         let mut n = 0;
         while n < out.len() {
+            let missing = out.len() - n;
+            // Saturating: a product that wrapped would ask for less than
+            // the run and `carve_run` would overrun the chunk.
+            let run = need.saturating_mul(missing).saturating_add(MIN_CHUNK);
             // SAFETY: bin contents are valid free chunks by invariant.
-            let payload = unsafe {
-                if let Some(off) = self.bin_take_exact(need) {
-                    self.split_excess(off, self.chunk_size(off), need);
-                    debug_assert_eq!(self.chunk_size(off), need);
-                    self.set_chunk(off, need, true);
-                    self.stats.in_use += need;
-                    self.stats.live += 1;
-                    Some(base + off + HDR)
+            let chunk = unsafe {
+                let whole = if missing > 1 {
+                    self.bin_take(run)
                 } else {
-                    // Top carves are exact by construction.
-                    self.carve_top(need).map(|p| p.as_ptr() as usize)
-                }
+                    None
+                };
+                whole.or_else(|| self.bin_take_exact(need))
             };
-            match payload {
-                Some(p) => {
-                    out[n] = p;
-                    n += 1;
-                }
-                None => break,
+            match chunk {
+                // SAFETY: `off` is unlinked, free, and either exactly
+                // `need` bytes or at least `need + MIN_CHUNK`.
+                Some(off) => n += unsafe { self.carve_run(off, need, &mut out[n..]) },
+                // Top carves are exact by construction.
+                None => match self.carve_top(need) {
+                    Some(p) => {
+                        out[n] = p.as_ptr() as usize;
+                        n += 1;
+                    }
+                    None => break,
+                },
             }
         }
         n
+    }
+
+    /// Cuts the free chunk `off` into as many `need`-byte blocks as it
+    /// holds (at most `out.len()`), back to back from its start, and bins
+    /// what is left once. Returns the number of blocks written to `out`.
+    ///
+    /// # Safety
+    /// `off` must be an unlinked free chunk whose size is exactly `need`
+    /// or at least `need + MIN_CHUNK`, and `out` must not be empty.
+    unsafe fn carve_run(&mut self, off: usize, need: usize, out: &mut [usize]) -> usize {
+        let base = self.arena.base().as_ptr() as usize;
+        // SAFETY: every block and the remainder lie inside the chunk.
+        unsafe {
+            let size = self.chunk_size(off);
+            debug_assert!(size == need || size >= need + MIN_CHUNK);
+            let k = ((size - MIN_CHUNK) / need).clamp(1, out.len());
+            for (i, slot) in out[..k].iter_mut().enumerate() {
+                let block = off + i * need;
+                self.set_chunk(block, need, true);
+                *slot = base + block + HDR;
+            }
+            self.stats.in_use += k * need;
+            self.stats.live += k;
+            let rest = size - k * need;
+            if rest != 0 {
+                debug_assert!(rest >= MIN_CHUNK);
+                self.set_chunk(off + k * need, rest, false);
+                self.bin_push(off + k * need);
+            }
+            k
+        }
     }
 
     /// Frees a batch of payload addresses under one lock acquisition (the
@@ -497,64 +652,84 @@ impl RawHeap {
         }
     }
 
-    /// Exact-fit variant of [`RawHeap::bin_take`]: only returns chunks
-    /// that are either exactly `need` bytes or big enough to split down to
-    /// exactly `need` (`>= need + MIN_CHUNK`). Small bins hold exactly one
-    /// chunk size each, so a whole bin qualifies or is skipped in O(1);
-    /// only the mixed-size large bins are walked.
-    unsafe fn bin_take_exact(&mut self, need: usize) -> Option<usize> {
+    /// Unlinks and returns the first of the leading `limit` nodes of bin
+    /// `b` whose size `fits` accepts.
+    unsafe fn bin_probe(
+        &mut self,
+        b: usize,
+        limit: usize,
+        fits: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
         // SAFETY: all offsets in bins are valid free chunks.
         unsafe {
-            for b in bin_index(need)..NBINS {
-                if b < SMALL_BINS {
-                    let bin_size = MIN_CHUNK + b * ALIGN;
-                    if bin_size != need && bin_size < need + MIN_CHUNK {
-                        continue;
-                    }
-                    let head = self.bins[b];
-                    if head != NIL {
-                        self.bin_unlink(head);
-                        return Some(head);
-                    }
-                    continue;
+            let mut cur = self.bins[b];
+            for _ in 0..limit {
+                if cur == NIL {
+                    break;
                 }
-                let mut cur = self.bins[b];
-                while cur != NIL {
-                    let size = self.chunk_size(cur);
-                    if size == need || size >= need + MIN_CHUNK {
-                        self.bin_unlink(cur);
-                        return Some(cur);
-                    }
-                    cur = self.fd(cur);
+                #[cfg(test)]
+                {
+                    self.steps += 1;
                 }
-            }
-            None
-        }
-    }
-
-    unsafe fn bin_take(&mut self, need: usize) -> Option<usize> {
-        // SAFETY: all offsets in bins are valid free chunks.
-        unsafe {
-            let start = bin_index(need);
-            // Exact/first-fit scan in the home bin.
-            let mut cur = self.bins[start];
-            while cur != NIL {
-                if self.chunk_size(cur) >= need {
+                if fits(self.chunk_size(cur)) {
                     self.bin_unlink(cur);
                     return Some(cur);
                 }
                 cur = self.fd(cur);
             }
-            // Any chunk in a higher bin is large enough.
-            for b in (start + 1)..NBINS {
-                let head = self.bins[b];
-                if head != NIL {
-                    debug_assert!(self.chunk_size(head) >= need);
-                    self.bin_unlink(head);
-                    return Some(head);
-                }
-            }
             None
+        }
+    }
+
+    /// How many nodes of bin `b` a take path may examine: a small bin
+    /// holds one size, so its head decides; a sub-slot gets a bounded
+    /// look; only the open-ended last slot is walked to the end.
+    #[inline]
+    fn probe_limit(b: usize) -> usize {
+        if b < SMALL_BINS {
+            1
+        } else if b < LAST_BIN {
+            PROBE
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Unlinks and returns a free chunk of at least `need` bytes: good
+    /// fit, not best fit. A bounded look at the request's own sub-slot
+    /// (whose chunks may be up to one sub-slot width too small), then the
+    /// head of the lowest non-empty bin at or above the next sub-slot
+    /// boundary, where every chunk fits.
+    unsafe fn bin_take(&mut self, need: usize) -> Option<usize> {
+        let home = bin_index(need);
+        let start = bin_ceil(need);
+        // SAFETY: all offsets in bins are valid free chunks.
+        unsafe {
+            let own = if start != home {
+                self.bin_probe(home, Self::probe_limit(home), |size| size >= need)
+            } else {
+                None
+            };
+            own.or_else(|| {
+                let b = self.first_bin_from(start)?;
+                debug_assert!(self.chunk_size(self.bins[b]) >= need);
+                self.bin_probe(b, 1, |_| true)
+            })
+        }
+    }
+
+    /// Exact-fit variant of [`RawHeap::bin_take`]: only returns chunks
+    /// that are either exactly `need` bytes or big enough to split down to
+    /// exactly `need` (`>= need + MIN_CHUNK`): the request's own bin for
+    /// the former, then any chunk of `need + MIN_CHUNK` bytes or more.
+    unsafe fn bin_take_exact(&mut self, need: usize) -> Option<usize> {
+        let home = bin_index(need);
+        // SAFETY: all offsets in bins are valid free chunks.
+        unsafe {
+            self.bin_probe(home, Self::probe_limit(home), |size| {
+                size == need || size >= need + MIN_CHUNK
+            })
+            .or_else(|| self.bin_take(need + MIN_CHUNK))
         }
     }
 
@@ -771,9 +946,23 @@ impl RawHeap {
             }
             .into());
         }
-        // Free-list consistency.
+        // Free-list consistency, and bitmap bit set <=> list non-empty on
+        // both levels.
         let mut linked = 0usize;
         for (b, &head) in self.bins.iter().enumerate() {
+            let marked = if b < SMALL_BINS {
+                self.small_map >> b & 1 == 1
+            } else {
+                let (level, sub) = level_sub(b);
+                let level_marked = self.level_map >> level & 1 == 1;
+                if level_marked != (self.sub_map[level] != 0) {
+                    return Err(IntegrityViolation::BinMapMismatch { bin: b }.into());
+                }
+                self.sub_map[level] >> sub & 1 == 1
+            };
+            if marked != (head != NIL) {
+                return Err(IntegrityViolation::BinMapMismatch { bin: b }.into());
+            }
             let mut cur = head;
             let mut prev_link = NIL;
             while cur != NIL {
@@ -832,15 +1021,164 @@ mod tests {
         RawHeap::new(Arena::reserve(PAGE * pages).unwrap())
     }
 
+    /// The smallest chunk size filed in bin `b`.
+    fn bin_floor(b: usize) -> usize {
+        if b < SMALL_BINS {
+            return MIN_CHUNK + b * ALIGN;
+        }
+        let (level, sub) = level_sub(b);
+        // 1 KiB itself is the last small bin's.
+        ((SUBS + sub) << (LEVEL0_LOG2 as usize + level - SUB_LOG2 as usize)).max(SMALL_MAX + ALIGN)
+    }
+
     #[test]
     fn bin_index_classes() {
         assert_eq!(bin_index(MIN_CHUNK), 0);
-        assert_eq!(bin_index(48), 1);
         assert_eq!(bin_index(SMALL_MAX), SMALL_BINS - 1);
-        assert_eq!(bin_index(SMALL_MAX + 16), SMALL_BINS);
-        assert_eq!(bin_index(2048), SMALL_BINS);
-        assert_eq!(bin_index(2064), SMALL_BINS + 1);
-        assert_eq!(bin_index(1 << 20), NBINS - 1);
+        assert_eq!(bin_index(SMALL_MAX + ALIGN), SMALL_BINS);
+        let last_level = LEVEL0_LOG2 as usize + LEVELS - 1;
+        let sizes = (MIN_CHUNK..=8 << 20)
+            .step_by(ALIGN)
+            .chain((24..=last_level + 2).map(|log2| 1usize << log2))
+            .chain([bin_floor(LAST_BIN), bin_floor(LAST_BIN) + ALIGN]);
+        let mut prev = 0;
+        for size in sizes {
+            let b = bin_index(size);
+            assert!(b < NBINS);
+            assert!(b >= prev, "bin_index is monotone at {size}");
+            prev = b;
+            assert!(bin_floor(b) <= size, "size {size} is below bin {b}'s floor");
+            if b < LAST_BIN {
+                assert!(size < bin_floor(b + 1), "size {size} belongs above bin {b}");
+            }
+            // The rounded-up search never starts in a bin that could hold
+            // a chunk smaller than the request, and never skips further
+            // than the request's own slot plus one.
+            let start = bin_ceil(size);
+            assert!(
+                start == b || start == b + 1,
+                "search for {size} starts at {start}"
+            );
+            if start < NBINS {
+                assert!(bin_floor(start) >= size, "bin {start} may not fit {size}");
+            } else {
+                assert!(size > bin_floor(LAST_BIN));
+            }
+        }
+        assert_eq!(prev, LAST_BIN, "the sweep reaches the open-ended last slot");
+    }
+
+    /// Frees `p` and returns its chunk offset.
+    fn free_chunk(h: &mut RawHeap, p: NonNull<u8>) -> usize {
+        let off = p.as_ptr() as usize - h.arena.base().as_ptr() as usize - HDR;
+        // SAFETY: callers pass a live allocation exactly once.
+        unsafe { h.free(p) };
+        off
+    }
+
+    #[test]
+    fn aged_heap_takes_examine_bounded_nodes() {
+        const AGED: usize = 20_000;
+        let mut h = RawHeap::new(Arena::reserve(128 << 20).unwrap());
+        // 20 000 free chunks of 4.1-4.9 KiB, each fenced by a live guard
+        // block so none coalesce, plus one 7 KiB and one 32 KiB hole.
+        let mut holes = Vec::with_capacity(AGED);
+        for i in 0..AGED {
+            holes.push(h.malloc(4200 + (i * 16) % 800).unwrap());
+            h.malloc(16).unwrap();
+        }
+        let seven = h.malloc(7 << 10).unwrap();
+        h.malloc(16).unwrap();
+        let big = h.malloc(32 << 10).unwrap();
+        h.malloc(16).unwrap();
+        for p in holes {
+            free_chunk(&mut h, p);
+        }
+        let seven_off = free_chunk(&mut h, seven);
+        h.check_integrity().unwrap();
+        let base = h.arena.base().as_ptr() as usize;
+
+        // A 6 KiB request passes over every 4.x KiB chunk without looking
+        // at one, and lands in the 7 KiB hole instead of growing the top.
+        h.steps = 0;
+        let top = h.top_off;
+        let p = h.malloc(6 << 10).unwrap();
+        assert_eq!(p.as_ptr() as usize - base - HDR, seven_off);
+        assert_eq!(h.top_off, top);
+        assert!(h.steps <= PROBE + 1, "6 KiB malloc examined {}", h.steps);
+
+        // A refill of a 1.5 KiB class with no chunk big enough for the
+        // run: per-chunk exact fits, a bounded look for each.
+        let need = RawHeap::request_to_chunk(1536);
+        let mut out = [0usize; 16];
+        h.steps = 0;
+        assert_eq!(h.malloc_batch(1536, &mut out), 16);
+        assert_eq!(h.top_off, top, "served from the aged chunks");
+        assert!(
+            h.steps <= out.len() * 2 * (PROBE + 1),
+            "scattered refill examined {}",
+            h.steps
+        );
+        // SAFETY: all 16 live, each freed once.
+        unsafe { h.free_batch(&out) };
+
+        // With one chunk that holds the whole run the blocks come out of
+        // it back to back.
+        let big_off = free_chunk(&mut h, big);
+        h.steps = 0;
+        assert_eq!(h.malloc_batch(1536, &mut out), 16);
+        assert!(h.steps <= PROBE + 1, "run refill examined {}", h.steps);
+        for (i, &addr) in out.iter().enumerate() {
+            assert_eq!(
+                addr - base - HDR,
+                big_off + i * need,
+                "block {i} of the run"
+            );
+        }
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn integrity_check_reports_bitmap_drift() {
+        let mut h = heap(64);
+        let small = h.malloc(100).unwrap();
+        h.malloc(16).unwrap();
+        let large = h.malloc(5000).unwrap();
+        h.malloc(16).unwrap();
+        free_chunk(&mut h, small);
+        free_chunk(&mut h, large);
+        h.check_integrity().unwrap();
+        let small_bin = bin_index(RawHeap::request_to_chunk(100));
+        let large_bin = bin_index(RawHeap::request_to_chunk(5000));
+        let (level, sub) = level_sub(large_bin);
+        let violation = |h: &RawHeap| h.check_integrity().unwrap_err().violation;
+
+        h.small_map = 0;
+        assert_eq!(
+            violation(&h),
+            IntegrityViolation::BinMapMismatch { bin: small_bin }
+        );
+        h.small_map = 1 << small_bin;
+        // A sub-slot bit without a list, a list without its bit, and a
+        // level bit over an all-zero word are each caught.
+        h.sub_map[level] |= 1 << (sub + 1);
+        assert_eq!(
+            violation(&h),
+            IntegrityViolation::BinMapMismatch { bin: large_bin + 1 }
+        );
+        h.sub_map[level] = 0;
+        assert!(matches!(
+            violation(&h),
+            IntegrityViolation::BinMapMismatch { bin } if level_sub(bin).0 == level
+        ));
+        h.sub_map[level] = 1 << sub;
+        h.level_map = 0;
+        assert!(matches!(
+            violation(&h),
+            IntegrityViolation::BinMapMismatch { bin } if level_sub(bin).0 == level
+        ));
+        h.level_map = 1 << level;
+        h.check_integrity().unwrap();
     }
 
     #[test]

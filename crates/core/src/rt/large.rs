@@ -91,7 +91,8 @@ pub struct LargePool {
     bump_off: usize,
     pool: SegregatedFreeList,
     shrink: DelayedShrinkSet,
-    /// Recyclable extents, page-granular.
+    /// Recyclable extents, page-granular; `stats.extent_bytes` is the
+    /// running sum of their sizes.
     extents: Vec<Extent>,
     /// Committed-bytes gauge: touched minus decommitted.
     committed: usize,
@@ -139,7 +140,6 @@ impl LargePool {
     pub fn stats(&self) -> LargeStats {
         LargeStats {
             pool_bytes: self.pool.total_size(),
-            extent_bytes: self.extents.iter().map(|e| e.size).sum(),
             backing_reserved: self.arena.reserved(),
             committed: self.committed,
             ..self.stats
@@ -149,6 +149,18 @@ impl LargePool {
     /// Bytes held ready in the pool (`memory_pool.total_size`).
     pub fn pool_total(&self) -> usize {
         self.pool.total_size()
+    }
+
+    /// Requests that fell back to a cold carve, cumulative
+    /// ([`LargeStats::cold_allocs`] without the snapshot).
+    pub fn cold_allocs(&self) -> u64 {
+        self.stats.cold_allocs
+    }
+
+    /// Bytes returned to the kernel, cumulative
+    /// ([`LargeStats::decommitted`] without the snapshot).
+    pub fn decommitted(&self) -> u64 {
+        self.stats.decommitted
     }
 
     /// `true` if `ptr` belongs to this pool's arena.
@@ -168,6 +180,7 @@ impl LargePool {
         }
         if let Some((i, sz)) = best {
             let e = self.extents.swap_remove(i);
+            self.stats.extent_bytes -= need;
             if sz > need {
                 self.extents.push(Extent {
                     off: e.off + need,
@@ -211,6 +224,7 @@ impl LargePool {
             size,
             warm: freed == 0,
         });
+        self.stats.extent_bytes += size;
     }
 
     fn write_header(&mut self, payload_off: usize, chunk_off: usize, chunk_size: usize) {
@@ -488,6 +502,12 @@ mod tests {
         let bump_before = p.bump_off;
         let b = p.alloc(256 * KB, PAGE).unwrap();
         assert_eq!(p.bump_off, bump_before, "served from extents");
+        assert_eq!(
+            p.stats().extent_bytes,
+            p.extents.iter().map(|e| e.size).sum::<usize>(),
+            "the gauge follows the list through push and split"
+        );
+        assert_eq!(p.stats().extent_bytes, 256 * KB);
         // SAFETY: b live.
         unsafe { p.free(b) };
     }

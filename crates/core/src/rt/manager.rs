@@ -196,11 +196,11 @@ fn large_round(shard: &Shard) {
     let mut g = lock(&shard.large);
     let th = g.tracker.roll_interval();
     let before = g.pool.pool_total();
-    let decommitted_before = g.pool.stats().decommitted;
+    let decommitted_before = g.pool.decommitted();
     g.pool
         .management_round(th.rsv_thr, th.tgt_mem, th.trim_thr, th.mem_chunk);
     let after = g.pool.pool_total();
-    let decommitted = g.pool.stats().decommitted - decommitted_before;
+    let decommitted = g.pool.decommitted() - decommitted_before;
     drop(g);
     if after > before {
         Counters::add(&shard.counters.reserved_bytes, (after - before) as u64);

@@ -735,9 +735,9 @@ impl HermesHeap {
         size: usize,
     ) -> Option<NonNull<u8>> {
         g.tracker.on_request(size);
-        let before = g.pool.stats().cold_allocs;
+        let before = g.pool.cold_allocs();
         let p = g.pool.alloc(size, layout.align());
-        let cold = g.pool.stats().cold_allocs > before;
+        let cold = g.pool.cold_allocs() > before;
         drop(g);
         let p = p?;
         Counters::add(&shard.counters.alloc_count, 1);

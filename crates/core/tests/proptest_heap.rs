@@ -12,14 +12,32 @@ use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Alloc { size: usize, align_pow: u8 },
-    Free { victim: usize },
+    Alloc {
+        size: usize,
+        align_pow: u8,
+    },
+    Free {
+        victim: usize,
+    },
+    /// A thread-cache refill: `n` blocks of one exact chunk size.
+    Batch {
+        size: usize,
+        n: usize,
+    },
+    /// The matching flush: every block of one earlier batch at once.
+    FreeBatch {
+        victim: usize,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    // Sizes up to 40 000 over a 64 MiB arena reach the sub-slots of the
+    // 1-64 KiB levels; batch sizes cover the thread cache's classes.
     prop_oneof![
-        3 => (1usize..6_000, 4u8..9).prop_map(|(size, align_pow)| Op::Alloc { size, align_pow }),
-        2 => any::<usize>().prop_map(|victim| Op::Free { victim }),
+        6 => (1usize..40_000, 4u8..9).prop_map(|(size, align_pow)| Op::Alloc { size, align_pow }),
+        4 => any::<usize>().prop_map(|victim| Op::Free { victim }),
+        2 => (1usize..4_096, 1usize..33).prop_map(|(size, n)| Op::Batch { size, n }),
+        1 => any::<usize>().prop_map(|victim| Op::FreeBatch { victim }),
     ]
 }
 
@@ -28,8 +46,9 @@ proptest! {
 
     #[test]
     fn heap_random_ops_keep_invariants(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut heap = RawHeap::new(Arena::reserve(PAGE * 2048).unwrap());
+        let mut heap = RawHeap::new(Arena::reserve(64 << 20).unwrap());
         let mut live: Vec<(std::ptr::NonNull<u8>, usize, u8)> = Vec::new();
+        let mut batches: Vec<(Vec<usize>, usize, u8)> = Vec::new();
         let mut stamp = 0u8;
         for op in ops {
             match op {
@@ -66,6 +85,41 @@ proptest! {
                         }
                     }
                 }
+                Op::Batch { size, n } => {
+                    let mut blocks = vec![0usize; n];
+                    let got = heap.malloc_batch(size, &mut blocks);
+                    blocks.truncate(got);
+                    stamp = stamp.wrapping_add(1);
+                    let chunk = RawHeap::request_chunk_size(size);
+                    for &addr in &blocks {
+                        let p = NonNull::new(addr as *mut u8).unwrap();
+                        // SAFETY: fresh block of at least `size` bytes.
+                        unsafe {
+                            let usable = heap.usable_size(p);
+                            prop_assert_eq!(RawHeap::request_chunk_size(usable), chunk);
+                            std::ptr::write_bytes(p.as_ptr(), stamp, size);
+                        }
+                        for &(q, qsize, _) in &live {
+                            let b0 = q.as_ptr() as usize;
+                            prop_assert!(addr + size <= b0 || b0 + qsize <= addr);
+                        }
+                    }
+                    batches.push((blocks, size, stamp));
+                }
+                Op::FreeBatch { victim } => {
+                    if !batches.is_empty() {
+                        let (blocks, size, tag) = batches.swap_remove(victim % batches.len());
+                        for &addr in &blocks {
+                            // SAFETY: each block is live with `size` valid bytes.
+                            unsafe {
+                                prop_assert_eq!(*(addr as *const u8), tag);
+                                prop_assert_eq!(*(addr as *const u8).add(size - 1), tag);
+                            }
+                        }
+                        // SAFETY: all blocks live, each listed once.
+                        unsafe { heap.free_batch(&blocks) };
+                    }
+                }
             }
             heap.check_integrity().map_err(|e| {
                 TestCaseError::fail(format!("integrity: {e}"))
@@ -75,6 +129,10 @@ proptest! {
         for (p, _, _) in live {
             // SAFETY: still live.
             unsafe { heap.free(p) };
+        }
+        for (blocks, _, _) in batches {
+            // SAFETY: still live.
+            unsafe { heap.free_batch(&blocks) };
         }
         heap.check_integrity().map_err(|e| TestCaseError::fail(format!("final: {e}")))?;
         prop_assert_eq!(heap.stats().live, 0);
