@@ -1,61 +1,7 @@
 //! Figure 10: 90th-percentile query latency of RocksDB vs memory-pressure level.
 
-use hermes_allocators::AllocatorKind;
-use hermes_bench::sweep::{find, run};
-use hermes_bench::{header, queries_large, queries_small, Checks};
 use hermes_services::ServiceKind;
-use hermes_sim::report::{fmt_us, Table};
-use hermes_workloads::PRESSURE_LEVELS;
 
 fn main() {
-    header("Figure 10", "RocksDB p90 query latency vs pressure level");
-    let mut checks = Checks::new();
-    for (label, record, queries) in [
-        ("small (1KB)", 1024usize, queries_small()),
-        ("large (200KB)", 200 * 1024, queries_large()),
-    ] {
-        println!("\n--- {label} requests ---");
-        let cells = run(ServiceKind::Rocksdb, record, queries, 42);
-        let slo = find(&cells, AllocatorKind::Glibc, 0.0).summary.p90;
-        println!("SLO (Glibc dedicated p90) = {}us", fmt_us(slo));
-        let mut t = Table::new(["allocator", "0%", "50%", "75%", "100%", "125%", "150%"]);
-        for kind in AllocatorKind::ALL {
-            let mut row = vec![kind.name().to_string()];
-            for &level in &PRESSURE_LEVELS {
-                row.push(fmt_us(find(&cells, kind, level).summary.p90));
-            }
-            t.row_vec(row);
-        }
-        print!("{}", t.render());
-        let _ = t.write_csv(hermes_bench::results_dir().join(format!("fig10_{}.csv", record)));
-
-        // Shape checks.
-        for &level in &[1.0, 1.25, 1.5] {
-            let h = find(&cells, AllocatorKind::Hermes, level).summary.p90;
-            let g = find(&cells, AllocatorKind::Glibc, level).summary.p90;
-            checks.check(
-                &format!("{label} @{:.0}%: Hermes p90 < Glibc p90", level * 100.0),
-                "Hermes lowest",
-                &format!("{} vs {}", h, g),
-                h <= g,
-            );
-        }
-        let h_low = find(&cells, AllocatorKind::Hermes, 0.5).summary.p90;
-        let h_hi = find(&cells, AllocatorKind::Hermes, 1.5).summary.p90;
-        checks.check(
-            &format!("{label}: pressure raises p90"),
-            "monotone-ish growth",
-            &format!("{} -> {}", h_low, h_hi),
-            h_hi >= h_low,
-        );
-        let h100 = find(&cells, AllocatorKind::Hermes, 1.0).summary.p90;
-        let g100 = find(&cells, AllocatorKind::Glibc, 1.0).summary.p90;
-        checks.check(
-            &format!("{label} @100%: baselines violate more than Hermes"),
-            "crossover at ~100%",
-            &format!("hermes {} glibc {} slo {}", h100, g100, slo),
-            h100 <= g100,
-        );
-    }
-    checks.finish();
+    hermes_bench::sweep::p90_vs_pressure(10, "RocksDB", ServiceKind::Rocksdb);
 }

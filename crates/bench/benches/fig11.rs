@@ -1,69 +1,13 @@
 //! Figure 11: Redis query-latency CDF (p90-p99 zoom) under 100 % memory pressure.
 
-use hermes_allocators::AllocatorKind;
-use hermes_bench::{header, pct, queries_large, queries_small, Checks};
 use hermes_services::ServiceKind;
-use hermes_sim::report::{summary_row_us, write_cdf_csv, Table};
-use hermes_workloads::{run_colocation, ColocationConfig};
 
 fn main() {
-    header("Figure 11", "Redis latency under 100% memory pressure");
-    let mut checks = Checks::new();
-    for (label, record, queries) in [
-        ("small (1KB)", 1024usize, queries_small()),
-        ("large (200KB)", 200 * 1024, queries_large()),
-    ] {
-        println!("\n--- {label} requests w/ batch jobs ---");
-        let mut t = Table::new(["allocator", "avg(us)", "p75", "p90", "p95", "p99"]);
-        let mut series = Vec::new();
-        let mut summaries = Vec::new();
-        for kind in AllocatorKind::ALL {
-            let mut cfg = ColocationConfig::paper(ServiceKind::Redis, kind, record, 1.0);
-            cfg.queries = queries;
-            let mut res = run_colocation(&cfg);
-            let s = res.totals.summary();
-            t.row_vec(summary_row_us(kind.name(), &s));
-            series.push((kind.name(), res.totals.cdf(60, 0.90)));
-            summaries.push((kind, s));
-        }
-        print!("{}", t.render());
-        let _ = write_cdf_csv(
-            hermes_bench::results_dir().join(format!("fig11_{}.csv", record)),
-            &series,
-        );
-        let h = summaries
-            .iter()
-            .find(|(k, _)| *k == AllocatorKind::Hermes)
-            .unwrap()
-            .1;
-        let g = summaries
-            .iter()
-            .find(|(k, _)| *k == AllocatorKind::Glibc)
-            .unwrap()
-            .1;
-        let red = h.reduction_vs(&g);
-        checks.check(
-            &format!("{label}: Hermes reduces avg vs Glibc"),
-            "up to 17.0%",
-            &pct(red.avg),
-            red.avg > 0.0,
-        );
-        checks.check(
-            &format!("{label}: Hermes reduces p99 vs Glibc"),
-            "up to 40.6%",
-            &pct(red.p99),
-            red.p99 > 0.0,
-        );
-        for (k, s) in &summaries {
-            if *k != AllocatorKind::Hermes {
-                checks.check(
-                    &format!("{label}: Hermes p99 lowest vs {k}"),
-                    "Hermes lowest",
-                    &format!("{} vs {}", h.p99, s.p99),
-                    h.p99 <= s.p99,
-                );
-            }
-        }
-    }
-    checks.finish();
+    hermes_bench::sweep::cdf_at_full_pressure(
+        11,
+        "Redis",
+        ServiceKind::Redis,
+        "up to 17.0%",
+        "up to 40.6%",
+    );
 }

@@ -1,71 +1,7 @@
 //! Figure 13: SLO-violation ratio of Redis requests per allocator and pressure level.
 
-use hermes_allocators::AllocatorKind;
-use hermes_bench::sweep::{find, run};
-use hermes_bench::{header, queries_large, queries_small, Checks};
 use hermes_services::ServiceKind;
-use hermes_sim::report::Table;
-use hermes_workloads::{violation_reduction_pct, Slo, PRESSURE_LEVELS};
 
 fn main() {
-    header("Figure 13", "Redis SLO violation ratios");
-    let mut checks = Checks::new();
-    for (label, record, queries) in [
-        ("small (1KB)", 1024usize, queries_small()),
-        ("large (200KB)", 200 * 1024, queries_large()),
-    ] {
-        println!("\n--- {label} requests ---");
-        let cells = run(ServiceKind::Redis, record, queries, 42);
-        let mut base = find(&cells, AllocatorKind::Glibc, 0.0).recorder.clone();
-        let slo = Slo::from_baseline(&mut base);
-        println!("SLO = {} (Glibc dedicated p90)", slo.threshold);
-        let mut t = Table::new(["allocator", "50%", "75%", "100%", "125%", "150%"]);
-        for kind in AllocatorKind::ALL {
-            let mut row = vec![kind.name().to_string()];
-            for &level in &PRESSURE_LEVELS[1..] {
-                row.push(format!(
-                    "{:.1}%",
-                    slo.violation_pct(&find(&cells, kind, level).recorder)
-                ));
-            }
-            t.row_vec(row);
-        }
-        print!("{}", t.render());
-        let _ = t.write_csv(hermes_bench::results_dir().join(format!("fig13_{}.csv", record)));
-
-        // Hermes keeps violations low at low pressure and reduces them
-        // substantially at >= 100% (paper: by up to 83.6%).
-        let h_low = slo.violation_pct(&find(&cells, AllocatorKind::Hermes, 0.5).recorder);
-        checks.check(
-            &format!("{label}: Hermes <10% violations at 50%"),
-            "<10%",
-            &format!("{h_low:.1}%"),
-            h_low < 15.0,
-        );
-        let mut best_red: f64 = 0.0;
-        for &level in &[1.0, 1.25, 1.5] {
-            let h = slo.violation_pct(&find(&cells, AllocatorKind::Hermes, level).recorder);
-            for kind in [
-                AllocatorKind::Glibc,
-                AllocatorKind::Jemalloc,
-                AllocatorKind::Tcmalloc,
-            ] {
-                let b = slo.violation_pct(&find(&cells, kind, level).recorder);
-                best_red = best_red.max(violation_reduction_pct(h, b));
-                // Small-record queries are RTT/lookup-bound, so sub-us
-                // allocator deltas disappear into jitter against the
-                // Glibc-derived SLO; enforce the ordering where the
-                // allocator matters (vs Glibc always, vs all on large).
-                let enforced = kind == AllocatorKind::Glibc || record >= 64 * 1024;
-                checks.check(
-                    &format!("{label} @{:.0}%: Hermes <= {kind}", level * 100.0),
-                    "Hermes lowest violations",
-                    &format!("{h:.1}% vs {b:.1}%"),
-                    !enforced || h <= b + 1.0,
-                );
-            }
-        }
-        println!("max violation reduction by Hermes: {best_red:.1}% (paper: up to 83.6%)");
-    }
-    checks.finish();
+    hermes_bench::sweep::slo_violations(13, "Redis", ServiceKind::Redis, "83.6%");
 }

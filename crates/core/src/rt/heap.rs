@@ -534,6 +534,23 @@ impl RawHeap {
         Self::request_to_chunk(size)
     }
 
+    /// Chunk size (header included) of the live allocation whose payload
+    /// starts at `payload`, read from its boundary tag without the heap
+    /// lock. Sound because a live chunk's size word is written at
+    /// allocation and untouched until its free — neighbours only ever
+    /// write the `prev_size` word.
+    ///
+    /// # Safety
+    ///
+    /// `payload` must head an allocation of a `RawHeap` that no thread
+    /// is freeing or has freed.
+    #[inline]
+    pub(crate) unsafe fn live_chunk_size(payload: usize) -> usize {
+        // SAFETY: per the contract, the word below the payload is the
+        // chunk's size|flags word.
+        unsafe { (payload as *const usize).sub(1).read() & !1 }
+    }
+
     /// Allocates `size` bytes (16-byte aligned).
     ///
     /// Returns `None` when the arena is exhausted.

@@ -763,16 +763,12 @@ impl HermesHeap {
             return Some(p);
         }
         // Before declaring the serving shard exhausted, pull back
-        // everything parked in its inbox and retry once.
-        if remote::drain(&self.shared, idx, usize::MAX) > 0 {
-            let shard = &shards[idx];
-            if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
-                return Some(p);
-            }
-        }
-        // The serving shard is exhausted: sweep the remaining shards so
-        // the runtime only fails once *all* arenas are full.
-        for k in 1..shards.len() {
+        // everything parked in its inbox and retry — even when this
+        // drain found nothing, since a concurrent one may have returned
+        // the blocks after the attempt above. Then sweep the remaining
+        // shards the same way, so the runtime only fails once *all*
+        // arenas are full.
+        for k in 0..shards.len() {
             let j = (idx + k) % shards.len();
             remote::drain(&self.shared, j, usize::MAX);
             let shard = &shards[j];
@@ -827,12 +823,9 @@ impl HermesHeap {
             return;
         }
         // Classify by the *actual* chunk size from the boundary tag.
-        // Reading it without the shard lock is sound: the size word of a
-        // live chunk is written at allocation and untouched until its
-        // free — neighbours only ever write the prev_size word.
         // SAFETY: per the caller's contract `ptr` heads a live heap-path
-        // allocation, so `ptr - 8` is its size|flags word.
-        let chunk = unsafe { (ptr.as_ptr() as *const usize).sub(1).read() } & !1;
+        // allocation.
+        let chunk = unsafe { RawHeap::live_chunk_size(addr) };
         match tcache::free(&self.shared, idx, chunk, layout.align(), addr) {
             tcache::Freed::Done => return,
             // The caller's own shard, a shape no magazine takes: the

@@ -58,15 +58,15 @@
 //! Cross-shard frees get their own owner-only state here: a per-shard
 //! [`RemoteStage`] that chains dead blocks (intrusively, through each
 //! block's first payload word) until [`REMOTE_BATCH`] accumulate, then
-//! pushes the whole chain onto the owning shard's lock-free inbox
-//! ([`super::remote`]) — one queue CAS, zero owner-lock acquisitions,
-//! per sixteen frees. Counters and inbox gauges are booked per free at
-//! stage time. The stages drain with the magazines (thread exit,
-//! explicit drain, epoch reclaim), so a parked thread cannot strand a
-//! partial chain.
+//! splices the whole chain onto the owning shard's lock-free inbox
+//! ([`super::remote`]) — one CAS, zero owner-lock acquisitions and no
+//! allocation per sixteen frees. Counters and inbox gauges are booked
+//! per free at stage time. The stages drain with the magazines (thread
+//! exit, explicit drain, epoch reclaim), so a parked thread cannot
+//! strand a partial chain.
 
 use super::heap::{RawHeap, ALIGN, HDR, MIN_CHUNK};
-use super::remote::{Chain, REMOTE_BATCH};
+use super::remote::{self, REMOTE_BATCH};
 use super::stats::Counters;
 use super::{lock, Shared};
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -180,10 +180,11 @@ impl Magazines {
 struct RemoteStage {
     /// Most recently staged block address; 0 when empty.
     head: usize,
+    /// First staged block — the end of the chain, whose link word the
+    /// inbox push overwrites.
+    tail: usize,
     /// Blocks on the chain.
     blocks: u32,
-    /// Summed chunk sizes of the chain's blocks.
-    bytes: u64,
 }
 
 /// Outcome of routing a heap-path free through the thread cache.
@@ -297,20 +298,6 @@ impl ThreadCache {
     fn allocate(&self, shared: &Shared, cls: usize) -> Option<NonNull<u8>> {
         let shard = &shared.shards[self.home];
         // SAFETY: owner-only access per the module's ownership discipline.
-        // The borrow must end before the inbox drain below: a queue pop
-        // can free a segment through the global allocator and re-enter
-        // this cache.
-        let empty = unsafe { (*self.mags.get()).counts[cls] == 0 };
-        if empty {
-            // A cold magazine is the recycling point: pull remotely freed
-            // blocks back into the heap's bins before the refill carves
-            // them — or, worse, carves fresh cold memory while the
-            // freed working set sits parked in the inbox. Bounded, so a
-            // single allocation never pays for a long backlog.
-            super::remote::drain(shared, self.home, super::remote::OPPORTUNISTIC_CHAINS);
-        }
-        // SAFETY: owner-only access; re-borrowed after the drain (which
-        // may have refilled this very magazine re-entrantly).
         let m = unsafe { &mut *self.mags.get() };
         let (addr, faulted) = if m.counts[cls] > 0 {
             let c = m.counts[cls] as usize - 1;
@@ -318,6 +305,12 @@ impl ThreadCache {
             gauge_add(&self.hits, 1);
             (m.slots[cls][c], false)
         } else {
+            // A cold magazine is the recycling point: pull remotely freed
+            // blocks back into the heap's bins before the refill carves
+            // them — or, worse, carves fresh cold memory while the
+            // freed working set sits parked in the inbox. Bounded, so a
+            // single allocation never pays for a long backlog.
+            remote::drain(shared, self.home, remote::OPPORTUNISTIC_CHAINS);
             let (n, faulted) = self.refill(shared, m, cls);
             if n == 0 {
                 return None;
@@ -414,33 +407,17 @@ impl ThreadCache {
     /// only; `addr` must head a live `chunk`-byte boundary-tag
     /// allocation of shard `owner`'s heap, freed exactly once.
     fn remote_push(&self, shared: &Shared, owner: usize, chunk: usize, addr: usize) {
-        let full = {
-            // SAFETY: owner-only access per the module's ownership
-            // discipline. The borrow must end before the inbox push
-            // below: pushing can allocate a queue segment through the
-            // global allocator, and that allocation can re-enter this
-            // method on the same cache.
-            let st = unsafe { &mut (*self.remote.get())[owner] };
-            // SAFETY: the block is dead from the user's view and its
-            // payload holds at least one word (MIN_CHUNK assert in
-            // heap.rs); the drain consumes the link before free_batch
-            // reuses the word.
-            unsafe { (addr as *mut usize).write(st.head) };
-            st.head = addr;
-            st.blocks += 1;
-            st.bytes += chunk as u64;
-            if st.blocks as usize >= REMOTE_BATCH {
-                let chain = Chain {
-                    head: st.head,
-                    blocks: st.blocks,
-                    bytes: st.bytes,
-                };
-                *st = RemoteStage::default();
-                Some(chain)
-            } else {
-                None
-            }
-        };
+        // SAFETY: owner-only access per the module's ownership discipline.
+        let st = unsafe { &mut (*self.remote.get())[owner] };
+        // SAFETY: the block is dead from the user's view and its payload
+        // holds at least one word (MIN_CHUNK assert in heap.rs); the
+        // drain consumes the link before free_batch reuses the word.
+        unsafe { (addr as *mut usize).write(st.head) };
+        if st.head == 0 {
+            st.tail = addr;
+        }
+        st.head = addr;
+        st.blocks += 1;
         // Stage-time accounting: the free is observable (and the block
         // re-booked from user-held to in-transit) the moment it is
         // staged, so statistics never wait for a drain.
@@ -448,32 +425,22 @@ impl ThreadCache {
         Counters::add(&shard.counters.free_count, 1);
         Counters::add(&shard.counters.remote_frees, 1);
         shard.remote.stage_account(chunk);
-        if let Some(chain) = full {
-            shard.remote.push(chain);
+        if st.blocks as usize >= REMOTE_BATCH {
+            shard.remote.push(st.head, st.tail);
+            *st = RemoteStage::default();
         }
     }
 
     /// Pushes every non-empty staging chain onto its owner's inbox
-    /// (partial chains included). Owner-thread only.
+    /// (partial chains included; gauges were booked at stage time).
+    /// Owner-thread only.
     fn flush_remote(&self, shared: &Shared) {
-        for owner in 0..shared.shards.len() {
-            let taken = {
-                // SAFETY: owner-only access; borrow scoped away from the
-                // push, as in `remote_push`.
-                let st = unsafe { &mut (*self.remote.get())[owner] };
-                (st.blocks > 0).then(|| {
-                    let chain = Chain {
-                        head: st.head,
-                        blocks: st.blocks,
-                        bytes: st.bytes,
-                    };
-                    *st = RemoteStage::default();
-                    chain
-                })
-            };
-            if let Some(chain) = taken {
-                // Gauges were booked at stage time; nothing to adjust.
-                shared.shards[owner].remote.push(chain);
+        // SAFETY: owner-only access per the module's ownership discipline.
+        let stages = unsafe { &mut *self.remote.get() };
+        for (st, shard) in stages.iter_mut().zip(shared.shards.iter()) {
+            if st.blocks > 0 {
+                shard.remote.push(st.head, st.tail);
+                *st = RemoteStage::default();
             }
         }
     }
@@ -559,11 +526,8 @@ thread_local! {
 /// the `RefCell` is held (only possible during registration).
 ///
 /// The warm path is one TLS lookup, a `try_borrow`, and a linear scan
-/// of (almost always) one entry; `f` runs under a *shared* borrow, so
-/// the one cache operation that can allocate — a remote-stage push
-/// growing its inbox queue by a segment — may re-enter here and simply
-/// nests another shared borrow (magazine/stage `&mut` borrows are
-/// scoped to end before any such allocation point).
+/// of (almost always) one entry. No cache operation allocates, so `f`
+/// never re-enters here.
 fn with_cache<R>(shared: &Arc<Shared>, f: impl Fn(&ThreadCache) -> R + Copy) -> Option<R> {
     let warm = CACHES.try_with(|caches| {
         let b = caches.try_borrow().ok()?;

@@ -5,6 +5,8 @@
 
 use hermes_core::rt::Hermes;
 use std::collections::HashMap;
+use std::ptr::NonNull;
+use std::sync::{mpsc, Barrier};
 
 #[global_allocator]
 static ALLOC: Hermes = Hermes;
@@ -103,4 +105,61 @@ fn realloc_paths_via_vec_growth() {
     assert_eq!(v[123_456], 123_456);
     v.shrink_to_fit();
     assert_eq!(v.iter().next_back(), Some(&199_999));
+}
+
+/// A producer thread allocates, this thread frees: every such free is
+/// cross-shard when the two homes differ, and must ride the remote inbox
+/// rather than fall back to the owner's lock.
+///
+/// `remote_lock_falls` is process-wide here, and the other tests of this
+/// binary start and end threads at arbitrary moments — a thread's cache
+/// registration and TLS teardown legitimately free through the lock. So
+/// the hand-off runs in rounds, each measured between the producer's
+/// start-up and its exit, and one round free of falls is the proof; if
+/// the pair's own frees fell to the lock, no round would be.
+#[test]
+fn producer_consumer_handoff_stays_off_the_owner_lock() {
+    let heap = Hermes::init();
+    let mine = heap.home_arena();
+    let mut clean_round = false;
+    for _ in 0..64 {
+        let (tx, rx) = mpsc::sync_channel::<Vec<Box<[u8; 200]>>>(4);
+        // Both threads meet here twice: to open the measured window once
+        // the producer is up, and after the consumer has closed it.
+        let window = &Barrier::new(2);
+        let (before, after, cross_shard) = std::thread::scope(|s| {
+            s.spawn(move || {
+                drop(Box::new(0u8)); // registers this thread's cache
+                window.wait();
+                for batch in 0..50u8 {
+                    tx.send((0..40).map(|_| Box::new([batch; 200])).collect())
+                        .unwrap();
+                }
+                window.wait();
+            });
+            window.wait();
+            let before = heap.counters();
+            let mut cross_shard = false;
+            for batch in 0..50u8 {
+                let blocks = rx.recv().unwrap();
+                assert!(blocks.iter().all(|b| b.iter().all(|&x| x == batch)));
+                cross_shard = heap.arena_of(NonNull::from(&blocks[0][0])) != Some(mine);
+            }
+            let after = heap.counters();
+            window.wait();
+            (before, after, cross_shard)
+        });
+        if !cross_shard && heap.arena_count() > 1 {
+            continue; // both threads share a home: nothing crossed
+        }
+        if cross_shard {
+            assert!(after.remote_frees > before.remote_frees);
+        }
+        if after.remote_lock_falls == before.remote_lock_falls {
+            clean_round = true;
+            break;
+        }
+    }
+    assert!(clean_round, "every round saw frees fall back to the lock");
+    heap.check_integrity().unwrap();
 }

@@ -16,7 +16,6 @@
 //!   virtual clock and a wall clock behind one interface, so the same
 //!   drivers run in simulated and real time.
 //! * [`rng`] — seeded, stream-labelled RNG for reproducible experiments.
-//! * [`queue`] — a deterministic timed event queue with FIFO tie-breaking.
 //! * [`stats`] — latency recorders, percentiles, CDFs, SLO-violation ratios.
 //! * [`report`] — text tables, CSV/CDF dumps, paper-vs-measured check lines.
 //!
@@ -41,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod clock;
-pub mod queue;
 pub mod report;
 pub mod rng;
 pub mod stats;
@@ -50,7 +48,6 @@ pub mod time;
 /// Convenient glob-import of the types practically every consumer needs.
 pub mod prelude {
     pub use crate::clock::{Clock, ClockHandle, VirtualClock, WallClock};
-    pub use crate::queue::EventQueue;
     pub use crate::rng::DetRng;
     pub use crate::stats::{LatencyRecorder, OnlineStats, Reduction, Summary};
     pub use crate::time::{SimDuration, SimTime};
@@ -62,7 +59,6 @@ mod tests {
 
     #[test]
     fn prelude_exports_compile() {
-        let _q: EventQueue<u8> = EventQueue::new();
         let _r = DetRng::new(1, "p");
         let _l = LatencyRecorder::new("p");
         let _t = SimTime::ZERO + SimDuration::from_nanos(1);
