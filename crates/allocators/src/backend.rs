@@ -149,9 +149,9 @@ pub struct BackendStats {
     /// Bytes returned to the kernel by `madvise(DONTNEED)` decommits,
     /// cumulative (real Hermes only).
     pub decommitted_bytes: u64,
-    /// Bytes parked in remote-free staging chains and per-arena inboxes
-    /// — freed by the application, not yet drained back into a heap
-    /// (real Hermes only; zero where there is no remote-free queue).
+    /// Bytes parked in per-arena remote-free inboxes — freed by the
+    /// application, not yet drained back into a heap (real Hermes only;
+    /// zero where there is no remote-free queue).
     pub remote_queued: usize,
 }
 

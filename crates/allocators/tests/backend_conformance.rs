@@ -140,7 +140,7 @@ fn cross_thread_free_lands_on_the_owner() {
 fn cross_thread_free_under_remote_queue_stays_lock_free() {
     // The remote-free inbox contract over both real Hermes shapes
     // (fixed backing and grow-on-demand): frees from a thread whose
-    // home shard differs from the owner must stage into the lock-free
+    // home shard differs from the owner must queue on the lock-free
     // inboxes — zero lock fallbacks — and the queued bytes must be
     // visible through the uniform `BackendStats` façade until a drain
     // returns them to the heaps.

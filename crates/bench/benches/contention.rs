@@ -8,8 +8,8 @@
 //!
 //! A second sweep — the `remote_free` series — measures the cross-shard
 //! *free* path: producer/consumer pairs over an mpsc pipeline, where
-//! every consumer free lands on a foreign shard and stages into that
-//! shard's lock-free inbox.
+//! every consumer free lands on a foreign shard and is pushed onto
+//! that shard's lock-free inbox.
 //!
 //! Besides the CSV series, the run writes `results/BENCH_PR.json` — the
 //! per-thread-count median summaries that CI's `bench-smoke` job uploads

@@ -1,62 +1,10 @@
 //! Figure 15: latency reduction vs RSV_FACTOR for small (1KB) requests (§5.4).
 
-use hermes_bench::{header, Checks};
-use hermes_sim::report::Table;
-use hermes_workloads::{run_sensitivity, Scenario, FACTORS};
-
 fn main() {
-    header("Figure 15", "RSV_FACTOR sensitivity, small (1KB) requests");
-    let mut checks = Checks::new();
-    let total: usize = if hermes_bench::full_scale() {
+    let total = if hermes_bench::full_scale() {
         1 << 30
     } else {
         96 << 20
     };
-    for (sc, title) in [
-        (Scenario::Dedicated, "dedicated system"),
-        (Scenario::AnonPressure, "anonymous pressure"),
-    ] {
-        println!("\n--- {title} ---");
-        let pts = run_sensitivity(sc, 1024, total, 42);
-        let mut t = Table::new(["factor", "avg", "p75", "p90", "p95", "p99"]);
-        for p in &pts {
-            t.row_vec(vec![
-                format!("{:.1}x", p.factor),
-                format!("{:+.1}%", p.reduction.avg),
-                format!("{:+.1}%", p.reduction.p75),
-                format!("{:+.1}%", p.reduction.p90),
-                format!("{:+.1}%", p.reduction.p95),
-                format!("{:+.1}%", p.reduction.p99),
-            ]);
-        }
-        print!("{}", t.render());
-        let _ = t.write_csv(hermes_bench::results_dir().join(format!("fig15_{}.csv", sc.name())));
-        let f05 = pts.iter().find(|p| p.factor == 0.5).unwrap().reduction;
-        let f20 = pts.iter().find(|p| p.factor == 2.0).unwrap().reduction;
-        let f30 = pts.iter().find(|p| p.factor == 3.0).unwrap().reduction;
-        if sc == Scenario::Dedicated {
-            checks.check(
-                "0.5x hurts the small-request tail vs 2.0x (dedicated)",
-                "negative p99 reduction at 0.5x",
-                &format!("0.5x {:+.1}% vs 2.0x {:+.1}%", f05.p99, f20.p99),
-                f05.p99 <= f20.p99 + 3.0,
-            );
-        }
-        if sc == Scenario::AnonPressure {
-            checks.check(
-                "anon-pressure gains exceed dedicated gains (avg, 2.0x)",
-                "much larger under pressure",
-                &format!("{:+.1}%", f20.avg),
-                f20.avg > 0.0,
-            );
-        }
-        checks.check(
-            &format!("{title}: >=2x plateaus (3.0x adds little over 2.0x)"),
-            "no further gain past 2x",
-            &format!("2.0x {:+.1}% vs 3.0x {:+.1}% avg", f20.avg, f30.avg),
-            (f30.avg - f20.avg).abs() < 15.0,
-        );
-        assert!(pts.len() == FACTORS.len());
-    }
-    checks.finish();
+    hermes_bench::sweep::rsv_sensitivity(15, "small (1KB)", 1024, total);
 }

@@ -17,7 +17,7 @@
 //! carries a bootstrap CI, and the Hermes-vs-baseline claims are
 //! drift-cancelled paired ratios rather than single-run differences.
 
-use hermes_allocators::{AllocatorKind, BackendKind};
+use hermes_allocators::{AllocatorKind, BackendKind, BackendStats};
 use hermes_bench::stats::{self, Ci};
 use hermes_bench::{header, queries_small, write_bench_pr_section, Checks};
 use hermes_services::ServiceKind;
@@ -53,10 +53,8 @@ struct Row {
     p999_ns: u64,
     /// Bootstrap CI of the per-run p99 values.
     p99_ci: Ci,
-    reserved_unused_bytes: usize,
-    committed_bytes: usize,
-    backing_reserved_bytes: usize,
-    decommitted_bytes: u64,
+    /// The last run's end-of-run backend statistics.
+    stats: BackendStats,
 }
 
 /// A named paired p99 speedup (baseline / treatment; > 1 means the
@@ -113,10 +111,7 @@ fn main() {
                 p99_ns: median_ns(cell.iter().map(|r| r.p99.as_nanos())),
                 p999_ns: median_ns(cell.iter().map(|r| r.p999.as_nanos())),
                 p99_ci,
-                reserved_unused_bytes: last.reserved_unused_bytes,
-                committed_bytes: last.committed_bytes,
-                backing_reserved_bytes: last.backing_reserved_bytes,
-                decommitted_bytes: last.decommitted_bytes,
+                stats: last.stats,
             });
         }
         // Paired tail claims: baseline p99 / Hermes p99, drift-cancelled.
@@ -164,9 +159,9 @@ fn main() {
             format!("{:.1}", r.p99_ns as f64 / 1e3),
             format!("[{:.1}, {:.1}]", r.p99_ci.lo / 1e3, r.p99_ci.hi / 1e3),
             format!("{:.1}", r.p999_ns as f64 / 1e3),
-            format!("{}", r.reserved_unused_bytes / 1024),
-            format!("{}", r.committed_bytes >> 20),
-            format!("{}", r.backing_reserved_bytes >> 20),
+            format!("{}", r.stats.reserved_unused_bytes / 1024),
+            format!("{}", r.stats.committed_bytes >> 20),
+            format!("{}", r.stats.backing_reserved_bytes >> 20),
         ]);
     }
     print!("{}", t.render());
@@ -181,7 +176,7 @@ fn main() {
     let find = |rows: &[Row], s: ServiceKind, b: BackendKind| -> Option<(u64, usize)> {
         rows.iter()
             .find(|r| r.service == s && r.backend == b)
-            .map(|r| (r.p99_ns, r.reserved_unused_bytes))
+            .map(|r| (r.p99_ns, r.stats.reserved_unused_bytes))
     };
     // Mapped-backing sanity: real Hermes rows report the committed
     // gauge inside a strictly larger reservation (growth headroom).
@@ -190,8 +185,12 @@ fn main() {
             checks.check(
                 &format!("{} real: committed within reservation", r.service),
                 "0 < committed <= reserved",
-                &format!("{} of {} B", r.committed_bytes, r.backing_reserved_bytes),
-                r.committed_bytes > 0 && r.committed_bytes <= r.backing_reserved_bytes,
+                &format!(
+                    "{} of {} B",
+                    r.stats.committed_bytes, r.stats.backing_reserved_bytes
+                ),
+                r.stats.committed_bytes > 0
+                    && r.stats.committed_bytes <= r.stats.backing_reserved_bytes,
             );
         }
     }
@@ -250,10 +249,10 @@ fn main() {
             r.p99_ci.lo,
             r.p99_ci.hi,
             r.p999_ns,
-            r.reserved_unused_bytes,
-            r.committed_bytes,
-            r.backing_reserved_bytes,
-            r.decommitted_bytes,
+            r.stats.reserved_unused_bytes,
+            r.stats.committed_bytes,
+            r.stats.backing_reserved_bytes,
+            r.stats.decommitted_bytes,
         ));
     }
     let mut paired_json = String::new();

@@ -326,10 +326,11 @@ pub mod microfig {
     }
 }
 
-/// Shared runner and bodies for the service figures (9-14). Each body
-/// serves a Redis figure and its RocksDB twin: `fig` gives the title and
-/// the CSV prefix (`figNN_<record>.csv`), `name` is the service as the
-/// paper spells it.
+/// Shared runner and bodies for the service figures (9-14) and the
+/// `RSV_FACTOR` sensitivity figures (15/16). Each body serves a figure
+/// and its twin: `fig` gives the title and the CSV prefix
+/// (`figNN_<record>.csv`, `figNN_<scenario>.csv`), `name` is the service
+/// — or the request class — as the paper spells it.
 pub mod sweep {
     use crate::{header, pct, queries_large, queries_small, results_dir, Checks};
     use hermes_allocators::AllocatorKind;
@@ -337,7 +338,8 @@ pub mod sweep {
     use hermes_sim::report::{fmt_us, summary_row_us, write_cdf_csv, Table};
     use hermes_sim::stats::{LatencyRecorder, Summary};
     use hermes_workloads::{
-        run_colocation, violation_reduction_pct, ColocationConfig, Slo, PRESSURE_LEVELS,
+        run_colocation, run_sensitivity, violation_reduction_pct, ColocationConfig, Scenario, Slo,
+        FACTORS, PRESSURE_LEVELS,
     };
 
     /// One cell of the pressure-level sweep.
@@ -573,6 +575,66 @@ pub mod sweep {
             println!(
                 "max violation reduction by Hermes: {best_red:.1}% (paper: up to {paper_reduction})"
             );
+        }
+        checks.finish();
+    }
+
+    /// Figures 15/16: latency reduction vs `RSV_FACTOR` (§5.4) for
+    /// `request_bytes`-sized requests over `total` bytes of volume, on
+    /// a dedicated system and under anonymous pressure. `name` is the
+    /// request class, e.g. `"small (1KB)"`.
+    pub fn rsv_sensitivity(fig: u32, name: &str, request_bytes: usize, total: usize) {
+        header(
+            &format!("Figure {fig}"),
+            &format!("RSV_FACTOR sensitivity, {name} requests"),
+        );
+        let mut checks = Checks::new();
+        for (sc, title) in [
+            (Scenario::Dedicated, "dedicated system"),
+            (Scenario::AnonPressure, "anonymous pressure"),
+        ] {
+            println!("\n--- {title} ---");
+            let pts = run_sensitivity(sc, request_bytes, total, 42);
+            let mut t = Table::new(["factor", "avg", "p75", "p90", "p95", "p99"]);
+            for p in &pts {
+                t.row_vec(vec![
+                    format!("{:.1}x", p.factor),
+                    format!("{:+.1}%", p.reduction.avg),
+                    format!("{:+.1}%", p.reduction.p75),
+                    format!("{:+.1}%", p.reduction.p90),
+                    format!("{:+.1}%", p.reduction.p95),
+                    format!("{:+.1}%", p.reduction.p99),
+                ]);
+            }
+            print!("{}", t.render());
+            let _ = t.write_csv(results_dir().join(format!("fig{fig:02}_{}.csv", sc.name())));
+            let f05 = pts.iter().find(|p| p.factor == 0.5).unwrap().reduction;
+            let f20 = pts.iter().find(|p| p.factor == 2.0).unwrap().reduction;
+            let f30 = pts.iter().find(|p| p.factor == 3.0).unwrap().reduction;
+            // Only small requests see a starved reserve in the tail.
+            if sc == Scenario::Dedicated && request_bytes == 1024 {
+                checks.check(
+                    "0.5x hurts the small-request tail vs 2.0x (dedicated)",
+                    "negative p99 reduction at 0.5x",
+                    &format!("0.5x {:+.1}% vs 2.0x {:+.1}%", f05.p99, f20.p99),
+                    f05.p99 <= f20.p99 + 3.0,
+                );
+            }
+            if sc == Scenario::AnonPressure {
+                checks.check(
+                    "anon-pressure gains exceed dedicated gains (avg, 2.0x)",
+                    "much larger under pressure",
+                    &format!("{:+.1}%", f20.avg),
+                    f20.avg > 0.0,
+                );
+            }
+            checks.check(
+                &format!("{title}: >=2x plateaus (3.0x adds little over 2.0x)"),
+                "no further gain past 2x",
+                &format!("2.0x {:+.1}% vs 3.0x {:+.1}% avg", f20.avg, f30.avg),
+                (f30.avg - f20.avg).abs() < 15.0,
+            );
+            assert!(pts.len() == FACTORS.len());
         }
         checks.finish();
     }

@@ -7,7 +7,7 @@
 //! latency-critical services, and proactively advises the OS to drop
 //! batch-job file cache under pressure.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`policy`] — the algorithms as pure logic: adaptive thresholds
 //!   (Algorithms 1–2), gradual reservation (§3.2.1), the segregated free
@@ -18,8 +18,6 @@
 //!   implementing [`std::alloc::GlobalAlloc`]: boundary-tag main heap
 //!   with an emulated program break, page-granular large pool, and a
 //!   background management thread.
-//! * [`daemon`] — the monitor daemon's service registry (the paper's
-//!   shared-memory PID set).
 //!
 //! Underneath [`rt`] sits [`platform`], the OS page-management seam:
 //! mmap-backed lazy reservations, real `madvise` decommit, huge-page
@@ -55,10 +53,8 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod daemon;
 pub mod platform;
 pub mod policy;
 pub mod rt;
 
 pub use config::{HermesConfig, DEFAULT_MMAP_THRESHOLD};
-pub use daemon::ServiceRegistry;

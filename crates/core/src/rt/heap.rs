@@ -42,7 +42,7 @@ pub const ALIGN: usize = 16;
 /// Smallest chunk (header + room for the two free-list links).
 pub const MIN_CHUNK: usize = 32;
 
-// Remote-free staging (`rt::remote`) threads an intrusive next pointer
+// The remote-free inbox (`rt::remote`) threads an intrusive next pointer
 // through the first payload word of dead blocks; every chunk payload
 // must have room for it.
 const _: () = assert!(MIN_CHUNK - HDR >= std::mem::size_of::<usize>());

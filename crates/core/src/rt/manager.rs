@@ -28,10 +28,10 @@
 //! consecutive rounds with no allocation or free anywhere in the
 //! runtime, the manager requests a drain of every thread cache (epoch
 //! bump; each owner thread answers on its next allocator touch or at
-//! exit — flushing its remote staging chains too), so a service that
-//! goes quiet does not strand reserve in per-thread magazines or
-//! half-built remote chains and the §5.5 reserved-unused metric
-//! converges back to the tracker targets.
+//! exit), so a service that goes quiet does not strand reserve in
+//! per-thread magazines and the §5.5 reserved-unused metric converges
+//! back to the tracker targets. (Cross-shard frees hold no per-thread
+//! state to reclaim: each is on its owner's inbox when it returns.)
 
 use super::stats::Counters;
 use super::{lock, remote, tcache, Shard, Shared};
@@ -67,8 +67,8 @@ impl ManagerHandle {
 /// Finest drain cadence, as a fraction of the management interval: while
 /// cross-shard frees are flowing the manager retires them on this tick,
 /// so the backlog an application thread could ever meet on its own slow
-/// path stays a few chains deep — the drain work lands on this (pinnable)
-/// thread, not on the allocating cores.
+/// path stays a few drain groups deep — the drain work lands on this
+/// (pinnable) thread, not on the allocating cores.
 const DRAIN_TICKS_PER_ROUND: u32 = 16;
 
 fn manager_loop(shared: Arc<Shared>, stop_rx: Receiver<()>) {

@@ -19,7 +19,7 @@
 //! * [`tcache`] — per-thread magazine caches in front of the shards:
 //!   small allocations and same-shard frees are served with no shard lock
 //!   at all, refilling/flushing in batches so the lock is amortised over
-//!   dozens of blocks; cross-shard frees stage into the owning shard's
+//!   dozens of blocks; cross-shard frees push onto the owning shard's
 //!   lock-free inbox instead of taking its lock.
 //! * [`global::Hermes`] — a zero-sized `#[global_allocator]` facade that
 //!   lazily boots a [`HermesHeap`] over lazily *mapped* per-shard arenas
@@ -274,8 +274,8 @@ impl Shared {
         (addr >= base).then_some((shard, is_large))
     }
 
-    /// Summed remote-inbox gauges — `(blocks, bytes)` staged or queued,
-    /// not yet drained — for one shard, or all of them.
+    /// Summed remote-inbox gauges — `(blocks, bytes)` queued, not yet
+    /// drained — for one shard, or all of them.
     fn remote_gauges(&self, shard: Option<usize>) -> (u64, u64) {
         match shard {
             Some(i) => self.shards[i].remote.gauges(),
@@ -407,12 +407,6 @@ impl HermesHeap {
         Ok(Self::with_arena_sets(sets, cfg.hermes))
     }
 
-    /// Creates a single-arena allocator over caller-provided backings
-    /// (the paper's single-heap prototype shape).
-    pub fn with_arenas(heap_arena: Arena, large_arena: Arena, cfg: HermesConfig) -> Self {
-        Self::with_arena_sets(vec![(heap_arena, large_arena)], cfg)
-    }
-
     /// Creates an allocator over caller-provided `(heap, large)` arena
     /// pairs, one shard per pair (used by the global-allocator bootstrap,
     /// which hands in lazily mapped — or, on non-mmap targets, carved
@@ -516,7 +510,7 @@ impl HermesHeap {
     /// shard) have not absorbed yet — the live thread caches' gauges and
     /// pending op tallies, and the remote-inbox gauges — and returns the
     /// `(blocks, bytes)` a shard heap books as in use that no user holds:
-    /// parked in magazines, or staged/queued for an inbox.
+    /// parked in magazines, or queued on an inbox.
     fn add_live(&self, c: &mut CountersSnapshot, shard: Option<usize>) -> (u64, u64) {
         let t = tcache::tallies(&self.shared, shard);
         c.cached_bytes += t.bytes;
@@ -547,8 +541,8 @@ impl HermesHeap {
     /// `in_use` and `live` count memory held by *users*: blocks parked
     /// in thread caches — in-use from a shard heap's view — are reported
     /// as reserve instead (see [`HermesHeap::reserved_unused_bytes`]),
-    /// and blocks staged or queued in remote-free inboxes are already
-    /// freed from the user's view and excluded the same way.
+    /// and blocks queued in remote-free inboxes are already freed from
+    /// the user's view and excluded the same way.
     pub fn heap_stats(&self) -> HeapStats {
         let mut total = HeapStats::default();
         for s in self.shared.shards.iter() {
@@ -614,14 +608,12 @@ impl HermesHeap {
         tcache::drain_current_thread(&self.shared);
     }
 
-    /// Drains every shard's remote-free inbox back into its heap,
-    /// flushing the calling thread's partial staging chains first so
-    /// they are included. Other threads' partial chains return when
-    /// those threads flush (batch boundary, epoch reclaim, or exit).
-    /// The manager does this every round; embedders quiescing for an
-    /// exact accounting checkpoint can force it here.
+    /// Drains every shard's remote-free inbox back into its heap: every
+    /// cross-shard free that returned before this call, by any thread,
+    /// is back in its heap afterwards. The manager does this every
+    /// round; embedders quiescing for an exact accounting checkpoint can
+    /// force it here.
     pub fn drain_remote_inboxes(&self) {
-        tcache::flush_remote_current_thread(&self.shared);
         for i in 0..self.shared.shards.len() {
             remote::drain(&self.shared, i, usize::MAX);
         }
@@ -757,7 +749,7 @@ impl HermesHeap {
         // Opportunistic inbox drain: this is already a slow path (the
         // thread cache missed), so spend a bounded amount of it
         // returning remotely freed blocks before carving new memory.
-        remote::drain(&self.shared, home, remote::OPPORTUNISTIC_CHAINS);
+        remote::drain(&self.shared, home, remote::OPPORTUNISTIC_GROUPS);
         let (idx, g) = self.lock_stealing(home, |s| &s.heap);
         if let Some(p) = Self::small_attempt(&shards[idx], g, layout, size) {
             return Some(p);
@@ -851,7 +843,7 @@ fn per_shard_capacity(total: usize, n: usize) -> usize {
 }
 
 /// Re-books blocks no user holds — parked in thread caches (reserve) or
-/// staged/queued for a remote inbox (in transit) — out of a
+/// queued on a remote inbox (in transit) — out of a
 /// [`HeapStats`] view, where the shard heaps count them as in use.
 /// Saturating: the gauges and the locked stats snapshot are read at
 /// slightly different instants, so a racing pop may transiently exceed
@@ -1231,7 +1223,7 @@ mod tests {
 
     #[test]
     fn remote_free_queues_cross_thread_and_drains() {
-        // Every heap-path shape stages: a magazine class, a chunk above
+        // Every heap-path shape queues: a magazine class, a chunk above
         // the largest class, and an over-aligned block no magazine takes.
         for lay in [
             layout(256),
@@ -1240,7 +1232,7 @@ mod tests {
         ] {
             let h =
                 Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
-            let n = remote::REMOTE_BATCH + 4; // one pushed chain + a partial
+            let n = remote::REMOTE_BATCH + 4; // one drain group + a partial
             let (addrs, owner) = alloc_on_foreign_home(&h, lay, n);
             assert_ne!(owner, h.home_arena());
             for &addr in &addrs {
@@ -1287,7 +1279,7 @@ mod tests {
             // SAFETY: p live, freed once, layout as allocated.
             unsafe { h.deallocate(p, lay) };
             // The block went straight back into the home heap: parked in
-            // no magazine, staged for no inbox, nothing left to drain.
+            // no magazine, queued on no inbox, nothing left to drain.
             let c = h.counters();
             assert_eq!(c.free_count, before.free_count + 1, "{lay:?}");
             assert_eq!(c.cached_blocks, before.cached_blocks, "{lay:?}");
@@ -1302,7 +1294,7 @@ mod tests {
     #[test]
     fn manager_round_drains_pushed_chains() {
         let h = Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
-        // Exactly one full chain: the 16th free pushes it onto the inbox.
+        // Exactly one drain group, every block on the inbox already.
         let n = remote::REMOTE_BATCH;
         let (addrs, _) = alloc_on_foreign_home(&h, layout(512), n);
         for &addr in &addrs {
@@ -1318,8 +1310,9 @@ mod tests {
         h.check_integrity().unwrap();
     }
 
-    #[test]
-    fn exhausted_shards_recover_from_queued_remote_frees() {
+    /// A two-arena, fixed-size heap filled with `layout(PAGE * 2)` blocks
+    /// until `Exhausted`, and the blocks' addresses.
+    fn exhausted_two_arena_heap() -> (Arc<HermesHeap>, Vec<usize>) {
         let cfg = HermesHeapConfig {
             heap_capacity: PAGE * 64 * 2,
             large_capacity: PAGE * 64 * 2,
@@ -1333,10 +1326,34 @@ mod tests {
             live.push(p.as_ptr() as usize);
             assert!(live.len() <= 4096, "tiny config must exhaust");
         }
+        (h, live)
+    }
+
+    /// Frees every block of `live` not already in `freed`, drains the
+    /// inboxes, and checks that the heap of [`exhausted_two_arena_heap`]
+    /// is empty and intact again.
+    fn release_rest_and_check(h: &HermesHeap, live: Vec<usize>, freed: &[usize]) {
+        for addr in live {
+            if !freed.contains(&addr) {
+                // SAFETY: still live (no worker freed it), freed once.
+                unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(PAGE * 2)) };
+            }
+        }
+        h.drain_remote_inboxes();
+        let c = h.counters();
+        assert_eq!(c.remote_queued_blocks, 0);
+        assert_eq!(c.remote_queued_bytes, 0);
+        assert_eq!(h.heap_stats().live, 0);
+        assert_eq!(h.heap_stats().in_use, 0);
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn exhausted_shards_recover_from_queued_remote_frees() {
+        let (h, live) = exhausted_two_arena_heap();
         // A worker frees every block foreign to *its* home shard: each
-        // stages remotely; full chains push, the tail flushes when the
-        // worker's cache drains at thread exit. The freed memory is now
-        // parked in inboxes — the heaps themselves are still full.
+        // goes onto its owner's inbox. The freed memory is now parked in
+        // inboxes — the heaps themselves are still full.
         let freed: Vec<usize> = {
             let hh = Arc::clone(&h);
             let all = live.clone();
@@ -1374,19 +1391,61 @@ mod tests {
         );
         // SAFETY: p live, freed once.
         unsafe { h.deallocate(p, layout(PAGE * 2)) };
-        for addr in live {
-            if !freed.contains(&addr) {
-                // SAFETY: still live (the worker skipped it), freed once.
-                unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(PAGE * 2)) };
-            }
-        }
+        release_rest_and_check(&h, live, &freed);
+    }
+
+    #[test]
+    fn parked_freer_does_not_strand_memory() {
+        let (h, live) = exhausted_two_arena_heap();
+        // A pure consumer: frees fewer than one drain group of blocks
+        // foreign to its home shard, reports them, and blocks on its
+        // queue — alive, never touching the allocator again.
+        const FREED: usize = 8;
+        const _: () = assert!(FREED < remote::REMOTE_BATCH);
+        let (freed_tx, freed_rx) = std::sync::mpsc::channel::<Vec<usize>>();
+        let (park_tx, park_rx) = std::sync::mpsc::channel::<()>();
+        let worker = {
+            let hh = Arc::clone(&h);
+            let all = live.clone();
+            std::thread::spawn(move || {
+                let mine = hh.home_arena();
+                let freed: Vec<usize> = all
+                    .into_iter()
+                    .filter(|&addr| {
+                        hh.arena_of(NonNull::new(addr as *mut u8).unwrap()) != Some(mine)
+                    })
+                    .take(FREED)
+                    .collect();
+                for &addr in &freed {
+                    // SAFETY: live, freed once, layout as allocated.
+                    unsafe {
+                        hh.deallocate(NonNull::new(addr as *mut u8).unwrap(), layout(PAGE * 2))
+                    };
+                }
+                freed_tx.send(freed).unwrap();
+                park_rx.recv().unwrap();
+            })
+        };
+        let freed = freed_rx.recv().unwrap();
+        assert_eq!(freed.len(), FREED, "both shards hold blocks");
+        assert_eq!(h.counters().remote_queued_blocks, FREED as u64);
+        // The parked worker's frees are within reach of the exhaustion
+        // drain...
+        let p = h
+            .allocate(layout(PAGE * 2))
+            .expect("a parked thread's frees are reusable");
+        assert!(
+            h.counters().remote_drained > 0,
+            "recovery came from a drain"
+        );
+        // ...and of a forced one from another thread.
         h.drain_remote_inboxes();
-        let c = h.counters();
-        assert_eq!(c.remote_queued_blocks, 0);
-        assert_eq!(c.remote_queued_bytes, 0);
-        assert_eq!(h.heap_stats().live, 0);
-        assert_eq!(h.heap_stats().in_use, 0);
-        h.check_integrity().unwrap();
+        assert_eq!(h.counters().remote_queued_blocks, 0);
+        park_tx.send(()).unwrap();
+        worker.join().unwrap();
+        // SAFETY: p live, freed once.
+        unsafe { h.deallocate(p, layout(PAGE * 2)) };
+        release_rest_and_check(&h, live, &freed);
     }
 
     #[test]

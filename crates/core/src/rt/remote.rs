@@ -6,20 +6,21 @@
 //! pays a shard-lock acquisition per free exactly where the runtime is
 //! most contended. This module gives every shard an **inbox**: an
 //! intrusive singly-linked list of dead blocks that any thread may
-//! splice onto without touching the owner's lock, and that the owner
+//! push onto without touching the owner's lock, and that the owner
 //! takes whole and returns to its heap in batches. The blocks carry the
-//! list themselves, so no operation here allocates.
+//! list themselves, so no operation here allocates, and a block in
+//! transit has exactly one state: queued.
 //!
 //! The flow (see DESIGN.md §9 for the full protocol):
 //!
-//! * **stage** — the freeing thread links the dead block into a small
-//!   per-thread, per-owner staging chain ([`super::tcache`]), threading
-//!   an intrusive next pointer through the block's first payload word
-//!   (dead payloads are at least one word: see the `MIN_CHUNK` assert in
-//!   `heap.rs`). Counters and the inbox gauges are booked per free, at
-//!   stage time, so statistics never wait for a drain.
-//! * **push** — at [`REMOTE_BATCH`] blocks the chain is spliced onto the
-//!   head of the owner's list: one CAS for sixteen frees.
+//! * **free** — the freeing thread ([`free`]) books the owner's counters
+//!   and the inbox gauges, then pushes the dead block onto the head of
+//!   the owner's list with one CAS, threading the next pointer through
+//!   the block's first payload word (dead payloads are at least one
+//!   word: see the `MIN_CHUNK` assert in `heap.rs`). Everything is
+//!   booked at free time, so statistics never wait for a drain, and the
+//!   block is on the owner's list — within reach of every drain — before
+//!   `free` returns.
 //! * **drain** — the owner takes the whole list with one swap,
 //!   opportunistically on its allocation slow path, and the management
 //!   thread drains every inbox each round. The walk re-reads each
@@ -40,14 +41,14 @@ use super::{lock, try_lock, Shared};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Blocks per chain: one inbox push (and one owner-side lock acquisition
-/// at drain) amortised over this many cross-shard frees.
+/// Blocks per drain group: one owner-side lock acquisition amortised
+/// over this many cross-shard frees.
 pub(crate) const REMOTE_BATCH: usize = 16;
 
 /// [`REMOTE_BATCH`]-block groups an allocation slow path drains before
 /// taking its shard lock — enough to keep inboxes short under steady
 /// load while bounding the latency added to a single allocation.
-pub(crate) const OPPORTUNISTIC_CHAINS: usize = 2;
+pub(crate) const OPPORTUNISTIC_GROUPS: usize = 2;
 
 /// One shard's remote-free inbox.
 pub(crate) struct RemoteInbox {
@@ -57,13 +58,13 @@ pub(crate) struct RemoteInbox {
     /// the whole list out, so no block is unlinked while another thread
     /// can still reach it: there is no ABA window to protect.
     head: AtomicUsize,
-    /// Gauge: blocks staged or queued for this shard, not yet drained.
-    /// Booked per free at stage time (before the chain is even pushed),
-    /// un-booked by the drain after the blocks return to the heap, so
-    /// the runtime's `in_use`/`live` views can re-book them from
-    /// "user-held" to "in transit" without waiting for a drain.
+    /// Gauge: blocks queued for this shard, not yet drained. Booked per
+    /// free just before the push, un-booked by the drain after the
+    /// blocks return to the heap, so the runtime's `in_use`/`live` views
+    /// can re-book them from "user-held" to "in transit" without waiting
+    /// for a drain.
     queued_blocks: AtomicU64,
-    /// Gauge: bytes staged or queued, chunk granularity.
+    /// Gauge: bytes queued, chunk granularity.
     queued_bytes: AtomicU64,
     /// Serialises drains of this inbox, and holds the part of a taken
     /// list that a bounded drain left unwalked (same link format as
@@ -81,32 +82,27 @@ impl RemoteInbox {
         }
     }
 
-    /// Books one staged free into the gauges (stage time, freeing
-    /// thread).
+    /// Pushes the block at `addr` onto the inbox; its first payload word
+    /// becomes the link until the drain's `free_batch` reuses it.
+    ///
+    /// # Safety
+    ///
+    /// `addr` must head a boundary-tag allocation of this inbox's shard
+    /// that is dead, already booked, and owned by nobody else (every
+    /// payload holds at least one word: `MIN_CHUNK` assert in `heap.rs`).
     #[inline]
-    pub(crate) fn stage_account(&self, chunk: usize) {
-        self.queued_blocks.fetch_add(1, Ordering::Relaxed);
-        self.queued_bytes.fetch_add(chunk as u64, Ordering::Relaxed);
-    }
-
-    /// Splices a full (or flush-forced partial) chain `head → … → tail`
-    /// onto the inbox. Gauges were already booked at stage time. The
-    /// chain's blocks must be dead, linked through their first payload
-    /// words, and owned by nobody else.
-    #[inline]
-    pub(crate) fn push(&self, head: usize, tail: usize) {
-        debug_assert!(head != 0 && tail != 0);
+    unsafe fn push(&self, addr: usize) {
+        debug_assert!(addr != 0);
         let mut old = self.head.load(Ordering::Relaxed);
         loop {
-            // SAFETY: until the CAS below publishes it, the chain is
-            // private to this thread, and `tail`'s first payload word is
-            // its link slot.
-            unsafe { (tail as *mut usize).write(old) };
-            // Release: a drain that takes `head` must see every link of
-            // the chain, this one included.
+            // SAFETY: until the CAS below publishes it, the block is
+            // private to this thread per the caller's contract, and its
+            // first payload word is its link slot.
+            unsafe { (addr as *mut usize).write(old) };
+            // Release: a drain that takes `addr` must see its link.
             match self
                 .head
-                .compare_exchange_weak(old, head, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange_weak(old, addr, Ordering::Release, Ordering::Relaxed)
             {
                 Ok(_) => return,
                 Err(cur) => old = cur,
@@ -124,19 +120,45 @@ impl RemoteInbox {
     }
 }
 
-/// Returns up to `max_chains × REMOTE_BATCH` blocks from shard `idx`'s
+/// The whole of a cross-shard free: books shard `owner`'s counters and
+/// inbox gauges, then queues the block on its inbox. Callable from any
+/// thread; takes no lock.
+///
+/// # Safety
+///
+/// `addr` must head a live `chunk`-byte boundary-tag allocation of shard
+/// `owner`'s heap, freed exactly once (by this call).
+#[inline]
+pub(crate) unsafe fn free(shared: &Shared, owner: usize, chunk: usize, addr: usize) {
+    let shard = &shared.shards[owner];
+    Counters::add(&shard.counters.free_count, 1);
+    Counters::add(&shard.counters.remote_frees, 1);
+    // Gauges before the push, so a drain that sees the block also sees
+    // its gauge: the early-out reads `queued_blocks`, and the un-booking
+    // never runs ahead of the booking.
+    let inbox = &shard.remote;
+    inbox.queued_blocks.fetch_add(1, Ordering::Relaxed);
+    inbox
+        .queued_bytes
+        .fetch_add(chunk as u64, Ordering::Relaxed);
+    // SAFETY: the block is dead from the user's view per the caller's
+    // contract, booked just above, and handed to nobody else.
+    unsafe { inbox.push(addr) };
+}
+
+/// Returns up to `max_groups × REMOTE_BATCH` blocks from shard `idx`'s
 /// inbox to its heap, and reports how many. Safe to call from any
 /// thread that does not hold the shard's heap lock. Drains of one shard
-/// are serialised: an unbounded drain (`max_chains == usize::MAX`) waits
+/// are serialised: an unbounded drain (`max_groups == usize::MAX`) waits
 /// its turn, so "drain everything" means it; a bounded one is a
 /// best-effort step on an allocation path and skips instead.
-pub(crate) fn drain(shared: &Shared, idx: usize, max_chains: usize) -> u64 {
+pub(crate) fn drain(shared: &Shared, idx: usize, max_groups: usize) -> u64 {
     let shard = &shared.shards[idx];
     let inbox = &shard.remote;
     if inbox.queued_blocks.load(Ordering::Relaxed) == 0 {
         return 0;
     }
-    let mut pending = if max_chains == usize::MAX {
+    let mut pending = if max_groups == usize::MAX {
         lock(&inbox.pending)
     } else {
         match try_lock(&inbox.pending) {
@@ -146,7 +168,7 @@ pub(crate) fn drain(shared: &Shared, idx: usize, max_chains: usize) -> u64 {
     };
     let mut next = std::mem::take(&mut *pending);
     let mut drained = 0u64;
-    for _ in 0..max_chains {
+    for _ in 0..max_groups {
         if next == 0 {
             // Acquire pairs with the Release in `push`.
             next = inbox.head.swap(0, Ordering::Acquire);
@@ -163,8 +185,8 @@ pub(crate) fn drain(shared: &Shared, idx: usize, max_chains: usize) -> u64 {
             addrs[n] = next;
             n += 1;
             // SAFETY: every listed address heads a chunk the heap still
-            // counts as allocated, and the stage path put the next link
-            // in its first payload word.
+            // counts as allocated, and `push` put the next link in its
+            // first payload word.
             unsafe {
                 bytes += RawHeap::live_chunk_size(next);
                 next = (next as *const usize).read();
@@ -172,7 +194,7 @@ pub(crate) fn drain(shared: &Shared, idx: usize, max_chains: usize) -> u64 {
         }
         let mut g = lock(&shard.heap);
         // SAFETY: every address on the list heads a live boundary-tag
-        // allocation of this shard's heap, staged exactly once by its
+        // allocation of this shard's heap, queued exactly once by its
         // (former) owner's free.
         unsafe { g.raw.free_batch(&addrs[..n]) };
         g.tracker.on_return_bytes(bytes, n as u64);
@@ -198,20 +220,14 @@ mod tests {
     use crate::rt::{HermesHeap, HermesHeapConfig};
     use std::alloc::Layout;
 
-    /// Links `chain` the way the stage layer does (newest first, gauges
-    /// booked per block) and splices it onto `inbox`.
-    fn splice(inbox: &RemoteInbox, chain: &[usize]) {
-        let mut head = 0;
-        for &addr in chain {
-            // SAFETY: `addr` heads a live allocation the test owns, so
-            // its payload is free to hold the link.
-            unsafe {
-                inbox.stage_account(RawHeap::live_chunk_size(addr));
-                (addr as *mut usize).write(head);
-            }
-            head = addr;
+    /// Remote-frees every block of `blocks` to shard `owner`, one push
+    /// each, the way a foreign thread's `deallocate` does.
+    fn free_all(h: &HermesHeap, owner: usize, blocks: &[usize]) {
+        for &addr in blocks {
+            // SAFETY: `addr` heads a live allocation of shard `owner`
+            // that the test owns and frees exactly once.
+            unsafe { free(&h.shared, owner, RawHeap::live_chunk_size(addr), addr) };
         }
-        inbox.push(head, chain[0]);
     }
 
     #[test]
@@ -238,22 +254,7 @@ mod tests {
         std::thread::scope(|s| {
             let producers: Vec<_> = blocks
                 .chunks(PER_PRODUCER)
-                .map(|share| {
-                    s.spawn(move || {
-                        // Chain lengths as staging produces them: a lone
-                        // block, a full batch, partial flushes.
-                        let lens = [1, REMOTE_BATCH, 5, REMOTE_BATCH - 1];
-                        let mut rest = share;
-                        for len in lens.into_iter().cycle() {
-                            if rest.is_empty() {
-                                break;
-                            }
-                            let (chain, tail) = rest.split_at(len.min(rest.len()));
-                            splice(inbox, chain);
-                            rest = tail;
-                        }
-                    })
-                })
+                .map(|share| s.spawn(|| free_all(&h, owner, share)))
                 .collect();
             let mut bounded = true;
             while !producers.iter().all(|p| p.is_finished()) {
@@ -267,7 +268,7 @@ mod tests {
 
         // A bounded drain takes the whole list, frees its quota, and
         // parks the rest for the next drain.
-        splice(inbox, &last);
+        free_all(&h, owner, &last);
         assert_eq!(drain(&h.shared, owner, 1), REMOTE_BATCH as u64);
         assert_ne!(*lock(&inbox.pending), 0);
         assert_eq!(inbox.gauges().0, (last.len() - REMOTE_BATCH) as u64);

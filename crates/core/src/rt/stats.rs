@@ -52,8 +52,8 @@ pub struct Counters {
     /// and idle reclaim).
     pub tcache_flushes: AtomicU64,
     /// Cross-shard frees routed through this arena's lock-free remote
-    /// inbox (counted at stage time, when the freeing thread links the
-    /// block into its staging chain — not when the chain is drained).
+    /// inbox (counted at free time, when the freeing thread pushes the
+    /// block — not when it is drained).
     pub remote_frees: AtomicU64,
     /// Blocks this arena has drained out of its remote inbox and
     /// returned to the heap (owner slow path + manager rounds).
@@ -95,7 +95,7 @@ pub struct CountersSnapshot {
     pub tcache_refills: u64,
     /// Thread-cache flush events.
     pub tcache_flushes: u64,
-    /// Cross-shard frees staged through the remote inbox.
+    /// Cross-shard frees pushed onto the remote inbox.
     pub remote_frees: u64,
     /// Blocks drained from the remote inbox back into the heap.
     pub remote_drained: u64,
@@ -108,8 +108,8 @@ pub struct CountersSnapshot {
     pub cached_bytes: u64,
     /// Gauge: blocks currently parked in thread caches for this arena.
     pub cached_blocks: u64,
-    /// Gauge: bytes sitting in this arena's remote-free inbox (staged or
-    /// queued, not yet drained). Like the cached gauges it is assembled
+    /// Gauge: bytes sitting in this arena's remote-free inbox (queued,
+    /// not yet drained). Like the cached gauges it is assembled
     /// at snapshot time from the inbox atomics, not stored here.
     pub remote_queued_bytes: u64,
     /// Gauge: blocks sitting in this arena's remote-free inbox.

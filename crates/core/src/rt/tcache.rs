@@ -49,24 +49,12 @@
 //!
 //! Only same-shard frees are cached: `deallocate` routes a pointer to
 //! its owning shard through the range table first, and a pointer owned
-//! by a *different* shard is staged for that shard's remote inbox
-//! (below), so boundary-tag coalescing stays shard-local and a magazine
-//! never mixes shards.
-//!
-//! # Remote staging
-//!
-//! Cross-shard frees get their own owner-only state here: a per-shard
-//! [`RemoteStage`] that chains dead blocks (intrusively, through each
-//! block's first payload word) until [`REMOTE_BATCH`] accumulate, then
-//! splices the whole chain onto the owning shard's lock-free inbox
-//! ([`super::remote`]) — one CAS, zero owner-lock acquisitions and no
-//! allocation per sixteen frees. Counters and inbox gauges are booked
-//! per free at stage time. The stages drain with the magazines (thread
-//! exit, explicit drain, epoch reclaim), so a parked thread cannot
-//! strand a partial chain.
+//! by a *different* shard goes straight onto that shard's remote inbox
+//! (`rt/remote.rs`), so boundary-tag coalescing stays shard-local and
+//! a magazine never mixes shards.
 
 use super::heap::{RawHeap, ALIGN, HDR, MIN_CHUNK};
-use super::remote::{self, REMOTE_BATCH};
+use super::remote;
 use super::stats::Counters;
 use super::{lock, Shared};
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -173,23 +161,9 @@ impl Magazines {
     }
 }
 
-/// One thread's staging chain of cross-shard frees destined for one
-/// owner shard (owner-only, like [`Magazines`]). Blocks are linked
-/// through their first payload word, newest first.
-#[derive(Debug, Clone, Copy, Default)]
-struct RemoteStage {
-    /// Most recently staged block address; 0 when empty.
-    head: usize,
-    /// First staged block — the end of the chain, whose link word the
-    /// inbox push overwrites.
-    tail: usize,
-    /// Blocks on the chain.
-    blocks: u32,
-}
-
 /// Outcome of routing a heap-path free through the thread cache.
 pub(crate) enum Freed {
-    /// Parked in a magazine or staged for the owner's inbox; the free is
+    /// Parked in a magazine or queued on the owner's inbox; the free is
     /// complete.
     Done,
     /// The block belongs to the caller's own home shard but no magazine
@@ -235,11 +209,6 @@ pub(crate) struct ThreadCache {
     seen_epoch: Cell<u64>,
     /// Owner-only block stacks.
     mags: UnsafeCell<Magazines>,
-    /// Owner-only remote-free staging chains, one per shard of the
-    /// owning runtime (indexed by owner-shard id; the `home` entry is
-    /// never used — same-shard frees go through the magazines or the
-    /// locked path).
-    remote: UnsafeCell<Box<[RemoteStage]>>,
     /// Gauge: blocks currently parked here (single writer: the owner).
     blocks: AtomicU64,
     /// Gauge: bytes currently parked here (chunk granularity).
@@ -260,7 +229,7 @@ pub(crate) struct ThreadCache {
     fast_ops: AtomicU64,
 }
 
-// SAFETY: `mags`, `remote` and `seen_epoch` are only ever accessed by
+// SAFETY: `mags` and `seen_epoch` are only ever accessed by
 // the owning thread — every path to them goes through that thread's TLS
 // entry (`with_cache`, `drain_current_thread`, `CacheEntry::drop`); no
 // registry consumer touches them. Cross-thread access is limited to the
@@ -310,7 +279,7 @@ impl ThreadCache {
             // them — or, worse, carves fresh cold memory while the
             // freed working set sits parked in the inbox. Bounded, so a
             // single allocation never pays for a long backlog.
-            remote::drain(shared, self.home, remote::OPPORTUNISTIC_CHAINS);
+            remote::drain(shared, self.home, remote::OPPORTUNISTIC_GROUPS);
             let (n, faulted) = self.refill(shared, m, cls);
             if n == 0 {
                 return None;
@@ -402,52 +371,8 @@ impl ThreadCache {
         Counters::add(&shard.counters.tcache_flushes, 1);
     }
 
-    /// Stages one cross-shard free for `owner`, pushing the chain onto
-    /// the owner's inbox when it reaches [`REMOTE_BATCH`]. Owner-thread
-    /// only; `addr` must head a live `chunk`-byte boundary-tag
-    /// allocation of shard `owner`'s heap, freed exactly once.
-    fn remote_push(&self, shared: &Shared, owner: usize, chunk: usize, addr: usize) {
-        // SAFETY: owner-only access per the module's ownership discipline.
-        let st = unsafe { &mut (*self.remote.get())[owner] };
-        // SAFETY: the block is dead from the user's view and its payload
-        // holds at least one word (MIN_CHUNK assert in heap.rs); the
-        // drain consumes the link before free_batch reuses the word.
-        unsafe { (addr as *mut usize).write(st.head) };
-        if st.head == 0 {
-            st.tail = addr;
-        }
-        st.head = addr;
-        st.blocks += 1;
-        // Stage-time accounting: the free is observable (and the block
-        // re-booked from user-held to in-transit) the moment it is
-        // staged, so statistics never wait for a drain.
-        let shard = &shared.shards[owner];
-        Counters::add(&shard.counters.free_count, 1);
-        Counters::add(&shard.counters.remote_frees, 1);
-        shard.remote.stage_account(chunk);
-        if st.blocks as usize >= REMOTE_BATCH {
-            shard.remote.push(st.head, st.tail);
-            *st = RemoteStage::default();
-        }
-    }
-
-    /// Pushes every non-empty staging chain onto its owner's inbox
-    /// (partial chains included; gauges were booked at stage time).
-    /// Owner-thread only.
-    fn flush_remote(&self, shared: &Shared) {
-        // SAFETY: owner-only access per the module's ownership discipline.
-        let stages = unsafe { &mut *self.remote.get() };
-        for (st, shard) in stages.iter_mut().zip(shared.shards.iter()) {
-            if st.blocks > 0 {
-                shard.remote.push(st.head, st.tail);
-                *st = RemoteStage::default();
-            }
-        }
-    }
-
-    /// Flushes every magazine and staging chain (thread exit, epoch
-    /// reclaim, explicit
-    /// [`HermesHeap::drain_thread_cache`](super::HermesHeap::drain_thread_cache)),
+    /// Flushes every magazine (thread exit, epoch reclaim, explicit
+    /// [`HermesHeap::drain_thread_cache`](super::HermesHeap::drain_thread_cache))
     /// and folds the warm-hit tally into the shard's durable counter.
     /// Owner-thread only.
     fn drain(&self, shared: &Shared) {
@@ -459,7 +384,6 @@ impl ThreadCache {
                 self.flush(shared, m, cls, count);
             }
         }
-        self.flush_remote(shared);
         let counters = &shared.shards[self.home].counters;
         for (tally, durable) in [
             (&self.hits, &counters.tcache_hits),
@@ -555,9 +479,6 @@ fn register_and_run<R>(shared: &Arc<Shared>, f: impl FnOnce(&ThreadCache) -> R) 
             shared: Arc::downgrade(shared),
             seen_epoch: Cell::new(shared.reclaim_epoch.load(Ordering::Relaxed)),
             mags: UnsafeCell::new(Magazines::new()),
-            remote: UnsafeCell::new(
-                vec![RemoteStage::default(); shared.shards.len()].into_boxed_slice(),
-            ),
             blocks: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -600,7 +521,7 @@ pub(crate) fn allocate(shared: &Arc<Shared>, cls: usize) -> Option<NonNull<u8>> 
 /// Frees `addr` — a live `chunk`-byte heap-path block of shard `owner`,
 /// allocated with alignment `align` — through the calling thread's cache
 /// in one TLS lookup: a foreign shard's block (any chunk size: every
-/// heap-path pointer heads a real boundary-tag chunk) stages for the
+/// heap-path pointer heads a real boundary-tag chunk) goes onto the
 /// owner's inbox; a home block whose chunk is exactly a class size parks
 /// in its magazine. See [`Freed`] for the outcomes that send the caller
 /// to the owner's lock.
@@ -613,7 +534,9 @@ pub(crate) fn free(
 ) -> Freed {
     with_cache(shared, |cache| {
         if cache.home != owner {
-            cache.remote_push(shared, owner, chunk, addr);
+            // SAFETY: per this function's contract `addr` heads a live
+            // `chunk`-byte block of shard `owner`, freed by this call.
+            unsafe { remote::free(shared, owner, chunk, addr) };
             return Freed::Done;
         }
         match chunk_class(chunk) {
@@ -625,21 +548,6 @@ pub(crate) fn free(
         }
     })
     .unwrap_or(Freed::Unavailable)
-}
-
-/// Flushes only the calling thread's remote staging chains for `shared`
-/// onto their owners' inboxes, if a cache exists (does not create one,
-/// does not touch the magazines). Used by
-/// [`HermesHeap::drain_remote_inboxes`](super::HermesHeap::drain_remote_inboxes)
-/// so a drain sees this thread's partial chains too.
-pub(crate) fn flush_remote_current_thread(shared: &Arc<Shared>) {
-    let _ = CACHES.try_with(|caches| {
-        if let Ok(b) = caches.try_borrow() {
-            if let Some(e) = b.iter().find(|e| e.heap_id == shared.id) {
-                e.cache.flush_remote(shared);
-            }
-        }
-    });
 }
 
 /// Drains the calling thread's cache for `shared`, if one exists (does

@@ -1,25 +1,24 @@
 //! Conservation property of the remote-free queue: for *any*
 //! interleaving of owner-local allocations, foreign-thread allocations,
-//! frees (which stage remotely whenever the block's owner is not the
-//! freeing thread's home shard), management rounds (which drain every
-//! inbox), explicit inbox drains and thread-cache drains (which flush
-//! partial staging chains without draining the inboxes), block
-//! accounting balances —
+//! frees (which queue on the owner's inbox whenever the block's owner is
+//! not the freeing thread's home shard), management rounds (which drain
+//! every inbox), explicit inbox drains and thread-cache drains (which
+//! empty the magazines and leave the inboxes alone), block accounting
+//! balances —
 //!
 //! ```text
-//! user-held + staged + queued + free == carved
+//! user-held + cached + queued + free == carved
 //! ```
 //!
 //! Observable form: the runtime-reported `heap_stats()` must equal the
-//! user's own ledger at every step — a block parked in a staging chain
-//! or an inbox is *in transit*, not user memory and not yet heap free
-//! space, and the gauges must re-book it out of `in_use`/`live` exactly
-//! once. No byte may be lost (leak) or returned twice (double free
+//! user's own ledger at every step — a block parked in an inbox is *in
+//! transit*, not user memory and not yet heap free space, and the gauges
+//! must re-book it out of `in_use`/`live` exactly once. No byte may be lost (leak) or returned twice (double free
 //! corrupting the boundary tags — `check_integrity` would see it).
 //!
 //! The foreign allocator is a persistent worker thread whose home shard
 //! differs from the main thread's, so `Free` exercises both the
-//! owner-local magazine path and the remote staging path in one sequence.
+//! owner-local magazine path and the remote inbox path in one sequence.
 
 use hermes_core::rt::tcache::cache_chunk_for;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
@@ -33,19 +32,19 @@ enum Op {
     /// Allocate on the main thread (home shard serves; frees of these
     /// blocks park in the main thread's magazines).
     AllocLocal { size: usize },
-    /// Allocate on the foreign-home worker (frees of these blocks stage
-    /// into the owner's remote inbox).
+    /// Allocate on the foreign-home worker (frees of these blocks queue
+    /// on the owner's remote inbox).
     AllocRemote { size: usize },
     /// Free a ledger block on the main thread.
     Free { victim: usize },
     /// One management round: drains every inbox, may trigger idle
-    /// reclaim (`tcache_idle_rounds = 2`) which flushes staging chains.
+    /// reclaim (`tcache_idle_rounds = 2`) which empties the magazines.
     Round,
-    /// Explicit full drain: flush this thread's staging, empty inboxes.
+    /// Explicit full drain: empty every inbox.
     DrainInboxes,
-    /// Thread-cache drain: flushes this thread's partial staging chains
-    /// onto the inboxes *without* draining the inboxes themselves.
-    FlushStaging,
+    /// Thread-cache drain: empties this thread's magazines *without*
+    /// draining the inboxes.
+    DrainCache,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -55,7 +54,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => any::<usize>().prop_map(|victim| Op::Free { victim }),
         1 => Just(Op::Round),
         1 => Just(Op::DrainInboxes),
-        1 => Just(Op::FlushStaging),
+        1 => Just(Op::DrainCache),
     ]
 }
 
@@ -125,7 +124,7 @@ proptest! {
         // The user's ledger: every live pointer with its size and the
         // exact chunk it occupies (every size here is cache-served, so
         // the class chunk — conservation then demands that refills,
-        // frees, stages, flushes and drains net out to exactly that).
+        // frees, flushes and drains net out to exactly that).
         let mut live: Vec<(NonNull<u8>, usize, usize)> = Vec::new();
         let mut expected_in_use = 0usize;
         let mut stamp = 0u8;
@@ -158,11 +157,11 @@ proptest! {
                 }
                 Op::Round => heap.run_management_round(),
                 Op::DrainInboxes => heap.drain_remote_inboxes(),
-                Op::FlushStaging => heap.drain_thread_cache(),
+                Op::DrainCache => heap.drain_thread_cache(),
             }
-            // Conservation, checked after *every* op: blocks in staging
-            // chains or inboxes are in transit, never user-held and
-            // never double-counted as free space.
+            // Conservation, checked after *every* op: blocks in inboxes
+            // are in transit, never user-held and never double-counted
+            // as free space.
             let hs = heap.heap_stats();
             prop_assert_eq!(hs.live, live.len(), "reported live == user live");
             prop_assert_eq!(hs.in_use, expected_in_use, "reported in_use == user bytes");

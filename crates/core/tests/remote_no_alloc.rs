@@ -1,6 +1,6 @@
 //! Cross-shard frees never call the global allocator: the inbox is
-//! threaded through the freed blocks themselves, so staging, pushing,
-//! flushing and draining touch only memory the runtime already owns.
+//! threaded through the freed blocks themselves, so pushing and
+//! draining touch only memory the runtime already owns.
 //! A counting wrapper over `System` is this binary's global allocator;
 //! the test thread's calls into it are counted across the whole
 //! remote-free path and must come to zero.
@@ -48,7 +48,7 @@ static ALLOC: Counting = Counting;
 #[test]
 fn push_flush_and_drain_make_no_global_allocator_calls() {
     const REMOTE_BATCH: usize = 16; // rt::remote::REMOTE_BATCH (crate-private)
-    let n = 5 * REMOTE_BATCH + 3; // five pushed chains and a partial one
+    let n = 5 * REMOTE_BATCH + 3; // five drain groups and a partial one
     let lay = Layout::from_size_align(256, 16).unwrap();
     let h = Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
 

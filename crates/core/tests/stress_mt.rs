@@ -153,7 +153,7 @@ fn eight_threads_mixed_sizes_cross_thread_frees() {
 /// ones) and hand *every* block to a paired consumer thread, which
 /// verifies the payload and frees it. A consumer's home shard usually
 /// differs from the block's owning shard, so these frees exercise the
-/// remote-staging routing; producers churn a small local set too, so
+/// remote-inbox routing; producers churn a small local set too, so
 /// refills, hits and flushes all fire. After every thread has exited —
 /// draining its magazines — the merged statistics must balance.
 #[test]

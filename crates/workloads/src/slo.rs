@@ -12,7 +12,7 @@
 //! [`run_service_slo`] pairs a run with its domain's natural baseline
 //! (sim → Glibc model, real → system allocator).
 
-use hermes_allocators::{BackendKind, SimEnv};
+use hermes_allocators::{BackendKind, BackendStats, SimEnv};
 use hermes_core::HermesConfig;
 use hermes_os::config::OsConfig;
 use hermes_services::{build_service_on, ServiceKind};
@@ -65,16 +65,8 @@ pub struct ServiceLatencyRun {
     pub p99: SimDuration,
     /// 99.9th-percentile query latency.
     pub p999: SimDuration,
-    /// Reserved-but-unused bytes at the end (backend stats snapshot).
-    pub reserved_unused_bytes: usize,
-    /// Backing bytes with mappings constructed at the end (real Hermes;
-    /// zero for backends without a mapped backing).
-    pub committed_bytes: usize,
-    /// Total reserved backing address space at the end (the on-demand
-    /// growth ceiling; real Hermes only).
-    pub backing_reserved_bytes: usize,
-    /// Bytes handed back to the kernel by decommits over the run.
-    pub decommitted_bytes: u64,
+    /// The backend's statistics snapshot at the end of the run.
+    pub stats: BackendStats,
 }
 
 /// Drives `queries` insert+read queries of `record_bytes` against a
@@ -131,10 +123,7 @@ pub fn run_service_latency(
         p50,
         p99,
         p999,
-        reserved_unused_bytes: stats.reserved_unused_bytes,
-        committed_bytes: stats.committed_bytes,
-        backing_reserved_bytes: stats.backing_reserved_bytes,
-        decommitted_bytes: stats.decommitted_bytes,
+        stats,
     }
 }
 
