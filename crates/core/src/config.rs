@@ -190,11 +190,6 @@ pub struct HermesConfig {
     /// Delayed shrink of over-sized mmap hand-outs (§3.2.2). `false`
     /// shrinks synchronously on the allocation path; ablation knob.
     pub delayed_shrink: bool,
-    /// Consecutive *quiet* management rounds (no allocation or free
-    /// observed runtime-wide) after which the manager drains every
-    /// registered thread cache back to its shard, so reserved-unused
-    /// accounting does not drift while the service idles.
-    pub tcache_idle_rounds: u32,
     /// Hint the kernel to back mapped arenas with transparent huge pages
     /// (`madvise(HUGEPAGE)`, best-effort). Default from
     /// `HERMES_HUGEPAGES` (off unless `=1`; see [`default_huge_pages`]
@@ -221,7 +216,6 @@ impl Default for HermesConfig {
             cache_target: 0.03,
             gradual_reservation: true,
             delayed_shrink: true,
-            tcache_idle_rounds: 8,
             huge_pages: default_huge_pages(),
             manager_core: default_manager_core(),
         }
@@ -282,9 +276,6 @@ impl HermesConfig {
         if !(0.0..=1.0).contains(&self.adv_thr) || !(0.0..=1.0).contains(&self.cache_target) {
             return Err("adv_thr and cache_target are fractions in [0, 1]".into());
         }
-        if self.tcache_idle_rounds == 0 {
-            return Err("tcache_idle_rounds must be >= 1 (drain after K quiet rounds)".into());
-        }
         Ok(())
     }
 }
@@ -304,7 +295,6 @@ mod tests {
         assert!(c.proactive_reclaim);
         assert!(c.gradual_reservation);
         assert!(c.delayed_shrink);
-        assert_eq!(c.tcache_idle_rounds, 8);
         assert!(c.validate().is_ok());
     }
 
@@ -415,11 +405,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = HermesConfig {
             adv_thr: 1.5,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = HermesConfig {
-            tcache_idle_rounds: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -10,11 +10,14 @@
 //! Divergence from the paper (recorded in DESIGN.md): `mremap`-style
 //! in-place expansion is not portably available without libc, so "expand
 //! the largest chunk" falls back to carving a fresh chunk. Trimmed and
-//! delayed-shrunk memory is recycled through an extent list; on mapping
-//! platforms each extent's pages are really returned to the kernel via
-//! [`Arena::decommit`] (`madvise(DONTNEED)`) as it is trimmed, and the
-//! extent is marked cold so reuse honestly pays (and counts) the
-//! mapping-construction faults again.
+//! delayed-shrunk memory is recycled through an address-ordered extent
+//! list that coalesces adjacent extents, so mixed sizes cannot fragment
+//! the arena's address space away; on mapping platforms each extent's
+//! pages are really returned to the kernel via [`Arena::decommit`]
+//! (`madvise(DONTNEED)`) as it is trimmed, and the extent is marked cold
+//! so reuse honestly pays (and counts) the mapping-construction faults
+//! again. A cold extent that reaches the bump frontier is handed back to
+//! it: untouched address space either way.
 
 use super::arena::{Arena, PAGE};
 use crate::policy::{DelayedShrinkSet, MmapChunk, PoolHit, SegregatedFreeList};
@@ -46,7 +49,8 @@ pub struct LargeStats {
     pub cold_allocs: u64,
     /// Pages touched on the cold path.
     pub demand_touched_pages: u64,
-    /// Bytes recycled through the extent list.
+    /// Bytes sitting in the extent list (space handed back to the bump
+    /// frontier is not counted).
     pub extent_bytes: usize,
     /// Total reserved address range of the backing arena.
     pub backing_reserved: usize,
@@ -91,7 +95,8 @@ pub struct LargePool {
     bump_off: usize,
     pool: SegregatedFreeList,
     shrink: DelayedShrinkSet,
-    /// Recyclable extents, page-granular; `stats.extent_bytes` is the
+    /// Recyclable extents, page-granular, sorted by offset with no two
+    /// same-warmth neighbours adjacent; `stats.extent_bytes` is the
     /// running sum of their sizes.
     extents: Vec<Extent>,
     /// Committed-bytes gauge: touched minus decommitted.
@@ -172,23 +177,19 @@ impl LargePool {
         // Best-fit from recycled extents first; a decommitted extent is
         // reusable address space but cold memory, so its `warm` flag
         // decides whether the caller must (re-)touch.
-        let mut best: Option<(usize, usize)> = None; // (index, size)
-        for (i, e) in self.extents.iter().enumerate() {
-            if e.size >= need && best.map_or(true, |(_, bs)| e.size < bs) {
-                best = Some((i, e.size));
+        let best = (0..self.extents.len())
+            .filter(|&i| self.extents[i].size >= need)
+            .min_by_key(|&i| self.extents[i].size);
+        if let Some(i) = best {
+            let Extent { off, warm, .. } = self.extents[i];
+            // Cut from the front in place: the list stays address-ordered.
+            self.extents[i].off += need;
+            self.extents[i].size -= need;
+            if self.extents[i].size == 0 {
+                self.extents.remove(i);
             }
-        }
-        if let Some((i, sz)) = best {
-            let e = self.extents.swap_remove(i);
             self.stats.extent_bytes -= need;
-            if sz > need {
-                self.extents.push(Extent {
-                    off: e.off + need,
-                    size: sz - need,
-                    warm: e.warm,
-                });
-            }
-            return Some((e.off, e.warm));
+            return Some((off, warm));
         }
         // Cold path: bump-allocate fresh, untouched pages, growing a
         // mapped arena's exposed capacity on demand.
@@ -219,12 +220,34 @@ impl LargePool {
             self.committed = self.committed.saturating_sub(freed);
             self.stats.decommitted += freed as u64;
         }
-        self.extents.push(Extent {
-            off,
-            size,
-            warm: freed == 0,
-        });
+        let warm = freed == 0;
         self.stats.extent_bytes += size;
+        let i = self.extents.partition_point(|x| x.off < off);
+        self.extents.insert(i, Extent { off, size, warm });
+        // Coalesce: fold the successor into the new extent, then that into
+        // its predecessor, where they touch and share warmth. Warm and cold
+        // never merge — reuse of a cold extent is re-booked in `committed`,
+        // reuse of a warm one is not.
+        for j in [i + 1, i] {
+            if j == 0 || j == self.extents.len() {
+                continue;
+            }
+            let (a, b) = (self.extents[j - 1], self.extents[j]);
+            if a.warm == b.warm && a.off + a.size == b.off {
+                self.extents[j - 1].size += b.size;
+                self.extents.remove(j);
+            }
+        }
+        // A cold extent ending at the frontier is untouched address space
+        // again: un-bump it. (A warm one stays listed — the bump path
+        // books every carve as newly committed.)
+        if let Some(&Extent { off, size, warm }) = self.extents.last() {
+            if !warm && off + size == self.bump_off {
+                self.extents.pop();
+                self.stats.extent_bytes -= size;
+                self.bump_off = off;
+            }
+        }
     }
 
     fn write_header(&mut self, payload_off: usize, chunk_off: usize, chunk_size: usize) {
@@ -455,13 +478,18 @@ mod tests {
         assert!(p.reserve_chunk(1024 * KB));
         let a = p.alloc(256 * KB, PAGE).unwrap();
         assert_eq!(p.shrink_pending(), 1);
+        // A live chunk above keeps the shrunk tail off the bump frontier.
+        let above = p.alloc(512 * KB, PAGE).unwrap();
         let released = p.process_delayed_shrink();
         assert!(released > 0, "tail recycled");
         assert_eq!(p.shrink_pending(), 0);
         // The chunk header now reflects the reduced size; freeing returns
         // only the kept part.
-        // SAFETY: a live.
-        unsafe { p.free(a) };
+        // SAFETY: a and above live.
+        unsafe {
+            p.free(a);
+            p.free(above);
+        }
         let s = p.stats();
         assert_eq!(s.live, 0);
         assert!(s.extent_bytes >= released);
@@ -495,6 +523,8 @@ mod tests {
     fn extents_are_recycled_before_bumping() {
         let mut p = pool(16);
         let a = p.alloc(512 * KB, PAGE).unwrap();
+        // A live chunk above keeps the extent off the bump frontier.
+        let _above = p.alloc(512 * KB, PAGE).unwrap();
         // SAFETY: a live.
         unsafe { p.free(a) };
         // Trim everything into extents.
@@ -510,6 +540,114 @@ mod tests {
         assert_eq!(p.stats().extent_bytes, 256 * KB);
         // SAFETY: b live.
         unsafe { p.free(b) };
+    }
+
+    /// The gauge must equal the list it summarises, and the list must be
+    /// address-ordered with no mergeable neighbours left unmerged.
+    fn assert_extents_consistent(p: &LargePool) {
+        assert_eq!(
+            p.stats().extent_bytes,
+            p.extents.iter().map(|e| e.size).sum::<usize>()
+        );
+        for w in p.extents.windows(2) {
+            assert!(w[0].off + w[0].size <= w[1].off, "ordered, disjoint");
+            assert!(
+                w[0].off + w[0].size < w[1].off || w[0].warm != w[1].warm,
+                "adjacent same-warmth extents are merged"
+            );
+        }
+        assert!(p.extents.iter().all(|e| e.off + e.size <= p.bump_off));
+    }
+
+    #[test]
+    fn adjacent_extents_coalesce_in_any_order() {
+        let mut p = pool(16);
+        let chunk = 260 * KB; // 256 KiB payload + header page
+        let [c1, c2, c3, _above] = [(); 4].map(|()| p.alloc(256 * KB, PAGE).unwrap());
+        // Trim chunk 1, then 3, then the one between them.
+        for (c, extents_after) in [(c1, 1), (c3, 2), (c2, 1)] {
+            // SAFETY: each chunk is live and freed once.
+            unsafe { p.free(c) };
+            p.management_round(0, 0, 0, 256 * KB);
+            assert_eq!(p.extents.len(), extents_after);
+            assert_extents_consistent(&p);
+        }
+        assert_eq!((p.extents[0].off, p.extents[0].size), (0, 3 * chunk));
+        assert_eq!(
+            p.bump_off,
+            4 * chunk,
+            "the live top chunk pins the frontier"
+        );
+        // The merged extent serves a request none of the three could.
+        let big = p.alloc(600 * KB, PAGE).unwrap();
+        assert_eq!(p.bump_off, 4 * chunk, "served from the merged extent");
+        assert_extents_consistent(&p);
+        // SAFETY: big live.
+        unsafe { p.free(big) };
+    }
+
+    #[test]
+    fn trimmed_top_chunk_returns_to_the_frontier() {
+        let mut p = pool(16);
+        let below = p.alloc(256 * KB, PAGE).unwrap();
+        let top = p.alloc(512 * KB, PAGE).unwrap();
+        let bump_full = p.bump_off;
+        // SAFETY: top live.
+        unsafe { p.free(top) };
+        p.management_round(0, 0, 0, 256 * KB);
+        assert_extents_consistent(&p);
+        if crate::platform::platform().supports_mapping() {
+            // Decommitted and touching the frontier: un-bumped, not listed.
+            assert_eq!(p.bump_off, 260 * KB);
+            assert_eq!(p.stats().extent_bytes, 0);
+            // Freeing the chunk below cascades: the whole arena is fresh.
+            // SAFETY: below live.
+            unsafe { p.free(below) };
+            p.management_round(0, 0, 0, 256 * KB);
+            assert_eq!(p.bump_off, 0);
+            assert!(p.extents.is_empty());
+            assert_eq!(p.stats().committed, 0);
+        } else {
+            // Still resident: it stays a (warm) extent below the frontier.
+            assert_eq!(p.bump_off, bump_full);
+            assert_eq!(p.stats().extent_bytes, 516 * KB);
+        }
+    }
+
+    #[test]
+    fn warm_extents_neither_merge_with_cold_nor_rejoin_the_frontier() {
+        const MB: usize = 1 << 20;
+        let mut p = pool(16);
+        // Four 1 MiB chunks' worth of carved space; the second and the
+        // top one already sit in the list as warm (refused-decommit)
+        // extents.
+        p.bump_off = 4 * MB;
+        for off in [MB, 3 * MB] {
+            p.extents.push(Extent {
+                off,
+                size: MB,
+                warm: true,
+            });
+            p.stats.extent_bytes += MB;
+        }
+        p.push_extent(0, MB);
+        assert_extents_consistent(&p);
+        p.push_extent(2 * MB, MB);
+        assert_extents_consistent(&p);
+        // Warm space is never un-bumped: the bump path would book it as
+        // committed a second time.
+        assert_eq!(p.bump_off, 4 * MB);
+        assert_eq!(p.stats().extent_bytes, 4 * MB);
+        if crate::platform::platform().supports_mapping() {
+            // The pushed extents were decommitted (cold): each keeps its
+            // own entry between the warm ones.
+            let warmth: Vec<bool> = p.extents.iter().map(|e| e.warm).collect();
+            assert_eq!(warmth, [false, true, false, true]);
+        } else {
+            // Decommit refused: all four are warm and merge into one.
+            assert_eq!(p.extents.len(), 1);
+            assert!(p.extents[0].warm);
+        }
     }
 
     #[test]

@@ -23,34 +23,24 @@
 //! the owning shard never allocates again. `HERMES_MANAGER_CORE` (or
 //! `HermesConfig::manager_core`) pins the thread to a CPU so those
 //! drains and the reservation work stay off the application's cores.
-//!
-//! The round ends with **idle reclaim**: after `tcache_idle_rounds`
-//! consecutive rounds with no allocation or free anywhere in the
-//! runtime, the manager requests a drain of every thread cache (epoch
-//! bump; each owner thread answers on its next allocator touch or at
-//! exit), so a service that goes quiet does not strand reserve in
-//! per-thread magazines and the §5.5 reserved-unused metric converges
-//! back to the tracker targets. (Cross-shard frees hold no per-thread
-//! state to reclaim: each is on its owner's inbox when it returns.)
 
 use super::stats::Counters;
-use super::{lock, remote, tcache, Shard, Shared};
+use super::{lock, remote, Shard, Shared};
 use crate::platform::platform;
 use crate::policy::ReservationPlan;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 pub(crate) struct ManagerHandle {
-    stop_tx: Sender<()>,
+    stop_tx: SyncSender<()>,
     join: JoinHandle<()>,
 }
 
 impl ManagerHandle {
     pub(crate) fn spawn(shared: Arc<Shared>) -> Self {
-        let (stop_tx, stop_rx) = bounded(1);
+        let (stop_tx, stop_rx) = sync_channel(1);
         let join = std::thread::Builder::new()
             .name("hermes-mgmt".into())
             .spawn(move || manager_loop(shared, stop_rx))
@@ -117,43 +107,11 @@ pub(crate) fn run_round(shared: &Shared) {
         heap_round(shared, shard);
         large_round(shard);
     }
-    idle_cache_round(shared);
     Counters::add(&shared.counters.manager_rounds, 1);
     Counters::add(
         &shared.counters.manager_busy_ns,
         t0.elapsed().as_nanos() as u64,
     );
-}
-
-/// Requests a drain of every thread cache once the runtime has been
-/// quiet — not one allocation or free observed — for `tcache_idle_rounds`
-/// consecutive rounds. Drains do not bump the op counters, so reclaim
-/// does not reset its own quiet detection.
-fn idle_cache_round(shared: &Shared) {
-    // Cache ops tally in the caches until a drain folds them, so quiet
-    // detection must sum the durable counters *and* the live tallies —
-    // a thread allocating purely out of warm magazines is not idle.
-    let pending = tcache::tallies(shared, None);
-    let ops: u64 = pending.alloc_ops
-        + pending.free_ops
-        + shared
-            .shards
-            .iter()
-            .map(|s| {
-                s.counters.alloc_count.load(Ordering::Relaxed)
-                    + s.counters.free_count.load(Ordering::Relaxed)
-            })
-            .sum::<u64>();
-    if shared.last_ops.swap(ops, Ordering::Relaxed) != ops {
-        shared.quiet_rounds.store(0, Ordering::Relaxed);
-        return;
-    }
-    let quiet = shared.quiet_rounds.fetch_add(1, Ordering::Relaxed) + 1;
-    if quiet < u64::from(shared.cfg.tcache_idle_rounds) {
-        return;
-    }
-    shared.quiet_rounds.store(0, Ordering::Relaxed);
-    tcache::request_reclaim(shared);
 }
 
 fn heap_round(shared: &Shared, shard: &Shard) {

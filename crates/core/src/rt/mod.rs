@@ -243,18 +243,9 @@ pub(crate) struct Shared {
     /// Process-unique instance id, binding thread-local caches to the
     /// heap they serve across heap create/drop cycles.
     pub id: u64,
-    /// Every live thread cache of this runtime, so the manager's idle
-    /// reclaim can drain them remotely (each cache has its own lock).
+    /// Every live thread cache of this runtime, so statistics can sum
+    /// their atomic tallies (`tcache::tallies`).
     pub tcaches: Mutex<Vec<Weak<tcache::ThreadCache>>>,
-    /// Idle-reclaim bookkeeping: the runtime-wide `alloc + free` op sum
-    /// seen by the last management round, and how many consecutive
-    /// rounds it has been unchanged.
-    pub last_ops: AtomicU64,
-    pub quiet_rounds: AtomicU64,
-    /// Bumped by the manager to request that every thread cache drain
-    /// itself; answered by each owner thread on its next allocator touch
-    /// (see `tcache`).
-    pub reclaim_epoch: AtomicU64,
     /// The largest single request any shard could ever serve (the
     /// biggest large-arena *reservation*, since arenas grow on demand);
     /// bigger requests fail fast with [`AllocError::Oversized`] instead
@@ -451,9 +442,6 @@ impl HermesHeap {
             cfg,
             id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
             tcaches: Mutex::new(Vec::new()),
-            last_ops: AtomicU64::new(0),
-            quiet_rounds: AtomicU64::new(0),
-            reclaim_epoch: AtomicU64::new(0),
             max_request,
             numa_nodes,
         });
@@ -601,9 +589,9 @@ impl HermesHeap {
     }
 
     /// Flushes the calling thread's cache for this heap back to the
-    /// arena shards (a no-op when none exists). Embedders parking a
-    /// thread for a long time can return its cached blocks early instead
-    /// of waiting for the manager's idle reclaim or thread exit.
+    /// arena shards (a no-op when none exists). Nothing else drains a
+    /// live thread's magazines, so embedders parking a thread for a long
+    /// time can return its cached blocks here instead of at thread exit.
     pub fn drain_thread_cache(&self) {
         tcache::drain_current_thread(&self.shared);
     }
@@ -1121,34 +1109,30 @@ mod tests {
     }
 
     #[test]
-    fn manager_reclaims_caches_after_quiet_rounds() {
-        let mut cfg = HermesHeapConfig::small().with_arena_count(1);
-        cfg.hermes.tcache_idle_rounds = 2;
-        let h = HermesHeap::new(cfg).unwrap();
+    fn first_touch_after_quiet_rounds_keeps_magazines() {
+        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(1)).unwrap();
         let a = h.allocate(layout(512)).unwrap();
         let b = h.allocate(layout(512)).unwrap();
         // SAFETY: a live, freed once.
         unsafe { h.deallocate(a, layout(512)) };
-        let populated = h.cached_bytes();
-        assert!(populated > 0, "magazine populated");
-        // Round 1 observes the op-count change and resets; rounds 2-3 are
-        // quiet and the second quiet round requests the reclaim.
-        for _ in 0..3 {
+        let before = h.counters();
+        assert!(before.cached_blocks > 0, "magazine populated");
+        // A long quiet period from the manager's point of view: nothing
+        // it does may reach into a thread's magazines.
+        for _ in 0..20 {
             h.run_management_round();
         }
-        // The request is answered on this thread's next allocator touch:
-        // the free below first drains every magazine, then caches its own
-        // block — so exactly one block remains parked afterwards.
+        // The first touch after the quiet period is an ordinary warm
+        // free: it parks its block beside the others, flushing nothing.
         // SAFETY: b live, freed once.
         unsafe { h.deallocate(b, layout(512)) };
-        let c = h.counters();
-        assert_eq!(c.cached_blocks, 1, "reclaim drained all but the new free");
-        assert!(c.tcache_flushes > 0, "drain flushed the magazines");
-        assert!(h.cached_bytes() < populated);
+        let after = h.counters();
+        assert_eq!(after.cached_blocks, before.cached_blocks + 1);
+        assert_eq!(after.tcache_flushes, before.tcache_flushes);
         assert_eq!(h.heap_stats().in_use, 0);
         assert_eq!(h.heap_stats().live, 0);
         h.drain_thread_cache();
-        assert_eq!(h.cached_bytes(), 0);
+        assert_eq!(h.counters().cached_blocks, 0);
         h.check_integrity().unwrap();
     }
 

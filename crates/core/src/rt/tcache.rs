@@ -15,28 +15,22 @@
 //!   acquisition for the whole batch);
 //! * **flush** — a full class returns its oldest half via
 //!   [`RawHeap::free_batch`];
-//! * **drain** — thread exit, explicit drains, and the manager's idle
-//!   reclaim return everything.
+//! * **drain** — thread exit and the explicit
+//!   [`HermesHeap::drain_thread_cache`](super::HermesHeap::drain_thread_cache)
+//!   return everything.
 //!
 //! # Ownership discipline (why there is no per-cache lock)
 //!
 //! Magazines are **owner-only**: they live behind an [`UnsafeCell`] and
 //! are touched exclusively by the thread that created them — every
 //! access goes through that thread's TLS lookup, including the
-//! thread-exit drain (a TLS destructor). Remote parties get two narrow,
-//! always-safe windows instead:
-//!
-//! * **accounting** — the gauge tallies (`blocks`/`bytes`/`hits`) are
-//!   atomics written only by the owner and read by anyone
-//!   ([`tallies`]), so runtime statistics stay exact without stopping
-//!   the owner;
-//! * **reclaim** — the manager *requests* a drain by bumping the
-//!   runtime's `reclaim_epoch` after `tcache_idle_rounds` quiet rounds;
-//!   each cache compares its `seen_epoch` on the owner's next touch and
-//!   drains itself first (thread exit drains unconditionally). This is
-//!   the same owner-driven discipline jemalloc's tcache GC uses; the
-//!   trade — an idle thread's blocks return at its next allocator touch
-//!   rather than the instant the epoch ticks — is recorded in DESIGN.md.
+//! thread-exit drain (a TLS destructor). Remote parties get one narrow,
+//! always-safe window instead: the gauge tallies (`blocks`/`bytes`/
+//! `hits` and the pending op counts) are atomics written only by the
+//! owner and read by anyone ([`tallies`]), so runtime statistics stay
+//! exact without stopping the owner. Nothing ever asks a cache to drain
+//! from outside; what a parked thread can hold is bounded by the
+//! magazine depth (DESIGN.md §5).
 //!
 //! Cached blocks stay visible to the paper's reservation machinery:
 //! refills book the whole batch through
@@ -205,8 +199,6 @@ pub(crate) struct ThreadCache {
     /// is dropped, in which case cached addresses are simply discarded
     /// (never dereferenced).
     shared: Weak<Shared>,
-    /// Last `reclaim_epoch` this cache has answered (owner-only).
-    seen_epoch: Cell<u64>,
     /// Owner-only block stacks.
     mags: UnsafeCell<Magazines>,
     /// Gauge: blocks currently parked here (single writer: the owner).
@@ -229,10 +221,10 @@ pub(crate) struct ThreadCache {
     fast_ops: AtomicU64,
 }
 
-// SAFETY: `mags` and `seen_epoch` are only ever accessed by
-// the owning thread — every path to them goes through that thread's TLS
-// entry (`with_cache`, `drain_current_thread`, `CacheEntry::drop`); no
-// registry consumer touches them. Cross-thread access is limited to the
+// SAFETY: `mags` is only ever accessed by the owning thread — every
+// path to it goes through that thread's TLS entry (`with_cache`,
+// `drain_current_thread`, `CacheEntry::drop`); no registry consumer
+// touches it. Cross-thread access is limited to the
 // atomic tallies. That confinement is exactly what makes the handle
 // safe to hold in the registry (`Weak<ThreadCache>` requires Send +
 // Sync) and to drop from wherever the last `Arc` dies.
@@ -371,7 +363,7 @@ impl ThreadCache {
         Counters::add(&shard.counters.tcache_flushes, 1);
     }
 
-    /// Flushes every magazine (thread exit, epoch reclaim, explicit
+    /// Flushes every magazine (thread exit, explicit
     /// [`HermesHeap::drain_thread_cache`](super::HermesHeap::drain_thread_cache))
     /// and folds the warm-hit tally into the shard's durable counter.
     /// Owner-thread only.
@@ -395,17 +387,6 @@ impl ThreadCache {
             if pending > 0 {
                 Counters::add(durable, pending);
             }
-        }
-    }
-
-    /// Answers a pending reclaim request: drains once per tick of the
-    /// runtime's `reclaim_epoch`. Owner-thread only.
-    #[inline]
-    fn answer_reclaim(&self, shared: &Shared) {
-        let epoch = shared.reclaim_epoch.load(Ordering::Relaxed);
-        if self.seen_epoch.get() != epoch {
-            self.seen_epoch.set(epoch);
-            self.drain(shared);
         }
     }
 }
@@ -456,7 +437,6 @@ fn with_cache<R>(shared: &Arc<Shared>, f: impl Fn(&ThreadCache) -> R + Copy) -> 
     let warm = CACHES.try_with(|caches| {
         let b = caches.try_borrow().ok()?;
         let e = b.iter().find(|e| e.heap_id == shared.id)?;
-        e.cache.answer_reclaim(shared);
         Some(f(&e.cache))
     });
     if let Ok(Some(r)) = warm {
@@ -477,7 +457,6 @@ fn register_and_run<R>(shared: &Arc<Shared>, f: impl FnOnce(&ThreadCache) -> R) 
         let cache = Arc::new(ThreadCache {
             home: shared.home_shard_for(super::thread_ticket()),
             shared: Arc::downgrade(shared),
-            seen_epoch: Cell::new(shared.reclaim_epoch.load(Ordering::Relaxed)),
             mags: UnsafeCell::new(Magazines::new()),
             blocks: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -562,14 +541,6 @@ pub(crate) fn drain_current_thread(shared: &Arc<Shared>) {
     });
 }
 
-/// Requests a drain of every cache of `shared` (the manager's idle
-/// reclaim): bumps the reclaim epoch, which each owner thread answers
-/// on its next allocator touch — or at thread exit, whichever comes
-/// first. See the module docs for why reclaim is owner-driven.
-pub(crate) fn request_reclaim(shared: &Shared) {
-    shared.reclaim_epoch.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Aggregates cache tallies over every registered cache of `shared`,
 /// restricted to one shard's caches when `shard` is given. This is the
 /// read side of the owner-only accounting: stats calls pay an
@@ -581,7 +552,7 @@ pub(crate) fn tallies(shared: &Shared, shard: Option<usize>) -> CacheTallies {
     let mut reg = lock(&shared.tcaches);
     // Prune here as well as at registration: a burst of short-lived
     // threads would otherwise leave dead entries that every stats call
-    // and manager round walks forever.
+    // walks forever.
     reg.retain(|w| w.strong_count() > 0);
     for w in reg.iter() {
         if let Some(cache) = w.upgrade() {

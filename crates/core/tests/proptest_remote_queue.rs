@@ -37,8 +37,7 @@ enum Op {
     AllocRemote { size: usize },
     /// Free a ledger block on the main thread.
     Free { victim: usize },
-    /// One management round: drains every inbox, may trigger idle
-    /// reclaim (`tcache_idle_rounds = 2`) which empties the magazines.
+    /// One management round: drains every inbox.
     Round,
     /// Explicit full drain: empty every inbox.
     DrainInboxes,
@@ -117,8 +116,7 @@ proptest! {
     fn remote_queue_conserves_block_accounting(
         ops in prop::collection::vec(op_strategy(), 1..200),
     ) {
-        let mut cfg = HermesHeapConfig::small().with_arena_count(2);
-        cfg.hermes.tcache_idle_rounds = 2;
+        let cfg = HermesHeapConfig::small().with_arena_count(2);
         let heap = Arc::new(HermesHeap::new(cfg).unwrap());
         let foreign = ForeignAllocator::spawn(&heap);
         // The user's ledger: every live pointer with its size and the

@@ -1,7 +1,7 @@
 //! Conservation property of the thread-cache layer: for *any*
 //! interleaving of allocations, frees, magazine refills, overflow
-//! flushes, management rounds (which may trigger idle reclaim) and
-//! explicit drains, block accounting balances —
+//! flushes, management rounds and explicit drains, block accounting
+//! balances —
 //!
 //! ```text
 //! allocated (user-held) + cached (magazines) + free == carved
@@ -31,8 +31,7 @@ enum Op {
     Free {
         victim: usize,
     },
-    /// One management round; with `tcache_idle_rounds = 2` a quiet run of
-    /// rounds triggers idle reclaim mid-sequence.
+    /// One management round.
     Round,
     /// Explicit drain of this thread's magazines.
     Drain,
@@ -54,8 +53,7 @@ proptest! {
     fn refill_flush_drain_conserve_block_accounting(
         ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
-        let mut cfg = HermesHeapConfig::small().with_arena_count(2);
-        cfg.hermes.tcache_idle_rounds = 2;
+        let cfg = HermesHeapConfig::small().with_arena_count(2);
         let heap = HermesHeap::new(cfg).unwrap();
         // The user's ledger: every live pointer with its exact chunk
         // size. Single-threaded and cacheable-only, so every block is
@@ -86,7 +84,7 @@ proptest! {
                 Op::Drain => heap.drain_thread_cache(),
             }
             // Conservation, checked after *every* op: whatever refills,
-            // flushes, reclaims or drains just happened, the runtime
+            // flushes or drains just happened, the runtime
             // reports exactly the user's holdings — cached blocks moved
             // between shard heap and magazines, never into `in_use`.
             let hs = heap.heap_stats();
