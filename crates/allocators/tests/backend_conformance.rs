@@ -150,6 +150,9 @@ fn cross_thread_free_under_remote_queue_stays_lock_free() {
     ] {
         let cfg = base.with_arena_count(4);
         let mut b = RealHermesBackend::with_heap_config(cfg).expect("arena reservation");
+        // The live manager drains every inbox each round: stopped, it
+        // cannot empty them between the frees and the check below.
+        b.heap().stop_manager();
         let label = b.kind().label();
         let main_home = b.heap().home_arena();
         let handles: Vec<_> = (0..48).map(|i| b.malloc(512 + i * 32).unwrap().0).collect();

@@ -10,13 +10,9 @@
 //! *free* path: producer/consumer pairs over an mpsc pipeline, where
 //! every consumer free lands on a foreign shard and is pushed onto
 //! that shard's lock-free inbox.
-//!
-//! Besides the CSV series, the run writes `results/BENCH_PR.json` — the
-//! per-thread-count median summaries that CI's `bench-smoke` job uploads
-//! on every PR, extending the performance trajectory.
 
 use hermes_bench::stats::{self, Ci};
-use hermes_bench::{full_scale, header, results_dir, write_bench_pr_section, Checks};
+use hermes_bench::{full_scale, header, results_dir, Checks};
 use hermes_core::config::HermesConfig;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
 use std::alloc::Layout;
@@ -428,24 +424,7 @@ fn main() {
     write_csv("contention.csv", &cells);
     write_csv("remote_free.csv", &r_cells);
 
-    // The per-PR perf-trajectory summary CI uploads as an artifact and
-    // `bench_diff` gates on: one series entry per thread count at the
-    // multi-arena configuration, every gateable metric carrying its
-    // bootstrap CI, plus the headline paired sharding speedup.
     let (pooled_q, pooled_q_ci) = stats::median_ci(&ratio_samples(None));
-    write_section(
-        "contention",
-        total_ops(),
-        "",
-        &cells,
-        &[paired_entry(
-            "sharding_4plus_threads",
-            pooled_q,
-            pooled_q_ci,
-        )],
-    );
-    write_section("remote_free", remote_total_ops(), "free_", &r_cells, &[]);
-
     let mut checks = Checks::new();
     // Headline sharding acceptance: pooled over the contended regime
     // (>= 4 threads), the paired ratios put sharding strictly ahead. No
@@ -479,51 +458,4 @@ fn main() {
         m1.p99_ns <= s1.p99_ns * 2,
     );
     checks.finish();
-}
-
-/// One entry of a `paired` array: a named paired speedup with its CI,
-/// gateable by `bench_diff` (direction: higher is better).
-fn paired_entry(cmp: &str, speedup: f64, ci: Ci) -> String {
-    format!(
-        "    {{\"cmp\": \"{cmp}\", \"speedup\": {speedup:.4}, \"ci_metric\": \"speedup\", \"ci_lo\": {:.4}, \"ci_hi\": {:.4}}}",
-        ci.lo, ci.hi
-    )
-}
-
-/// Writes one section of `results/BENCH_PR.json` by hand (no serde in
-/// the workspace): one series entry per `MULTI_ARENAS` cell with the
-/// cell's throughput bootstrap CI as its gateable metric (`lat_prefix`
-/// says which op the sampled latency is of), plus the `paired` speedups.
-/// Host metadata (cores — the paired speedups are parallelism claims —
-/// toolchain, kernel) is injected, and other benches' sections
-/// preserved, by [`write_bench_pr_section`].
-fn write_section(
-    name: &str,
-    ops_per_cell: usize,
-    lat_prefix: &str,
-    cells: &[(Cell, Ci)],
-    paired: &[String],
-) {
-    let series: Vec<String> = cells
-        .iter()
-        .filter(|(c, _)| c.arenas == MULTI_ARENAS)
-        .map(|(c, ci)| {
-            format!(
-                "    {{\"threads\": {}, \"median_ns_per_op\": {:.1}, \"mops\": {:.3}, \"ci_metric\": \"mops\", \"ci_lo\": {:.3}, \"ci_hi\": {:.3}, \"{lat_prefix}p50_ns\": {}, \"{lat_prefix}p99_ns\": {}}}",
-                c.threads,
-                1e3 / c.mops,
-                c.mops,
-                ci.lo,
-                ci.hi,
-                c.p50_ns,
-                c.p99_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"arenas\": {MULTI_ARENAS},\n  \"reps\": {REPS},\n  \"ops_per_cell\": {ops_per_cell},\n  \"series\": [\n{}\n  ],\n  \"paired\": [\n{}\n  ]\n}}\n",
-        series.join(",\n"),
-        paired.join(",\n"),
-    );
-    write_bench_pr_section(name, &json);
 }

@@ -14,13 +14,12 @@
 //! palindrome for `REPS` repetitions with per-repetition seeds. Each
 //! (backend, level) row reports the median p50/p99 across runs with a
 //! bootstrap CI on the p99; counters and degradation behavior are shown
-//! for the first repetition (they are checked, not gated). The paired
-//! entry is the drift-cancelled real:system / real:hermes green-level
-//! tail ratio.
+//! for the first repetition. The paired line is the drift-cancelled
+//! real:system / real:hermes green-level tail ratio.
 
 use hermes_allocators::{AllocatorKind, BackendKind, FaultConfig};
 use hermes_bench::stats::{self, Ci};
-use hermes_bench::{header, pct, write_bench_pr_section, Checks};
+use hermes_bench::{header, pct, Checks};
 use hermes_services::{PressureLevel, ServiceKind};
 use hermes_sim::report::Table;
 use hermes_sim::time::SimDuration;
@@ -92,7 +91,6 @@ fn main() {
         p50_ns: u64,
         p99_ns: u64,
         p99_ci: Ci,
-        samples: usize,
     }
     let mut aggs: Vec<Agg> = Vec::new();
     for (cfg, backend) in backends.iter().enumerate() {
@@ -118,7 +116,6 @@ fn main() {
                 p50_ns: stats::median(&p50s).round() as u64,
                 p99_ns: p99_med.round() as u64,
                 p99_ci,
-                samples: p99s.len(),
             });
         }
     }
@@ -146,17 +143,13 @@ fn main() {
 
     // Paired green-level tail claim on the real axis.
     let idx = |b: BackendKind| backends.iter().position(|&x| x == b);
-    let real_pair = match (idx(BackendKind::RealSystem), idx(BackendKind::RealHermes)) {
-        (Some(s), Some(h)) => {
-            let (speedup, ci) = pal.ratio_ci(s, h);
-            println!(
-                "paired real_hermes_vs_system_green_p99: {speedup:.3}x (CI [{:.3}, {:.3}])",
-                ci.lo, ci.hi
-            );
-            Some((speedup, ci))
-        }
-        _ => None,
-    };
+    if let (Some(s), Some(h)) = (idx(BackendKind::RealSystem), idx(BackendKind::RealHermes)) {
+        let (speedup, ci) = pal.ratio_ci(s, h);
+        println!(
+            "paired real_hermes_vs_system_green_p99: {speedup:.3}x (CI [{:.3}, {:.3}])",
+            ci.lo, ci.hi
+        );
+    }
 
     // Behavior checks run against the first repetition (seed 42), the
     // same deterministic run earlier PRs gated on.
@@ -197,51 +190,6 @@ fn main() {
         );
     }
     checks.finish();
-
-    // BENCH_PR.json rows: one entry per (backend, pressure level). The
-    // per-level query counters vary with the repetition seed, so they are
-    // written as `level_*` fields — entry identity stays (backend, level)
-    // and only the p99 (with its CI) gates.
-    let mut rows = String::new();
-    for (cfg, backend) in backends.iter().enumerate() {
-        let first_run = &runs[cfg][0];
-        for a in aggs.iter().filter(|a| a.backend == *backend) {
-            let row = &first_run.levels[a.first];
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"backend\": \"{}\", \"level\": \"{}\", \"level_queries\": {}, \"ok\": {}, \"degraded\": {}, \"retried\": {}, \"shed\": {}, \"failed\": {}, \"evicted_bytes\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"ci_metric\": \"p99_ns\", \"ci_lo\": {:.0}, \"ci_hi\": {:.0}, \"runs\": {}, \"slo_ns\": {}, \"violation_pct\": {:.3}}}",
-                backend.label(),
-                row.level.label(),
-                row.counters.queries,
-                row.counters.ok,
-                row.counters.degraded,
-                row.counters.retried,
-                row.counters.shed,
-                row.counters.failed,
-                row.counters.evicted_bytes,
-                a.p50_ns,
-                a.p99_ns,
-                a.p99_ci.lo,
-                a.p99_ci.hi,
-                a.samples,
-                first_run.slo.as_nanos(),
-                row.violation_pct,
-            ));
-        }
-    }
-    let mut paired_json = String::new();
-    if let Some((speedup, ci)) = real_pair {
-        paired_json.push_str(&format!(
-            "    {{\"cmp\": \"real_hermes_vs_system_green_p99\", \"speedup\": {speedup:.4}, \"ci_metric\": \"speedup\", \"ci_lo\": {:.4}, \"ci_hi\": {:.4}}}",
-            ci.lo, ci.hi
-        ));
-    }
-    let json = format!(
-        "{{\n  \"trace\": \"flash-crowd\",\n  \"service\": \"Redis\",\n  \"reps\": {REPS},\n  \"matrix\": [\n{rows}\n  ],\n  \"paired\": [\n{paired_json}\n  ]\n}}\n"
-    );
-    write_bench_pr_section("scenario", &json);
 
     if checks.failed() > 0 {
         std::process::exit(1);

@@ -19,7 +19,7 @@
 
 use hermes_allocators::{AllocatorKind, BackendKind, BackendStats};
 use hermes_bench::stats::{self, Ci};
-use hermes_bench::{header, queries_small, write_bench_pr_section, Checks};
+use hermes_bench::{header, queries_small, Checks};
 use hermes_services::ServiceKind;
 use hermes_sim::report::Table;
 use hermes_workloads::{run_service_latency, ServiceLatencyRun};
@@ -231,44 +231,6 @@ fn main() {
         }
     }
     checks.finish();
-
-    // BENCH_PR.json rows: one entry per (service, backend), p99 gated by
-    // its bootstrap CI, plus the paired tail claims. Host metadata is
-    // injected by write_bench_pr_section.
-    let mut series = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            series.push_str(",\n");
-        }
-        series.push_str(&format!(
-            "    {{\"service\": \"{}\", \"backend\": \"{}\", \"queries\": {queries}, \"p50_ns\": {}, \"p99_ns\": {}, \"ci_metric\": \"p99_ns\", \"ci_lo\": {:.0}, \"ci_hi\": {:.0}, \"p999_ns\": {}, \"reserved_unused_bytes\": {}, \"committed_bytes\": {}, \"backing_reserved_bytes\": {}, \"decommitted_bytes\": {}}}",
-            r.service.name(),
-            r.backend.label(),
-            r.p50_ns,
-            r.p99_ns,
-            r.p99_ci.lo,
-            r.p99_ci.hi,
-            r.p999_ns,
-            r.stats.reserved_unused_bytes,
-            r.stats.committed_bytes,
-            r.stats.backing_reserved_bytes,
-            r.stats.decommitted_bytes,
-        ));
-    }
-    let mut paired_json = String::new();
-    for (i, p) in paired.iter().enumerate() {
-        if i > 0 {
-            paired_json.push_str(",\n");
-        }
-        paired_json.push_str(&format!(
-            "    {{\"cmp\": \"{}\", \"speedup\": {:.4}, \"ci_metric\": \"speedup\", \"ci_lo\": {:.4}, \"ci_hi\": {:.4}}}",
-            p.cmp, p.speedup, p.ci.lo, p.ci.hi
-        ));
-    }
-    let json = format!(
-        "{{\n  \"record_bytes\": 1024,\n  \"reps\": {REPS},\n  \"series\": [\n{series}\n  ],\n  \"paired\": [\n{paired_json}\n  ]\n}}\n"
-    );
-    write_bench_pr_section("service_backend", &json);
 
     if checks.failed() > 0 {
         std::process::exit(1);

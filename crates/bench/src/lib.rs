@@ -11,8 +11,6 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
-pub mod json;
 pub mod stats;
 
 use hermes_sim::stats::Summary;
@@ -115,79 +113,6 @@ pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
 }
 
-/// Writes one bench's summary into `results/BENCH_PR.json` without
-/// clobbering other benches' rows: each bench stores its JSON object as
-/// a fragment under `results/bench_pr/<name>.json`, and the merged
-/// top-level object (`{"<name>": {...}, ...}`) is reassembled from all
-/// fragments on every call. Idempotent per bench — re-running replaces
-/// that bench's section only.
-///
-/// `json_object` must be a valid JSON object literal (the workspace has
-/// no serde; writers format by hand as before). Host metadata
-/// ([`stats::host_meta_json`]) is injected as the section's `"host"`
-/// member unless the writer supplied one, so every section records the
-/// cores/toolchain/kernel that produced it and `bench_diff` can refuse
-/// unlike-for-unlike comparisons.
-pub fn write_bench_pr_section(name: &str, json_object: &str) {
-    let dir = results_dir().join("bench_pr");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let with_host = inject_host(json_object);
-    let frag = dir.join(format!("{name}.json"));
-    if std::fs::write(&frag, with_host).is_err() {
-        eprintln!("warning: could not write {}", frag.display());
-        return;
-    }
-    // Reassemble the merged file from every fragment, sorted by name so
-    // the output is stable across runs.
-    let mut names: Vec<String> = match std::fs::read_dir(&dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let n = e.file_name().into_string().ok()?;
-                n.strip_suffix(".json").map(str::to_string)
-            })
-            .collect(),
-        Err(_) => return,
-    };
-    names.sort();
-    let mut merged = String::from("{\n");
-    let mut first = true;
-    for n in names {
-        let Ok(body) = std::fs::read_to_string(dir.join(format!("{n}.json"))) else {
-            continue;
-        };
-        if !first {
-            merged.push_str(",\n");
-        }
-        first = false;
-        merged.push_str(&format!("\"{n}\": {}", body.trim()));
-    }
-    merged.push_str("\n}\n");
-    let path = results_dir().join("BENCH_PR.json");
-    if std::fs::write(&path, merged).is_ok() {
-        println!("json: {}", path.display());
-    }
-}
-
-/// Prepends the `"host"` member to a hand-built JSON object literal,
-/// unless one is already present.
-fn inject_host(json_object: &str) -> String {
-    if json_object.contains("\"host\"") {
-        return json_object.to_string();
-    }
-    match json_object.find('{') {
-        Some(open) => format!(
-            "{}{{\n  \"host\": {},{}",
-            &json_object[..open],
-            stats::host_meta_json(),
-            &json_object[open + 1..]
-        ),
-        None => json_object.to_string(),
-    }
-}
-
 /// Reduction of `ours` vs `base` at the average, in percent.
 pub fn avg_reduction(ours: &Summary, base: &Summary) -> f64 {
     ours.reduction_vs(base).avg
@@ -222,17 +147,6 @@ mod tests {
     #[test]
     fn results_dir_is_formed() {
         assert!(results_dir().to_string_lossy().contains("results"));
-    }
-
-    #[test]
-    fn host_injection_is_idempotent_and_parses() {
-        let injected = inject_host("{\n  \"a\": 1\n}\n");
-        let v = crate::json::parse(&injected).expect("valid JSON after injection");
-        assert!(v.get("host").is_some());
-        assert_eq!(v.get("a").and_then(crate::json::Value::as_num), Some(1.0));
-        // A writer-supplied host object is left alone.
-        let supplied = "{\"host\": {\"host_cores\": 2}, \"a\": 1}";
-        assert_eq!(inject_host(supplied), supplied);
     }
 }
 

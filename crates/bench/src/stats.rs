@@ -1,12 +1,8 @@
-//! Statistics for the perf trajectory: seeded bootstrap confidence
-//! intervals, the generalized palindrome paired-run harness, and
-//! outlier-robust summaries.
+//! Statistics for the bench tables: seeded bootstrap confidence
+//! intervals and the generalized palindrome paired-run harness.
 //!
-//! Every number written into `results/BENCH_PR.json` is a claim about a
-//! distribution, and CI compares those claims across runs — so each one
-//! carries a percentile-bootstrap confidence interval computed here, and
-//! each section carries the host metadata ([`host_meta`]) that decides
-//! whether two runs are comparable at all.
+//! A printed median is a claim about a distribution, so the tables show
+//! it with a percentile-bootstrap confidence interval computed here.
 //!
 //! # Bootstrap
 //!
@@ -27,8 +23,6 @@
 //! orderings cancels slow drift (burst-credit grants, thermal ramps) out
 //! of the paired ratios. SpeedMalloc's per-configuration paired runs are
 //! the model.
-
-use std::sync::OnceLock;
 
 /// Default resample count for bootstrap intervals: enough for stable
 /// 2.5 %/97.5 % quantiles, cheap enough to run per series entry.
@@ -93,32 +87,6 @@ pub fn median(xs: &[f64]) -> f64 {
     let mut v = xs.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     quantile_sorted(&v, 0.5)
-}
-
-/// Outlier-robust mean: drops samples outside `median ± 3 * MAD`
-/// (median absolute deviation, scaled by the normal consistency factor
-/// 1.4826) before averaging. With fewer than 4 samples, or when the MAD
-/// is zero (over half the samples identical), falls back to the plain
-/// mean over all samples.
-pub fn robust_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let plain = xs.iter().sum::<f64>() / xs.len() as f64;
-    if xs.len() < 4 {
-        return plain;
-    }
-    let m = median(xs);
-    let mad = 1.4826 * median(&xs.iter().map(|x| (x - m).abs()).collect::<Vec<_>>());
-    if mad <= 0.0 {
-        return plain;
-    }
-    let kept: Vec<f64> = xs
-        .iter()
-        .copied()
-        .filter(|x| (x - m).abs() <= 3.0 * mad)
-        .collect();
-    kept.iter().sum::<f64>() / kept.len() as f64
 }
 
 /// Percentile-bootstrap confidence interval for the `q`-quantile of the
@@ -242,77 +210,6 @@ impl Palindrome {
     }
 }
 
-/// Host facts that decide whether two `BENCH_PR.json` files are
-/// comparable: paired speedups are parallelism claims (meaningless
-/// across different core counts) and absolute latencies shift with the
-/// toolchain's codegen and the kernel's allocator-facing behaviour.
-#[derive(Debug, Clone)]
-pub struct HostMeta {
-    /// `available_parallelism` of the measuring host.
-    pub cores: usize,
-    /// `rustc --version` of the toolchain on `PATH` (what built the
-    /// benches under CI's pinned toolchain), or `"unknown"`.
-    pub toolchain: String,
-    /// Kernel release (`/proc/sys/kernel/osrelease`), or the platform
-    /// name where that pseudo-file does not exist.
-    pub kernel: String,
-}
-
-/// The measuring host's metadata, computed once per process.
-pub fn host_meta() -> &'static HostMeta {
-    static META: OnceLock<HostMeta> = OnceLock::new();
-    META.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let toolchain = std::process::Command::new("rustc")
-            .arg("--version")
-            .output()
-            .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|_| std::env::consts::OS.to_string());
-        HostMeta {
-            cores,
-            toolchain,
-            kernel,
-        }
-    })
-}
-
-/// The host metadata as the JSON object every `BENCH_PR.json` section
-/// embeds under `"host"`.
-pub fn host_meta_json() -> String {
-    let m = host_meta();
-    format!(
-        "{{\"host_cores\": {}, \"toolchain\": {}, \"kernel\": {}}}",
-        m.cores,
-        json_str(&m.toolchain),
-        json_str(&m.kernel)
-    )
-}
-
-/// Minimal JSON string escaping for the hand-built writers.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,19 +232,6 @@ mod tests {
         assert_eq!(quantile_sorted(&sorted, 0.0), 1.0);
         assert_eq!(quantile_sorted(&sorted, 0.99), 100.0);
         assert!(median(&[]).is_nan());
-    }
-
-    #[test]
-    fn robust_mean_sheds_outliers() {
-        let mut xs: Vec<f64> = (0..20).map(|i| 9.0 + 0.1 * i as f64).collect();
-        xs.push(10_000.0);
-        let rm = robust_mean(&xs);
-        assert!((rm - 9.95).abs() < 0.5, "robust mean {rm} still near 9.95");
-        // All-identical samples have zero MAD: plain-mean fallback.
-        assert_eq!(robust_mean(&[4.0; 8]), 4.0);
-        // Plain-mean fallback paths.
-        assert_eq!(robust_mean(&[5.0, 7.0]), 6.0);
-        assert!(robust_mean(&[]).is_nan());
     }
 
     #[test]
@@ -374,20 +258,5 @@ mod tests {
         assert_eq!((ci.lo, ci.hi), (2.0, 2.0));
         let inv = p.ratio_samples(0, 1);
         assert!(inv.iter().all(|&x| (x - 0.5).abs() < 1e-12));
-    }
-
-    #[test]
-    fn host_meta_has_cores_and_renders() {
-        let m = host_meta();
-        assert!(m.cores >= 1);
-        let j = host_meta_json();
-        assert!(j.contains("\"host_cores\""));
-        assert!(j.contains("\"toolchain\""));
-        assert!(j.contains("\"kernel\""));
-    }
-
-    #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -6,8 +6,15 @@
 //! list has no fitting chunk the *largest* chunk is expanded to the
 //! requested size, and only if the pool is empty does allocation fall back
 //! to a fresh `mmap`.
+//!
+//! Both lists here are B-trees rather than growable arrays: an insert
+//! allocates at most one node of a few hundred bytes, never a buffer that
+//! grows with the list. The runtime's large path edits them under its
+//! shard lock, where an allocation that grew with the list could come
+//! back to that same lock (DESIGN.md §4, *Re-entrancy*).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{btree_map, BTreeMap};
 
 /// A pre-mapped chunk tracked by the pool. `id` is owned by the embedding
 /// allocator (an address, an offset, or a synthetic handle).
@@ -40,7 +47,9 @@ pub enum PoolHit {
 /// Segregated free list of pre-mapped chunks.
 #[derive(Debug, Clone)]
 pub struct SegregatedFreeList {
-    buckets: Vec<VecDeque<MmapChunk>>,
+    /// One FIFO per bucket, keyed by insertion sequence number.
+    buckets: Vec<BTreeMap<u64, MmapChunk>>,
+    next_seq: u64,
     min_mmap: usize,
     table_size: usize,
     total: usize,
@@ -57,7 +66,8 @@ impl SegregatedFreeList {
         assert!(min_mmap > 0, "min_mmap must be positive");
         assert!(table_size > 0, "table_size must be positive");
         SegregatedFreeList {
-            buckets: vec![VecDeque::new(); table_size + 1],
+            buckets: vec![BTreeMap::new(); table_size + 1],
+            next_seq: 0,
             min_mmap,
             table_size,
             total: 0,
@@ -76,19 +86,20 @@ impl SegregatedFreeList {
 
     /// Number of chunks in the pool.
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(VecDeque::len).sum()
+        self.buckets.iter().map(BTreeMap::len).sum()
     }
 
     /// `true` if the pool holds no chunks.
     pub fn is_empty(&self) -> bool {
-        self.total == 0 && self.buckets.iter().all(VecDeque::is_empty)
+        self.total == 0 && self.buckets.iter().all(BTreeMap::is_empty)
     }
 
     /// Inserts a chunk (a fresh reservation or a freed allocation).
     pub fn insert(&mut self, chunk: MmapChunk) {
         let b = self.bucket_of(chunk.size);
         self.total += chunk.size;
-        self.buckets[b].push_back(chunk);
+        self.buckets[b].insert(self.next_seq, chunk);
+        self.next_seq += 1;
     }
 
     /// Serves a request of `req` bytes per the paper's lookup rule.
@@ -100,9 +111,9 @@ impl SegregatedFreeList {
         for b in start..=self.table_size {
             // Capped bucket may hold chunks smaller than very large
             // requests; leave those for the expand path.
-            if let Some(&candidate) = self.buckets[b].front() {
-                if candidate.size >= req {
-                    let c = self.buckets[b].pop_front().expect("front exists");
+            if let Some(front) = self.buckets[b].first_entry() {
+                if front.get().size >= req {
+                    let c = front.remove();
                     self.total -= c.size;
                     return PoolHit::Fit(c);
                 }
@@ -125,12 +136,11 @@ impl SegregatedFreeList {
             if self.buckets[b].is_empty() {
                 continue;
             }
-            let (idx, _) = self.buckets[b]
+            let (&seq, _) = self.buckets[b]
                 .iter()
-                .enumerate()
-                .max_by_key(|(i, c)| (c.size, usize::MAX - i))
+                .max_by_key(|&(&seq, c)| (c.size, Reverse(seq)))
                 .expect("bucket non-empty");
-            let c = self.buckets[b].remove(idx).expect("index valid");
+            let c = self.buckets[b].remove(&seq).expect("key present");
             self.total -= c.size;
             return Some(c);
         }
@@ -144,12 +154,11 @@ impl SegregatedFreeList {
             if self.buckets[b].is_empty() {
                 continue;
             }
-            let (idx, _) = self.buckets[b]
+            let (&seq, _) = self.buckets[b]
                 .iter()
-                .enumerate()
-                .min_by_key(|(i, c)| (c.size, *i))
+                .min_by_key(|&(&seq, c)| (c.size, seq))
                 .expect("bucket non-empty");
-            let c = self.buckets[b].remove(idx).expect("index valid");
+            let c = self.buckets[b].remove(&seq).expect("key present");
             self.total -= c.size;
             return Some(c);
         }
@@ -158,7 +167,7 @@ impl SegregatedFreeList {
 
     /// Iterates over all chunks (diagnostics and tests).
     pub fn iter(&self) -> impl Iterator<Item = &MmapChunk> {
-        self.buckets.iter().flatten()
+        self.buckets.iter().flat_map(BTreeMap::values)
     }
 }
 
@@ -167,7 +176,8 @@ impl SegregatedFreeList {
 /// (*delayed release*, so the process never waits for the shrink).
 #[derive(Debug, Clone, Default)]
 pub struct DelayedShrinkSet {
-    entries: Vec<ShrinkEntry>,
+    /// Pending entries by chunk id.
+    entries: BTreeMap<u64, ShrinkEntry>,
 }
 
 /// One handed-out chunk pending shrink.
@@ -191,24 +201,24 @@ impl DelayedShrinkSet {
     pub fn push(&mut self, id: u64, allocated: usize, requested: usize) {
         debug_assert!(allocated >= requested);
         if allocated > requested {
-            self.entries.push(ShrinkEntry {
+            let entry = ShrinkEntry {
                 id,
                 allocated,
                 requested,
-            });
+            };
+            self.entries.insert(id, entry);
         }
     }
 
     /// Cancels a pending shrink (the chunk was freed before the round ran).
     pub fn cancel(&mut self, id: u64) -> Option<ShrinkEntry> {
-        let idx = self.entries.iter().position(|e| e.id == id)?;
-        Some(self.entries.swap_remove(idx))
+        self.entries.remove(&id)
     }
 
-    /// Takes all pending entries for processing by the management round
-    /// (`DelayRelease(alloc_set)` in Algorithm 2).
-    pub fn drain(&mut self) -> Vec<ShrinkEntry> {
-        std::mem::take(&mut self.entries)
+    /// Takes all pending entries, in chunk-id order, for processing by
+    /// the management round (`DelayRelease(alloc_set)` in Algorithm 2).
+    pub fn drain(&mut self) -> btree_map::IntoValues<u64, ShrinkEntry> {
+        std::mem::take(&mut self.entries).into_values()
     }
 
     /// Number of pending entries.
@@ -223,7 +233,10 @@ impl DelayedShrinkSet {
 
     /// Total bytes that would be released by processing the set.
     pub fn reclaimable(&self) -> usize {
-        self.entries.iter().map(|e| e.allocated - e.requested).sum()
+        self.entries
+            .values()
+            .map(|e| e.allocated - e.requested)
+            .sum()
     }
 }
 
@@ -397,7 +410,7 @@ mod tests {
         s.push(2, 256 * KB, 256 * KB); // exact: ignored
         assert_eq!(s.len(), 1);
         assert_eq!(s.reclaimable(), (524 - 278) * KB);
-        let drained = s.drain();
+        let drained: Vec<_> = s.drain().collect();
         assert_eq!(drained.len(), 1);
         assert!(s.is_empty());
         assert_eq!(drained[0].id, 1);
@@ -411,6 +424,6 @@ mod tests {
         assert!(s.cancel(1).is_some());
         assert!(s.cancel(1).is_none());
         assert_eq!(s.len(), 1);
-        assert_eq!(s.drain()[0].id, 2);
+        assert_eq!(s.drain().map(|e| e.id).collect::<Vec<_>>(), [2]);
     }
 }

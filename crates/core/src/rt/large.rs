@@ -18,9 +18,16 @@
 //! so reuse honestly pays (and counts) the mapping-construction faults
 //! again. A cold extent that reaches the bump frontier is handed back to
 //! it: untouched address space either way.
+//!
+//! Under the `#[global_allocator]` every list here is edited with the
+//! shard's `large` lock held, so no edit may allocate on the large path.
+//! All three lists are B-trees: an insert allocates at most one node of a
+//! few hundred bytes, which the small path serves, however long the list
+//! grows (DESIGN.md §4, *Re-entrancy*).
 
 use super::arena::{Arena, PAGE};
 use crate::policy::{DelayedShrinkSet, MmapChunk, PoolHit, SegregatedFreeList};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ptr::NonNull;
 
@@ -79,12 +86,12 @@ impl LargeStats {
     }
 }
 
-/// A recyclable page-granular extent. `warm` records whether its pages
-/// are still resident: decommitted extents hand out cold memory, so
-/// reuse must re-touch and account the faults.
+/// A recyclable page-granular extent (its offset is its key in
+/// [`LargePool::extents`]). `warm` records whether its pages are still
+/// resident: decommitted extents hand out cold memory, so reuse must
+/// re-touch and account the faults.
 #[derive(Debug, Clone, Copy)]
 struct Extent {
-    off: usize,
     size: usize,
     warm: bool,
 }
@@ -95,10 +102,10 @@ pub struct LargePool {
     bump_off: usize,
     pool: SegregatedFreeList,
     shrink: DelayedShrinkSet,
-    /// Recyclable extents, page-granular, sorted by offset with no two
+    /// Recyclable extents by offset, page-granular, with no two
     /// same-warmth neighbours adjacent; `stats.extent_bytes` is the
     /// running sum of their sizes.
-    extents: Vec<Extent>,
+    extents: BTreeMap<usize, Extent>,
     /// Committed-bytes gauge: touched minus decommitted.
     committed: usize,
     stats: LargeStats,
@@ -132,9 +139,7 @@ impl LargePool {
             bump_off: 0,
             pool: SegregatedFreeList::new(min_mmap, table_size),
             shrink: DelayedShrinkSet::new(),
-            // Capacity is pre-reserved so pushes do not re-enter the
-            // global allocator with a large request (see module docs).
-            extents: Vec::with_capacity(4096),
+            extents: BTreeMap::new(),
             committed: 0,
             stats: LargeStats::default(),
             min_mmap,
@@ -177,16 +182,21 @@ impl LargePool {
         // Best-fit from recycled extents first; a decommitted extent is
         // reusable address space but cold memory, so its `warm` flag
         // decides whether the caller must (re-)touch.
-        let best = (0..self.extents.len())
-            .filter(|&i| self.extents[i].size >= need)
-            .min_by_key(|&i| self.extents[i].size);
-        if let Some(i) = best {
-            let Extent { off, warm, .. } = self.extents[i];
-            // Cut from the front in place: the list stays address-ordered.
-            self.extents[i].off += need;
-            self.extents[i].size -= need;
-            if self.extents[i].size == 0 {
-                self.extents.remove(i);
+        let best = self
+            .extents
+            .iter()
+            .filter(|(_, e)| e.size >= need)
+            .min_by_key(|(_, e)| e.size)
+            .map(|(&off, &e)| (off, e));
+        if let Some((off, Extent { size, warm })) = best {
+            // Cut from the front: the rest stays listed behind the cut.
+            self.extents.remove(&off);
+            if size > need {
+                let rest = Extent {
+                    size: size - need,
+                    warm,
+                };
+                self.extents.insert(off + need, rest);
             }
             self.stats.extent_bytes -= need;
             return Some((off, warm));
@@ -222,28 +232,28 @@ impl LargePool {
         }
         let warm = freed == 0;
         self.stats.extent_bytes += size;
-        let i = self.extents.partition_point(|x| x.off < off);
-        self.extents.insert(i, Extent { off, size, warm });
+        let (mut off, mut size) = (off, size);
         // Coalesce: fold the successor into the new extent, then that into
         // its predecessor, where they touch and share warmth. Warm and cold
         // never merge — reuse of a cold extent is re-booked in `committed`,
         // reuse of a warm one is not.
-        for j in [i + 1, i] {
-            if j == 0 || j == self.extents.len() {
-                continue;
-            }
-            let (a, b) = (self.extents[j - 1], self.extents[j]);
-            if a.warm == b.warm && a.off + a.size == b.off {
-                self.extents[j - 1].size += b.size;
-                self.extents.remove(j);
+        let next = off + size;
+        if self.extents.get(&next).is_some_and(|e| e.warm == warm) {
+            size += self.extents.remove(&next).map_or(0, |e| e.size);
+        }
+        if let Some((&prev, e)) = self.extents.range(..off).next_back() {
+            if e.warm == warm && prev + e.size == off {
+                size += e.size;
+                off = prev;
             }
         }
+        self.extents.insert(off, Extent { size, warm });
         // A cold extent ending at the frontier is untouched address space
         // again: un-bump it. (A warm one stays listed — the bump path
         // books every carve as newly committed.)
-        if let Some(&Extent { off, size, warm }) = self.extents.last() {
+        if let Some((&off, &Extent { size, warm })) = self.extents.last_key_value() {
             if !warm && off + size == self.bump_off {
-                self.extents.pop();
+                self.extents.pop_last();
                 self.stats.extent_bytes -= size;
                 self.bump_off = off;
             }
@@ -271,7 +281,9 @@ impl LargePool {
         // SAFETY: per dealloc contract the pointer came from `alloc`,
         // whose header page precedes the payload.
         let hdr = unsafe { (self.arena.at(payload_off - PAGE) as *const LargeHeader).read() };
-        debug_assert_eq!(hdr.magic, MAGIC, "corrupt large header");
+        if hdr.magic != MAGIC {
+            super::error::misuse_abort("hermes: free of a large block with a corrupt header\n");
+        }
         hdr
     }
 
@@ -395,9 +407,8 @@ impl LargePool {
     /// Applies the delayed shrink set: each over-sized live chunk is cut
     /// back to its requested size and the tail recycled.
     pub fn process_delayed_shrink(&mut self) -> usize {
-        let entries = self.shrink.drain();
         let mut released = 0;
-        for e in entries {
+        for e in self.shrink.drain() {
             let off = e.id as usize;
             let tail = e.allocated - e.requested;
             debug_assert!(tail % PAGE == 0, "pool chunks and requests are whole pages");
@@ -534,7 +545,7 @@ mod tests {
         assert_eq!(p.bump_off, bump_before, "served from extents");
         assert_eq!(
             p.stats().extent_bytes,
-            p.extents.iter().map(|e| e.size).sum::<usize>(),
+            p.extents.values().map(|e| e.size).sum::<usize>(),
             "the gauge follows the list through push and split"
         );
         assert_eq!(p.stats().extent_bytes, 256 * KB);
@@ -547,16 +558,18 @@ mod tests {
     fn assert_extents_consistent(p: &LargePool) {
         assert_eq!(
             p.stats().extent_bytes,
-            p.extents.iter().map(|e| e.size).sum::<usize>()
+            p.extents.values().map(|e| e.size).sum::<usize>()
         );
-        for w in p.extents.windows(2) {
-            assert!(w[0].off + w[0].size <= w[1].off, "ordered, disjoint");
+        let list: Vec<_> = p.extents.iter().collect();
+        for w in list.windows(2) {
+            let ((&a, ea), (&b, eb)) = (w[0], w[1]);
+            assert!(a + ea.size <= b, "ordered, disjoint");
             assert!(
-                w[0].off + w[0].size < w[1].off || w[0].warm != w[1].warm,
+                a + ea.size < b || ea.warm != eb.warm,
                 "adjacent same-warmth extents are merged"
             );
         }
-        assert!(p.extents.iter().all(|e| e.off + e.size <= p.bump_off));
+        assert!(p.extents.iter().all(|(&off, e)| off + e.size <= p.bump_off));
     }
 
     #[test]
@@ -572,7 +585,8 @@ mod tests {
             assert_eq!(p.extents.len(), extents_after);
             assert_extents_consistent(&p);
         }
-        assert_eq!((p.extents[0].off, p.extents[0].size), (0, 3 * chunk));
+        let (&off, first) = p.extents.first_key_value().unwrap();
+        assert_eq!((off, first.size), (0, 3 * chunk));
         assert_eq!(
             p.bump_off,
             4 * chunk,
@@ -623,11 +637,13 @@ mod tests {
         // extents.
         p.bump_off = 4 * MB;
         for off in [MB, 3 * MB] {
-            p.extents.push(Extent {
+            p.extents.insert(
                 off,
-                size: MB,
-                warm: true,
-            });
+                Extent {
+                    size: MB,
+                    warm: true,
+                },
+            );
             p.stats.extent_bytes += MB;
         }
         p.push_extent(0, MB);
@@ -641,12 +657,12 @@ mod tests {
         if crate::platform::platform().supports_mapping() {
             // The pushed extents were decommitted (cold): each keeps its
             // own entry between the warm ones.
-            let warmth: Vec<bool> = p.extents.iter().map(|e| e.warm).collect();
+            let warmth: Vec<bool> = p.extents.values().map(|e| e.warm).collect();
             assert_eq!(warmth, [false, true, false, true]);
         } else {
             // Decommit refused: all four are warm and merge into one.
             assert_eq!(p.extents.len(), 1);
-            assert!(p.extents[0].warm);
+            assert!(p.extents.values().all(|e| e.warm));
         }
     }
 

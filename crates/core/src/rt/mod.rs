@@ -11,9 +11,11 @@
 //!   segregated pre-touch pool and delayed shrink.
 //! * [`HermesHeap`] — the synchronised front end over **N arena shards**,
 //!   each holding its own `RawHeap` + `LargePool` pair behind per-shard
-//!   locks. Threads cache a home shard (round-robin affinity) and steal a
-//!   neighbour's lock on contention, so a multi-threaded service no longer
-//!   serialises on one heap lock. It also spawns the **memory management
+//!   locks. Each thread allocates from one home shard (round-robin
+//!   affinity), so a multi-threaded service no longer serialises on one
+//!   heap lock, and each shard's demand tracker sees only the threads
+//!   homed on it; another shard serves a request only once the home
+//!   shard is full. It also spawns the **memory management
 //!   thread**, which wakes every `f` ms and runs Algorithm 1/2 *per arena*
 //!   against per-arena demand trackers.
 //! * [`tcache`] — per-thread magazine caches in front of the shards:
@@ -357,9 +359,10 @@ fn thread_ticket() -> usize {
 
 /// A complete Hermes allocator instance.
 ///
-/// Thread-safe: allocation paths take per-shard locks (home shard first,
-/// stealing a neighbour on contention); the management thread contends on
-/// the same locks in short, gradual steps.
+/// Thread-safe: allocation paths take the calling thread's home-shard
+/// lock, waiting for it when busy, and sweep the other shards only when
+/// the home shard is full; the management thread contends on the same
+/// locks in short, gradual steps.
 pub struct HermesHeap {
     shared: Arc<Shared>,
     manager: Mutex<Option<ManagerHandle>>,
@@ -658,28 +661,6 @@ impl HermesHeap {
         }
     }
 
-    /// Takes the home shard's lock — the mutex `of` projects, heap or
-    /// large — stealing an uncontended neighbour's ptmalloc-style when
-    /// the home shard is busy. Falls back to a blocking acquisition of
-    /// the home lock.
-    fn lock_stealing<T>(
-        &self,
-        home: usize,
-        of: impl Fn(&Shard) -> &Mutex<T>,
-    ) -> (usize, MutexGuard<'_, T>) {
-        let shards = &self.shared.shards;
-        let n = shards.len();
-        if n > 1 {
-            for k in 0..n {
-                let i = (home + k) % n;
-                if let Some(g) = try_lock(of(&shards[i])) {
-                    return (i, g);
-                }
-            }
-        }
-        (home, lock(of(&shards[home])))
-    }
-
     /// One allocation attempt against `shard`'s main heap: records the
     /// demand, allocates, and — on success — books the fast/slow counters
     /// on that shard (the lock is released before the counter updates).
@@ -738,18 +719,18 @@ impl HermesHeap {
         // thread cache missed), so spend a bounded amount of it
         // returning remotely freed blocks before carving new memory.
         remote::drain(&self.shared, home, remote::OPPORTUNISTIC_GROUPS);
-        let (idx, g) = self.lock_stealing(home, |s| &s.heap);
-        if let Some(p) = Self::small_attempt(&shards[idx], g, layout, size) {
+        let shard = &shards[home];
+        if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
             return Some(p);
         }
-        // Before declaring the serving shard exhausted, pull back
+        // Before declaring the home shard exhausted, pull back
         // everything parked in its inbox and retry — even when this
         // drain found nothing, since a concurrent one may have returned
         // the blocks after the attempt above. Then sweep the remaining
         // shards the same way, so the runtime only fails once *all*
         // arenas are full.
         for k in 0..shards.len() {
-            let j = (idx + k) % shards.len();
+            let j = (home + k) % shards.len();
             remote::drain(&self.shared, j, usize::MAX);
             let shard = &shards[j];
             if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
@@ -763,12 +744,8 @@ impl HermesHeap {
 
     fn allocate_large(&self, home: usize, layout: Layout, size: usize) -> Option<NonNull<u8>> {
         let shards = &self.shared.shards;
-        let (idx, g) = self.lock_stealing(home, |s| &s.large);
-        if let Some(p) = Self::large_attempt(&shards[idx], g, layout, size) {
-            return Some(p);
-        }
-        for k in 1..shards.len() {
-            let shard = &shards[(idx + k) % shards.len()];
+        for k in 0..shards.len() {
+            let shard = &shards[(home + k) % shards.len()];
             if let Some(p) = Self::large_attempt(shard, lock(&shard.large), layout, size) {
                 return Some(p);
             }
@@ -784,15 +761,12 @@ impl HermesHeap {
     /// # Safety
     ///
     /// `ptr` must come from this heap's `allocate` with the same `layout`
-    /// and must not have been freed already.
+    /// and must not have been freed already. A pointer no arena owns, or
+    /// a large block whose header is not intact, aborts the process.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
         let addr = ptr.as_ptr() as usize;
-        let (idx, is_large) = match self.shared.shard_of(addr) {
-            Some(found) => found,
-            None => {
-                debug_assert!(false, "foreign pointer {addr:#x}");
-                return;
-            }
+        let Some((idx, is_large)) = self.shared.shard_of(addr) else {
+            error::misuse_abort("hermes: free of a pointer no arena owns\n")
         };
         let shard = &self.shared.shards[idx];
         if is_large {
@@ -1047,6 +1021,37 @@ mod tests {
             distinct.len() >= 2,
             "8 threads over 4 arenas use >= 2 distinct homes: {homes:?}"
         );
+    }
+
+    /// Allocates `size` bytes while a helper thread holds `m`, one of the
+    /// calling thread's home-shard locks, for 20 ms: the block must still
+    /// come from the home arena.
+    fn allocate_under_held_home_lock<T: Send>(h: &HermesHeap, m: &Mutex<T>, size: usize) {
+        let home = h.home_arena();
+        let (tx, rx) = std::sync::mpsc::sync_channel(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock(m);
+                tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+            });
+            rx.recv().unwrap();
+            let p = h.allocate(layout(size)).unwrap();
+            assert_eq!(h.arena_of(p), Some(home), "{size} B waited for home");
+            // SAFETY: p live, freed once.
+            unsafe { h.deallocate(p, layout(size)) };
+        });
+    }
+
+    #[test]
+    fn allocation_waits_for_its_home_shard() {
+        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(2)).unwrap();
+        let home = &h.shared.shards[h.home_arena()];
+        // 8 KiB is no thread-cache class: it takes the heap lock.
+        allocate_under_held_home_lock(&h, &home.heap, 8192);
+        allocate_under_held_home_lock(&h, &home.large, 256 << 10);
+        assert_eq!(h.counters().remote_frees, 0);
+        h.check_integrity().unwrap();
     }
 
     /// Allocates `count` chunks of `chunk` bytes from a 4×minimum-size

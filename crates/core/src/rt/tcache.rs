@@ -253,7 +253,7 @@ fn gauge_sub(gauge: &AtomicU64, v: u64) {
 impl ThreadCache {
     /// Serves one block of class `cls`, refilling from the home shard on
     /// a cold magazine. `None` when the home shard cannot even serve a
-    /// refill (the caller falls back to the steal/sweep path).
+    /// refill (the caller falls back to the sweep path).
     ///
     /// Only called with `self` freshly looked up from the owner's TLS.
     fn allocate(&self, shared: &Shared, cls: usize) -> Option<NonNull<u8>> {
@@ -492,7 +492,7 @@ fn register_and_run<R>(shared: &Arc<Shared>, f: impl FnOnce(&ThreadCache) -> R) 
 
 /// Cache-path allocation of class `cls`. `None` means "not served" —
 /// cache unavailable or home shard unable to refill — and the caller
-/// falls back to the locking steal/sweep path.
+/// falls back to the locking sweep path.
 pub(crate) fn allocate(shared: &Arc<Shared>, cls: usize) -> Option<NonNull<u8>> {
     with_cache(shared, |cache| cache.allocate(shared, cls)).flatten()
 }

@@ -4,9 +4,12 @@
 //! through the Hermes heap.
 
 use hermes_core::rt::Hermes;
+use std::alloc::Layout;
 use std::collections::HashMap;
+use std::process::{Command, Stdio};
 use std::ptr::NonNull;
 use std::sync::{mpsc, Barrier};
+use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: Hermes = Hermes;
@@ -162,4 +165,51 @@ fn producer_consumer_handoff_stays_off_the_owner_lock() {
     }
     assert!(clean_round, "every round saw frees fall back to the lock");
     heap.check_integrity().unwrap();
+}
+
+/// One thread frees 4 097 large blocks of one size class into its home
+/// shard's pool with no management round in between. Each free edits the
+/// pool under the shard's `large` lock, so a pool list that grew by
+/// reallocating would, past 4 096 entries, ask the large path for a
+/// 128 KiB buffer from under that lock and hang.
+///
+/// The case re-runs this binary on itself with `HERMES_ARENAS=2`, so the
+/// ~530 MiB of blocks fit the home shard and no manager thread runs, and
+/// fails if that child has not finished within a minute.
+#[test]
+fn one_thread_frees_thousands_of_large_blocks() {
+    const CHILD: &str = "GLOBAL_ALLOC_FREE_BURST_CHILD";
+    const BLOCKS: usize = 4_097;
+    if std::env::var_os(CHILD).is_none() {
+        let mut child = Command::new(std::env::current_exe().unwrap())
+            .args(["one_thread_frees_thousands_of_large_blocks", "--exact"])
+            .env(CHILD, "1")
+            .env("HERMES_ARENAS", "2")
+            .stdout(Stdio::null())
+            .spawn()
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while Instant::now() < deadline {
+            if let Some(status) = child.try_wait().unwrap() {
+                assert!(status.success(), "child exited {status:?}");
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        child.kill().unwrap();
+        child.wait().unwrap();
+        panic!("freeing {BLOCKS} large blocks did not finish within 60 s");
+    }
+    // The smallest large-path request: 132 KiB chunks, one pool bucket.
+    let layout = Layout::from_size_align(128 << 10, 16).unwrap();
+    // SAFETY: non-zero size; each pointer is checked and freed once with
+    // the same layout.
+    let blocks: Vec<*mut u8> = (0..BLOCKS)
+        .map(|_| unsafe { std::alloc::alloc(layout) })
+        .collect();
+    assert!(blocks.iter().all(|p| !p.is_null()));
+    for p in blocks {
+        // SAFETY: see above.
+        unsafe { std::alloc::dealloc(p, layout) };
+    }
 }
