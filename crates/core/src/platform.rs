@@ -15,10 +15,10 @@
 //!   building and the knobs degrade to no-ops.
 //!
 //! All hint-style operations ([`Platform::commit`],
-//! [`Platform::decommit`], [`Platform::huge_page_hint`],
-//! [`Platform::bind_to_node`]) are best-effort: failure is reported via
-//! the return value, never panics, and callers must stay correct when a
-//! hint is refused (ISSUE 7 graceful-degradation criterion).
+//! [`Platform::populate`], [`Platform::decommit`],
+//! [`Platform::huge_page_hint`], [`Platform::bind_to_node`]) are
+//! best-effort: failure is reported via the return value, never panics,
+//! and callers must stay correct when a hint is refused.
 
 use std::fmt;
 use std::ptr::NonNull;
@@ -98,12 +98,26 @@ pub trait Platform: Send + Sync {
     unsafe fn release(&self, base: NonNull<u8>, len: usize, align: usize);
 
     /// Hints that `[base, base+len)` will be used soon (`MADV_WILLNEED`).
-    /// Purely advisory; commitment is guaranteed only by touching.
+    /// Purely advisory: it builds no mapping. [`Platform::populate`] or a
+    /// write to each page does.
     ///
     /// # Safety
     ///
     /// The range must lie inside a live reservation.
     unsafe fn commit(&self, base: NonNull<u8>, len: usize);
+
+    /// Builds the mappings of `[base, base+len)` in one call
+    /// (`MADV_POPULATE_WRITE`): every page is faulted in writable, and a
+    /// page already present keeps its contents. Returns `false` when the
+    /// platform cannot (the default), and the caller then writes to each
+    /// page itself.
+    ///
+    /// # Safety
+    ///
+    /// The range must lie inside a live reservation and be page aligned.
+    unsafe fn populate(&self, _base: NonNull<u8>, _len: usize) -> bool {
+        false
+    }
 
     /// Returns the physical pages behind `[base, base+len)` to the kernel
     /// (`MADV_DONTNEED`); the range stays reserved and reads as zeros
@@ -245,7 +259,14 @@ mod linux {
     pub const MADV_WILLNEED: usize = 3;
     pub const MADV_DONTNEED: usize = 4;
     pub const MADV_HUGEPAGE: usize = 14;
+    pub const MADV_POPULATE_WRITE: usize = 23;
     pub const MPOL_PREFERRED: usize = 1;
+    pub const EINVAL: isize = 22;
+
+    /// Set once `MADV_POPULATE_WRITE` has been answered `EINVAL`: the
+    /// kernel predates it (Linux < 5.14), so later calls skip the syscall.
+    pub static POPULATE_UNSUPPORTED: core::sync::atomic::AtomicBool =
+        core::sync::atomic::AtomicBool::new(false);
 
     /// Six-argument syscall.
     ///
@@ -359,12 +380,14 @@ impl LinuxPlatform {
         unsafe { linux::syscall6(linux::nr::MUNMAP, addr, len, 0, 0, 0, 0) };
     }
 
+    /// `madvise(2)`; the error is the kernel's `errno`.
+    ///
     /// # Safety
     ///
     /// The range must lie inside a live mapping owned by the caller.
-    unsafe fn madvise(&self, base: NonNull<u8>, len: usize, advice: usize) -> bool {
+    unsafe fn madvise(&self, base: NonNull<u8>, len: usize, advice: usize) -> Result<(), isize> {
         if len == 0 {
-            return true;
+            return Ok(());
         }
         // SAFETY: caller guarantees the range is a live mapping.
         let ret = unsafe {
@@ -378,7 +401,11 @@ impl LinuxPlatform {
                 0,
             )
         };
-        !linux::is_err(ret)
+        if linux::is_err(ret) {
+            Err(-ret)
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -417,18 +444,36 @@ impl Platform for LinuxPlatform {
 
     unsafe fn commit(&self, base: NonNull<u8>, len: usize) {
         // SAFETY: forwarded caller contract.
-        unsafe { self.madvise(base, len, linux::MADV_WILLNEED) };
+        let _ = unsafe { self.madvise(base, len, linux::MADV_WILLNEED) };
+    }
+
+    unsafe fn populate(&self, base: NonNull<u8>, len: usize) -> bool {
+        use core::sync::atomic::Ordering::Relaxed;
+        if linux::POPULATE_UNSUPPORTED.load(Relaxed) {
+            return false;
+        }
+        // SAFETY: forwarded caller contract; populating faults pages in
+        // and leaves present ones untouched.
+        match unsafe { self.madvise(base, len, linux::MADV_POPULATE_WRITE) } {
+            Ok(()) => true,
+            Err(errno) => {
+                if errno == linux::EINVAL {
+                    linux::POPULATE_UNSUPPORTED.store(true, Relaxed);
+                }
+                false
+            }
+        }
     }
 
     unsafe fn decommit(&self, base: NonNull<u8>, len: usize) -> bool {
         // SAFETY: forwarded caller contract; DONTNEED on an anonymous
         // private mapping drops the pages and keeps the range reserved.
-        unsafe { self.madvise(base, len, linux::MADV_DONTNEED) }
+        unsafe { self.madvise(base, len, linux::MADV_DONTNEED) }.is_ok()
     }
 
     unsafe fn huge_page_hint(&self, base: NonNull<u8>, len: usize) -> bool {
         // SAFETY: forwarded caller contract.
-        unsafe { self.madvise(base, len, linux::MADV_HUGEPAGE) }
+        unsafe { self.madvise(base, len, linux::MADV_HUGEPAGE) }.is_ok()
     }
 
     fn current_cpu_node(&self) -> (usize, usize) {
@@ -666,6 +711,40 @@ mod tests {
             p.commit(base, len);
             std::ptr::write_volatile(base.as_ptr().add(len - 1), 3);
             p.release(base, len, PAGE_SIZE);
+        }
+    }
+
+    #[test]
+    fn populate_prefaults_and_keeps_contents() {
+        let p = platform();
+        let len = 8 * PAGE_SIZE;
+        let base = p.reserve(len, PAGE_SIZE).expect("reserve");
+        unsafe {
+            std::ptr::write_volatile(base.as_ptr().add(PAGE_SIZE), 0xAB);
+            let populated = p.populate(base, len);
+            if p.supports_mapping() {
+                #[cfg(hermes_mmap)]
+                assert!(
+                    populated
+                        || linux::POPULATE_UNSUPPORTED.load(std::sync::atomic::Ordering::Relaxed),
+                    "only a kernel without MADV_POPULATE_WRITE may refuse"
+                );
+                assert_eq!(std::ptr::read_volatile(base.as_ptr().add(2 * PAGE_SIZE)), 0);
+            } else {
+                assert!(!populated);
+            }
+            // Populating never rewrites a page that was already there.
+            assert_eq!(std::ptr::read_volatile(base.as_ptr().add(PAGE_SIZE)), 0xAB);
+            p.release(base, len, PAGE_SIZE);
+        }
+        let q = PortablePlatform;
+        let base = q.reserve(len, PAGE_SIZE).expect("reserve");
+        unsafe {
+            assert!(
+                !q.populate(base, len),
+                "the portable fallback cannot populate"
+            );
+            q.release(base, len, PAGE_SIZE);
         }
     }
 

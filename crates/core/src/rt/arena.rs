@@ -17,10 +17,14 @@
 //!   the embedder; used by the global allocator's portable fallback,
 //!   whose bootstrap must not allocate.
 //!
-//! "Constructing the virtual-physical mapping" is [`Arena::touch`]: one
-//! volatile write per page. The paper delegates this to the kernel via
-//! `mlock(2)`, which it measures as ≥40 % faster; portable Rust without
-//! libc uses the write loop (the substitution is recorded in DESIGN.md).
+//! "Constructing the virtual-physical mapping" is [`Arena::touch`]. The
+//! paper delegates this to the kernel via `mlock(2)`, which it measures
+//! as ≥40 % faster than touching pages; a mapped arena delegates it too,
+//! with one `MADV_POPULATE_WRITE` per range ([`Platform::populate`]),
+//! and writes to each page itself only where that is refused (the
+//! substitution is recorded in DESIGN.md §1).
+//!
+//! [`Platform::populate`]: crate::platform::Platform::populate
 
 use crate::platform::{platform, HUGE_PAGE_SIZE};
 use std::fmt;
@@ -286,8 +290,11 @@ impl Arena {
         unsafe { self.base.as_ptr().add(offset) }
     }
 
-    /// Constructs the virtual-physical mapping for `[offset, offset+len)`
-    /// by touching one byte per page (zero-fill commit).
+    /// Constructs the virtual-physical mapping for the pages covering
+    /// `[offset, offset+len)` (zero-fill commit; a page already present
+    /// keeps its contents). A mapped arena asks the kernel to populate
+    /// them in one call; a static arena, or a kernel that refuses, writes
+    /// each page back to itself.
     ///
     /// # Panics
     ///
@@ -301,6 +308,20 @@ impl Arena {
             return;
         }
         let first = offset / PAGE * PAGE;
+        if let Backing::Mapped { .. } = self.backing {
+            // `capacity` is a page multiple, so the rounded range stays
+            // inside it.
+            let end = (offset + len).div_ceil(PAGE) * PAGE;
+            // SAFETY: `[first, end)` is page aligned and inside the live
+            // reservation.
+            let populated = unsafe {
+                let start = NonNull::new_unchecked(self.base.as_ptr().add(first));
+                platform().populate(start, end - first)
+            };
+            if populated {
+                return;
+            }
+        }
         let mut page = first;
         while page < offset + len {
             // SAFETY: page is within the arena; volatile prevents the
@@ -372,6 +393,21 @@ mod tests {
         unsafe {
             *a.at(100) = 7;
             assert_eq!(*a.at(100), 7);
+        }
+    }
+
+    #[test]
+    fn touch_keeps_contents_of_a_committed_range() {
+        let a = Arena::map(PAGE * 8, PAGE * 8, false).unwrap();
+        unsafe {
+            *a.at(PAGE * 2 + 17) = 0x5A;
+            *a.at(PAGE * 4 - 1) = 0x5B;
+        }
+        // Starts mid-page, covers both written pages, ends beyond them.
+        a.touch(PAGE * 2 + 100, PAGE * 3);
+        unsafe {
+            assert_eq!(*a.at(PAGE * 2 + 17), 0x5A);
+            assert_eq!(*a.at(PAGE * 4 - 1), 0x5B);
         }
     }
 

@@ -229,9 +229,10 @@ impl fmt::Display for IntegrityError {
 impl std::error::Error for IntegrityError {}
 
 /// Reports caller misuse the allocator cannot survive — a free of memory
-/// it does not own, or of a large block whose header is corrupt — and
-/// aborts. `msg` goes to stderr in one `write_all`: no formatting and no
-/// allocation, so this is safe inside `GlobalAlloc::dealloc`.
+/// it does not own, a second free of a large block, or a free of one
+/// whose header is corrupt — and aborts. `msg` goes to stderr in one
+/// `write_all`: no formatting and no allocation, so this is safe inside
+/// `GlobalAlloc::dealloc`.
 pub(crate) fn misuse_abort(msg: &str) -> ! {
     use std::io::Write;
     let _ = std::io::stderr().write_all(msg.as_bytes());

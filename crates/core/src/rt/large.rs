@@ -32,6 +32,9 @@ use std::fmt;
 use std::ptr::NonNull;
 
 const MAGIC: u64 = 0x4845_524d_4553_u64; // "HERMES"
+/// Replaces [`MAGIC`] when a block is freed, so a second free of it
+/// aborts instead of pooling its chunk twice.
+const FREED: u64 = 0x0046_5245_4544_u64; // "FREED"
 
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
@@ -274,19 +277,6 @@ impl LargePool {
         }
     }
 
-    fn read_header(&self, ptr: *const u8) -> LargeHeader {
-        let base = self.arena.base().as_ptr() as usize;
-        let payload_off = ptr as usize - base;
-        debug_assert!(payload_off >= PAGE);
-        // SAFETY: per dealloc contract the pointer came from `alloc`,
-        // whose header page precedes the payload.
-        let hdr = unsafe { (self.arena.at(payload_off - PAGE) as *const LargeHeader).read() };
-        if hdr.magic != MAGIC {
-            super::error::misuse_abort("hermes: free of a large block with a corrupt header\n");
-        }
-        hdr
-    }
-
     /// Allocates `size` bytes aligned to `align` (page-aligned payloads;
     /// larger powers of two honoured by padding).
     pub fn alloc(&mut self, size: usize, align: usize) -> Option<NonNull<u8>> {
@@ -333,22 +323,39 @@ impl LargePool {
     }
 
     /// Frees the allocation at `ptr`; the chunk returns to the pool for
-    /// reuse by future requests or the trim pass.
+    /// reuse by future requests or the trim pass. Returns the size of
+    /// that chunk.
     ///
     /// # Safety
     ///
     /// `ptr` must have been returned by [`LargePool::alloc`] and not freed
-    /// since.
-    pub unsafe fn free(&mut self, ptr: NonNull<u8>) {
-        let hdr = self.read_header(ptr.as_ptr());
+    /// since. A second free is caught, and aborts, until the chunk is
+    /// trimmed or handed out again.
+    pub unsafe fn free(&mut self, ptr: NonNull<u8>) -> usize {
+        let payload_off = ptr.as_ptr() as usize - self.arena.base().as_ptr() as usize;
+        debug_assert!(payload_off >= PAGE);
+        let at = self.arena.at(payload_off - PAGE) as *mut LargeHeader;
+        // SAFETY: per the contract the pointer came from `alloc`, whose
+        // header page precedes the payload.
+        let hdr = unsafe { at.read() };
+        match hdr.magic {
+            MAGIC => {}
+            FREED => super::error::misuse_abort("hermes: double free of a large block\n"),
+            // Includes a trimmed chunk, whose decommitted header reads 0.
+            _ => {
+                super::error::misuse_abort("hermes: free of a large block with a corrupt header\n")
+            }
+        }
+        // SAFETY: a live header was just read there. `write_header`
+        // restores the magic when the chunk is handed out again.
+        unsafe { (*at).magic = FREED };
         let id = hdr.chunk_off;
+        let size = hdr.chunk_size as usize;
         self.shrink.cancel(id);
         self.stats.live -= 1;
-        self.stats.live_bytes -= hdr.chunk_size as usize;
-        self.pool.insert(MmapChunk {
-            id,
-            size: hdr.chunk_size as usize,
-        });
+        self.stats.live_bytes -= size;
+        self.pool.insert(MmapChunk { id, size });
+        size
     }
 
     /// Management round, mmap side (Algorithm 2): processes the delayed

@@ -761,8 +761,9 @@ impl HermesHeap {
     /// # Safety
     ///
     /// `ptr` must come from this heap's `allocate` with the same `layout`
-    /// and must not have been freed already. A pointer no arena owns, or
-    /// a large block whose header is not intact, aborts the process.
+    /// and must not have been freed already. A pointer no arena owns, a
+    /// large block freed twice, or one whose header is not intact,
+    /// aborts the process.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
         let addr = ptr.as_ptr() as usize;
         let Some((idx, is_large)) = self.shared.shard_of(addr) else {
@@ -771,9 +772,13 @@ impl HermesHeap {
         let shard = &self.shared.shards[idx];
         if is_large {
             Counters::add(&shard.counters.free_count, 1);
+            let mut g = lock(&shard.large);
             // SAFETY: pointer belongs to this shard's large arena per the
             // range check and the caller's contract.
-            unsafe { lock(&shard.large).pool.free(ptr) };
+            let chunk = unsafe { g.pool.free(ptr) };
+            // The chunk is back in the pool, ready for the next request:
+            // un-book it so the reserve is sized by net demand (DESIGN §2).
+            g.tracker.on_return_bytes(chunk, 1);
             return;
         }
         // Classify by the *actual* chunk size from the boundary tag.
@@ -1052,6 +1057,28 @@ mod tests {
         allocate_under_held_home_lock(&h, &home.large, 256 << 10);
         assert_eq!(h.counters().remote_frees, 0);
         h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn large_frees_unbook_demand() {
+        let h = HermesHeap::new(HermesHeapConfig::small()).unwrap();
+        // No management round may roll the interval under the test.
+        h.stop_manager();
+        let home = &h.shared.shards[h.home_arena()];
+        let lay = layout(256 << 10);
+        let pending = || lock(&home.large).tracker.pending().bytes;
+        let churn: Vec<_> = (0..8).map(|_| h.allocate(lay).unwrap()).collect();
+        for p in churn {
+            // SAFETY: each pointer live, freed once.
+            unsafe { h.deallocate(p, lay) };
+        }
+        assert_eq!(pending(), 0, "freed chunks are pool, not demand");
+        let kept: Vec<_> = (0..8).map(|_| h.allocate(lay).unwrap()).collect();
+        assert_eq!(pending(), 8 * (256 << 10));
+        for p in kept {
+            // SAFETY: each pointer live, freed once.
+            unsafe { h.deallocate(p, lay) };
+        }
     }
 
     /// Allocates `count` chunks of `chunk` bytes from a 4×minimum-size

@@ -1,6 +1,6 @@
 //! Caller misuse the allocator cannot survive ends in a loud abort, never
-//! a silent return: a free of memory no arena owns, and a large-path free
-//! whose header page holds no header.
+//! a silent return: a free of memory no arena owns, a large-path free
+//! whose header page holds no header, and a second free of a large block.
 //!
 //! A passing case kills its own process, so each case re-runs this test
 //! binary on itself (`--exact <case>`, with [`CHILD`] set) and asserts
@@ -70,4 +70,21 @@ fn free_inside_a_large_block_aborts() {
     // SAFETY: none — the misuse under test; the call must not return.
     unsafe { h.deallocate(inner, layout) };
     unreachable!("a free inside a large block returned");
+}
+
+#[test]
+fn double_free_of_a_large_block_aborts() {
+    if !in_child("double_free_of_a_large_block_aborts", "double free") {
+        return;
+    }
+    let h = HermesHeap::new(HermesHeapConfig::small()).unwrap();
+    // No trim may decommit the header page between the two frees.
+    h.stop_manager();
+    let layout = Layout::from_size_align(256 << 10, 16).unwrap();
+    let p = h.allocate(layout).unwrap();
+    // SAFETY: `p` is live; the first free is correct use.
+    unsafe { h.deallocate(p, layout) };
+    // SAFETY: none — the misuse under test; the call must not return.
+    unsafe { h.deallocate(p, layout) };
+    unreachable!("a second free of a large block returned");
 }
