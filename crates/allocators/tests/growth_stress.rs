@@ -7,7 +7,6 @@
 //! suite allocates past that from a far smaller initial exposure.
 
 use hermes_allocators::{AllocatorBackend, RealHermesBackend};
-use hermes_core::platform::platform;
 use hermes_core::rt::HermesHeapConfig;
 use hermes_core::HermesConfig;
 
@@ -70,25 +69,20 @@ fn burst_past_the_former_ceiling_then_decommit() {
             break;
         }
     }
-    if platform().supports_mapping() {
-        assert!(
-            decommitted > 0,
-            "manager rounds decommit the freed burst on mmap hosts"
-        );
-        let after = b.stats();
-        assert!(
-            after.committed_bytes < after.backing_reserved_bytes,
-            "committed {} < reserved {} after decommit",
-            after.committed_bytes,
-            after.backing_reserved_bytes
-        );
-        assert!(
-            after.committed_bytes < peak.committed_bytes,
-            "decommit shrank the committed gauge: {} -> {}",
-            peak.committed_bytes,
-            after.committed_bytes
-        );
-    }
+    assert!(decommitted > 0, "manager rounds decommit the freed burst");
+    let after = b.stats();
+    assert!(
+        after.committed_bytes < after.backing_reserved_bytes,
+        "committed {} < reserved {} after decommit",
+        after.committed_bytes,
+        after.backing_reserved_bytes
+    );
+    assert!(
+        after.committed_bytes < peak.committed_bytes,
+        "decommit shrank the committed gauge: {} -> {}",
+        peak.committed_bytes,
+        after.committed_bytes
+    );
     b.check().expect("integrity after burst and decommit");
 }
 

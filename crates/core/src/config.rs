@@ -30,7 +30,7 @@ pub const MAX_CAPACITY_MB: usize = 1 << 20;
 /// Hard cap on the arena count accepted from `HERMES_ARENAS`. Splitting a
 /// backing across more shards than this leaves each shard too small to
 /// serve a useful request mix (the global allocator additionally bounds
-/// the count by its carve-slice floor, see `rt::global`).
+/// the count by its per-shard slice floor, see `rt::global`).
 pub const MAX_ARENAS: usize = 64;
 
 /// Parses a `HERMES_ARENAS` override, clamping to `1..=MAX_ARENAS`.
@@ -51,16 +51,6 @@ fn parse_capacity_mb(raw: &str) -> Option<usize> {
         .ok()
         .filter(|&mb| mb > 0)
         .map(|mb| mb.clamp(MIN_CAPACITY_MB, MAX_CAPACITY_MB) << 20)
-}
-
-/// Parses an on/off switch such as `HERMES_HUGEPAGES`. Accepts the usual
-/// spellings; `None` for anything else (empty string, garbage).
-fn parse_switch(raw: &str) -> Option<bool> {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" | "off" | "no" => Some(false),
-        "1" | "true" | "on" | "yes" => Some(true),
-        _ => None,
-    }
 }
 
 /// Warns exactly once per knob about an unparsable environment override.
@@ -133,25 +123,6 @@ pub fn default_large_capacity() -> usize {
     DEFAULT_LARGE_CAPACITY
 }
 
-/// Default state of the transparent-huge-page hint on mapped arenas:
-/// **disabled** unless `HERMES_HUGEPAGES=1` (or `true`/`on`/`yes`).
-/// Opt-in because `MADV_HUGEPAGE` is not free everywhere: with THP
-/// `defrag=madvise` (a common host setting) first touch of a hinted
-/// range pays *synchronous* compaction — measured ~15x slower cold
-/// large allocations here — the opposite of what a latency-critical
-/// service wants. Hosts with `defrag=defer` can switch it on cheaply.
-/// Unparsable values warn once on stderr and keep the hint disabled.
-pub fn default_huge_pages() -> bool {
-    static WARN: Once = Once::new();
-    if let Ok(v) = std::env::var("HERMES_HUGEPAGES") {
-        match parse_switch(&v) {
-            Some(b) => return b,
-            None => warn_invalid(&WARN, "HERMES_HUGEPAGES", &v, "disabled"),
-        }
-    }
-    false
-}
-
 /// Tuning knobs of the Hermes mechanism.
 ///
 /// The defaults reproduce the paper's implementation choices:
@@ -176,25 +147,23 @@ pub struct HermesConfig {
     pub rsv_trigger_ratio: f64,
     /// `TRIM_THR` as a multiple of `TGT_MEM`: release reserve above it.
     pub trim_ratio: f64,
-    /// Enable the monitor daemon's proactive file-cache reclamation.
+    /// Enable the monitor daemon's proactive file-cache reclamation. Read
+    /// by the simulated allocator only.
     pub proactive_reclaim: bool,
     /// Daemon trigger: advise reclaim when node memory usage exceeds this
-    /// fraction (`adv_thr`).
+    /// fraction (`adv_thr`). Read by the simulated allocator only.
     pub adv_thr: f64,
     /// Daemon target: release batch file cache until it is below this
-    /// fraction of total memory.
+    /// fraction of total memory. Read by the simulated allocator only.
     pub cache_target: f64,
     /// Gradual reservation (§3.2.1). `false` reverts to the naive
-    /// one-shot expansion of Figure 6(a); used by the ablation bench.
+    /// one-shot expansion of Figure 6(a); ablation knob, read by the
+    /// simulated allocator only (the runtime always reserves gradually).
     pub gradual_reservation: bool,
     /// Delayed shrink of over-sized mmap hand-outs (§3.2.2). `false`
-    /// shrinks synchronously on the allocation path; ablation knob.
+    /// shrinks synchronously on the allocation path; ablation knob, read
+    /// by the simulated allocator only.
     pub delayed_shrink: bool,
-    /// Hint the kernel to back mapped arenas with transparent huge pages
-    /// (`madvise(HUGEPAGE)`, best-effort). Default from
-    /// `HERMES_HUGEPAGES` (off unless `=1`; see [`default_huge_pages`]
-    /// for why it is opt-in).
-    pub huge_pages: bool,
     /// Pin the management thread to this CPU (SpeedMalloc's dedicated
     /// management-core model); `None` leaves scheduling to the kernel.
     /// Default from `HERMES_MANAGER_CORE` (unset = unpinned).
@@ -216,7 +185,6 @@ impl Default for HermesConfig {
             cache_target: 0.03,
             gradual_reservation: true,
             delayed_shrink: true,
-            huge_pages: default_huge_pages(),
             manager_core: default_manager_core(),
         }
     }
@@ -234,13 +202,6 @@ impl HermesConfig {
     /// rec" in Figures 7c and 8c).
     pub fn without_proactive_reclaim(mut self) -> Self {
         self.proactive_reclaim = false;
-        self
-    }
-
-    /// Returns a copy with the transparent-huge-page hint forced on or
-    /// off (ignoring the `HERMES_HUGEPAGES` environment default).
-    pub fn with_huge_pages(mut self, enabled: bool) -> Self {
-        self.huge_pages = enabled;
         self
     }
 
@@ -315,19 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn tcache_switch_parsing_rejects_garbage() {
-        assert_eq!(parse_switch(""), None);
-        assert_eq!(parse_switch("maybe"), None);
-        assert_eq!(parse_switch("2"), None);
-        for off in ["0", "false", "off", "no", " OFF "] {
-            assert_eq!(parse_switch(off), Some(false), "{off:?}");
-        }
-        for on in ["1", "true", "on", "yes", " On "] {
-            assert_eq!(parse_switch(on), Some(true), "{on:?}");
-        }
-    }
-
-    #[test]
     fn capacity_parsing_rejects_garbage_and_clamps() {
         assert_eq!(parse_capacity_mb(""), None);
         assert_eq!(parse_capacity_mb("   "), None);
@@ -353,9 +301,6 @@ mod tests {
         if std::env::var("HERMES_LARGE_MB").is_err() {
             assert_eq!(default_large_capacity(), DEFAULT_LARGE_CAPACITY);
         }
-        if std::env::var("HERMES_HUGEPAGES").is_err() {
-            assert!(!default_huge_pages());
-        }
         if std::env::var("HERMES_MANAGER_CORE").is_err() {
             assert_eq!(default_manager_core(), None);
         }
@@ -378,8 +323,6 @@ mod tests {
         assert_eq!(c.rsv_factor, 0.5);
         let c = HermesConfig::default().without_proactive_reclaim();
         assert!(!c.proactive_reclaim);
-        let c = HermesConfig::default().with_huge_pages(false);
-        assert!(!c.huge_pages);
         let c = HermesConfig::default().with_manager_core(Some(3));
         assert_eq!(c.manager_core, Some(3));
         let c = HermesConfig::default().with_manager_core(None);

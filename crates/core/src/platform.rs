@@ -3,22 +3,29 @@
 //! The paper's runtime owns its virtual-physical mappings: it reserves
 //! large regions up front, commits lazily on demand, and returns cold
 //! pages to the kernel from the management thread. This module is the
-//! seam between that policy code and the operating system:
+//! seam between that policy code and the operating system.
 //!
-//! * [`LinuxPlatform`] (compiled when the `hermes_mmap` cfg is set by
-//!   `build.rs`, i.e. on Linux x86_64/aarch64) issues raw `mmap`,
-//!   `munmap`, `madvise`, `mbind` and `getcpu` syscalls via inline
-//!   assembly — the workspace vendors no `libc`, and the global
-//!   allocator cannot call anything that allocates.
-//! * [`PortablePlatform`] falls back to `std::alloc` reservations with
-//!   no decommit/huge-page/NUMA support, so every other target keeps
-//!   building and the knobs degrade to no-ops.
+//! The one implementation, [`LinuxPlatform`], issues raw `mmap`,
+//! `munmap`, `madvise`, `mbind`, `getcpu` and `sched_setaffinity`
+//! syscalls via inline assembly — the workspace vendors no `libc`, and
+//! the global allocator cannot call anything that allocates. The crate
+//! therefore builds for Linux on x86_64 and aarch64 only. The trait keeps
+//! the unsafe syscalls behind one interface, which a fault-injecting test
+//! platform can implement too.
 //!
 //! All hint-style operations ([`Platform::commit`],
 //! [`Platform::populate`], [`Platform::decommit`],
 //! [`Platform::huge_page_hint`], [`Platform::bind_to_node`]) are
 //! best-effort: failure is reported via the return value, never panics,
 //! and callers must stay correct when a hint is refused.
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!(
+    "hermes-core supports Linux on x86_64 and aarch64 only: its platform layer issues raw syscalls"
+);
 
 use std::fmt;
 use std::ptr::NonNull;
@@ -35,7 +42,7 @@ pub const HUGE_PAGE_SIZE: usize = 2 << 20;
 /// Errors from the platform layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlatformError {
-    /// The kernel / system allocator refused the reservation.
+    /// The kernel refused the reservation.
     ReserveFailed,
     /// A zero length, or a length/alignment that is not a page multiple.
     BadRequest,
@@ -60,27 +67,11 @@ impl std::error::Error for PlatformError {}
 /// `'static` instance (see [`platform()`]) is shared by every arena and
 /// by the global allocator's bootstrap, which runs before `main`.
 pub trait Platform: Send + Sync {
-    /// Small-page size in bytes.
-    fn page_size(&self) -> usize {
-        PAGE_SIZE
-    }
-
-    /// Huge-page size in bytes (alignment target for reservations).
-    fn huge_page_size(&self) -> usize {
-        HUGE_PAGE_SIZE
-    }
-
-    /// `true` when reservations are real lazy mappings: address space is
-    /// reserved without physical pages, and [`Platform::decommit`] can
-    /// return pages to the kernel.
-    fn supports_mapping(&self) -> bool;
-
     /// Reserves `len` bytes of address space aligned to `align` bytes.
     ///
-    /// On mapping platforms the reservation is virtual (`MAP_NORESERVE`):
-    /// physical pages materialise on first touch. `align` must be a
-    /// power-of-two multiple of the page size; `len` a positive page
-    /// multiple.
+    /// The reservation is virtual (`MAP_NORESERVE`): physical pages
+    /// materialise on first touch. `align` must be a power-of-two
+    /// multiple of the page size; `len` a positive page multiple.
     ///
     /// # Errors
     ///
@@ -109,20 +100,18 @@ pub trait Platform: Send + Sync {
     /// Builds the mappings of `[base, base+len)` in one call
     /// (`MADV_POPULATE_WRITE`): every page is faulted in writable, and a
     /// page already present keeps its contents. Returns `false` when the
-    /// platform cannot (the default), and the caller then writes to each
-    /// page itself.
+    /// kernel refuses (Linux < 5.14 answers `EINVAL`), and the caller then
+    /// writes to each page itself.
     ///
     /// # Safety
     ///
     /// The range must lie inside a live reservation and be page aligned.
-    unsafe fn populate(&self, _base: NonNull<u8>, _len: usize) -> bool {
-        false
-    }
+    unsafe fn populate(&self, base: NonNull<u8>, len: usize) -> bool;
 
     /// Returns the physical pages behind `[base, base+len)` to the kernel
     /// (`MADV_DONTNEED`); the range stays reserved and reads as zeros
-    /// afterwards. Returns `false` when the platform cannot decommit (the
-    /// pages then simply stay resident).
+    /// afterwards. Returns `false` when the kernel refuses (the pages
+    /// then simply stay resident).
     ///
     /// # Safety
     ///
@@ -131,8 +120,8 @@ pub trait Platform: Send + Sync {
     unsafe fn decommit(&self, base: NonNull<u8>, len: usize) -> bool;
 
     /// Asks the kernel to back the range with transparent huge pages
-    /// (`MADV_HUGEPAGE`). Returns `false` when refused (THP disabled,
-    /// unsupported platform) — callers proceed on small pages.
+    /// (`MADV_HUGEPAGE`). Returns `false` when refused (THP disabled) —
+    /// callers proceed on small pages.
     ///
     /// # Safety
     ///
@@ -143,8 +132,8 @@ pub trait Platform: Send + Sync {
     /// `(0, 0)` when undiscoverable.
     fn current_cpu_node(&self) -> (usize, usize);
 
-    /// Number of NUMA nodes on this host (≥ 1). Platforms without NUMA
-    /// discovery report 1, which disables node-aware placement.
+    /// Number of NUMA nodes on this host (≥ 1). A host whose node list
+    /// cannot be read reports 1, which disables node-aware placement.
     fn numa_nodes(&self) -> usize;
 
     /// Prefers allocating the physical pages of `[base, base+len)` from
@@ -159,11 +148,9 @@ pub trait Platform: Send + Sync {
 
     /// Pins the calling thread to `cpu` (`sched_setaffinity(2)`), the
     /// SpeedMalloc dedicated-management-core model. Best-effort: returns
-    /// `false` when refused (offline cpu, cgroup cpuset exclusion,
-    /// unsupported platform) and the thread stays kernel-scheduled.
-    fn pin_thread_to_cpu(&self, _cpu: usize) -> bool {
-        false
-    }
+    /// `false` when refused (offline cpu, cgroup cpuset exclusion) and
+    /// the thread stays kernel-scheduled.
+    fn pin_thread_to_cpu(&self, cpu: usize) -> bool;
 }
 
 fn check_request(len: usize, align: usize) -> Result<(), PlatformError> {
@@ -173,19 +160,10 @@ fn check_request(len: usize, align: usize) -> Result<(), PlatformError> {
     Ok(())
 }
 
-/// The process-wide platform instance: [`LinuxPlatform`] where the raw
-/// syscall layer exists, [`PortablePlatform`] elsewhere.
+/// The process-wide platform instance.
 pub fn platform() -> &'static dyn Platform {
-    #[cfg(hermes_mmap)]
-    {
-        static P: LinuxPlatform = LinuxPlatform;
-        &P
-    }
-    #[cfg(not(hermes_mmap))]
-    {
-        static P: PortablePlatform = PortablePlatform;
-        &P
-    }
+    static P: LinuxPlatform = LinuxPlatform;
+    &P
 }
 
 /// Parses the kernel's node list syntax (`"0"`, `"0-3"`, `"0,2-3"`) into
@@ -222,11 +200,9 @@ fn discover_numa_nodes() -> usize {
 }
 
 /// Linux implementation over raw syscalls (no libc).
-#[cfg(hermes_mmap)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinuxPlatform;
 
-#[cfg(hermes_mmap)]
 mod linux {
     //! Raw syscall plumbing. Numbers and flag values are part of the
     //! kernel ABI and stable per architecture.
@@ -345,7 +321,6 @@ mod linux {
     }
 }
 
-#[cfg(hermes_mmap)]
 impl LinuxPlatform {
     /// Anonymous private `MAP_NORESERVE` mapping of `len` bytes, or null
     /// address on failure.
@@ -409,12 +384,7 @@ impl LinuxPlatform {
     }
 }
 
-#[cfg(hermes_mmap)]
 impl Platform for LinuxPlatform {
-    fn supports_mapping(&self) -> bool {
-        true
-    }
-
     fn reserve(&self, len: usize, align: usize) -> Result<NonNull<u8>, PlatformError> {
         check_request(len, align)?;
         if align <= PAGE_SIZE {
@@ -549,59 +519,6 @@ impl Platform for LinuxPlatform {
     }
 }
 
-/// Fallback for targets without the raw syscall layer: reservations come
-/// from `std::alloc`, every hint is a no-op, and one NUMA node is
-/// reported.
-///
-/// Not safe to use from inside a `#[global_allocator]` (it would recurse
-/// into the allocator being bootstrapped); the global facade keeps its
-/// static-BSS boot path on these targets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PortablePlatform;
-
-impl Platform for PortablePlatform {
-    fn supports_mapping(&self) -> bool {
-        false
-    }
-
-    fn reserve(&self, len: usize, align: usize) -> Result<NonNull<u8>, PlatformError> {
-        check_request(len, align)?;
-        let layout = std::alloc::Layout::from_size_align(len, align)
-            .map_err(|_| PlatformError::BadRequest)?;
-        // SAFETY: layout has non-zero size and valid alignment.
-        let ptr = unsafe { std::alloc::alloc(layout) };
-        NonNull::new(ptr).ok_or(PlatformError::ReserveFailed)
-    }
-
-    unsafe fn release(&self, base: NonNull<u8>, len: usize, align: usize) {
-        let layout = std::alloc::Layout::from_size_align(len, align).expect("release layout");
-        // SAFETY: pointer and layout are the ones used by `reserve`.
-        unsafe { std::alloc::dealloc(base.as_ptr(), layout) };
-    }
-
-    unsafe fn commit(&self, _base: NonNull<u8>, _len: usize) {}
-
-    unsafe fn decommit(&self, _base: NonNull<u8>, _len: usize) -> bool {
-        false
-    }
-
-    unsafe fn huge_page_hint(&self, _base: NonNull<u8>, _len: usize) -> bool {
-        false
-    }
-
-    fn current_cpu_node(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
-    fn numa_nodes(&self) -> usize {
-        1
-    }
-
-    unsafe fn bind_to_node(&self, _base: NonNull<u8>, _len: usize, _node: usize) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,17 +560,12 @@ mod tests {
         let base = p.reserve(len, PAGE_SIZE).expect("reserve");
         unsafe {
             std::ptr::write_volatile(base.as_ptr().add(PAGE_SIZE), 0xAB);
-            let dropped = p.decommit(base, len);
-            if p.supports_mapping() {
-                // Real decommit: the page came back zero-filled.
-                assert!(dropped, "mapping platform must decommit");
-                assert_eq!(std::ptr::read_volatile(base.as_ptr().add(PAGE_SIZE)), 0);
-                // The range stays reserved and writable after decommit.
-                std::ptr::write_volatile(base.as_ptr().add(PAGE_SIZE), 0xCD);
-                assert_eq!(std::ptr::read_volatile(base.as_ptr().add(PAGE_SIZE)), 0xCD);
-            } else {
-                assert!(!dropped, "portable platform cannot decommit");
-            }
+            assert!(p.decommit(base, len), "the kernel decommits");
+            // The page came back zero-filled.
+            assert_eq!(std::ptr::read_volatile(base.as_ptr().add(PAGE_SIZE)), 0);
+            // The range stays reserved and writable after decommit.
+            std::ptr::write_volatile(base.as_ptr().add(PAGE_SIZE), 0xCD);
+            assert_eq!(std::ptr::read_volatile(base.as_ptr().add(PAGE_SIZE)), 0xCD);
             p.release(base, len, PAGE_SIZE);
         }
     }
@@ -667,10 +579,7 @@ mod tests {
         let len = 2 * HUGE_PAGE_SIZE;
         let base = p.reserve(len, HUGE_PAGE_SIZE).expect("reserve");
         unsafe {
-            let hinted = p.huge_page_hint(base, len);
-            if !p.supports_mapping() {
-                assert!(!hinted);
-            }
+            let _ = p.huge_page_hint(base, len);
             std::ptr::write_volatile(base.as_ptr(), 0x11);
             assert_eq!(std::ptr::read_volatile(base.as_ptr()), 0x11);
             p.release(base, len, HUGE_PAGE_SIZE);
@@ -722,29 +631,14 @@ mod tests {
         unsafe {
             std::ptr::write_volatile(base.as_ptr().add(PAGE_SIZE), 0xAB);
             let populated = p.populate(base, len);
-            if p.supports_mapping() {
-                #[cfg(hermes_mmap)]
-                assert!(
-                    populated
-                        || linux::POPULATE_UNSUPPORTED.load(std::sync::atomic::Ordering::Relaxed),
-                    "only a kernel without MADV_POPULATE_WRITE may refuse"
-                );
-                assert_eq!(std::ptr::read_volatile(base.as_ptr().add(2 * PAGE_SIZE)), 0);
-            } else {
-                assert!(!populated);
-            }
+            assert!(
+                populated || linux::POPULATE_UNSUPPORTED.load(std::sync::atomic::Ordering::Relaxed),
+                "only a kernel without MADV_POPULATE_WRITE may refuse"
+            );
+            assert_eq!(std::ptr::read_volatile(base.as_ptr().add(2 * PAGE_SIZE)), 0);
             // Populating never rewrites a page that was already there.
             assert_eq!(std::ptr::read_volatile(base.as_ptr().add(PAGE_SIZE)), 0xAB);
             p.release(base, len, PAGE_SIZE);
-        }
-        let q = PortablePlatform;
-        let base = q.reserve(len, PAGE_SIZE).expect("reserve");
-        unsafe {
-            assert!(
-                !q.populate(base, len),
-                "the portable fallback cannot populate"
-            );
-            q.release(base, len, PAGE_SIZE);
         }
     }
 

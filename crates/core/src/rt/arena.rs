@@ -2,26 +2,21 @@
 //!
 //! An [`Arena`] is a large, page-aligned virtual region whose physical
 //! pages materialise on first touch — exactly the on-demand mapping
-//! behaviour the paper analyses. Two backings are supported:
-//!
-//! * mapped (`Arena::map` / `Arena::reserve`) — obtained from the
-//!   [`crate::platform`] layer. On Linux this is a raw `MAP_NORESERVE`
-//!   mmap: the arena reserves a large address range up front and exposes
-//!   only a prefix as `capacity`, which [`Arena::grow`] extends on demand
-//!   without moving the base. Cold ranges can be returned to the kernel
-//!   with [`Arena::decommit`] (`MADV_DONTNEED`), and the whole region can
-//!   be pinned to a NUMA node. The platform layer never calls back into
-//!   the Rust allocator, so this path is safe under
-//!   `#[global_allocator]`.
-//! * static (`Arena::from_static`) — a pre-existing region handed in by
-//!   the embedder; used by the global allocator's portable fallback,
-//!   whose bootstrap must not allocate.
+//! behaviour the paper analyses. It is a raw `MAP_NORESERVE` mapping from
+//! the [`crate::platform`] layer (`Arena::map` / `Arena::reserve`): the
+//! arena reserves a large address range up front and exposes only a
+//! prefix as `capacity`, which [`Arena::grow`] extends on demand without
+//! moving the base. Cold ranges can be returned to the kernel with
+//! [`Arena::decommit`] (`MADV_DONTNEED`), and the whole region can be
+//! pinned to a NUMA node. The platform layer never calls back into the
+//! Rust allocator, so arenas are safe to build under
+//! `#[global_allocator]`.
 //!
 //! "Constructing the virtual-physical mapping" is [`Arena::touch`]. The
 //! paper delegates this to the kernel via `mlock(2)`, which it measures
-//! as ≥40 % faster than touching pages; a mapped arena delegates it too,
-//! with one `MADV_POPULATE_WRITE` per range ([`Platform::populate`]),
-//! and writes to each page itself only where that is refused (the
+//! as ≥40 % faster than touching pages; an arena delegates it too, with
+//! one `MADV_POPULATE_WRITE` per range ([`Platform::populate`]), and
+//! writes to each page itself only where the kernel refuses that (the
 //! substitution is recorded in DESIGN.md §1).
 //!
 //! [`Platform::populate`]: crate::platform::Platform::populate
@@ -58,21 +53,14 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-enum Backing {
-    /// Platform reservation of `reserved` bytes at alignment `align`;
-    /// `capacity` exposes a growable prefix of it.
-    Mapped {
-        reserved: usize,
-        align: usize,
-    },
-    Static,
-}
-
-/// A page-aligned virtual region with explicit touch (commit) control.
+/// A page-aligned virtual region with explicit touch (commit) control:
+/// a platform reservation of `reserved` bytes at alignment `align`, of
+/// which `capacity` exposes a growable prefix.
 pub struct Arena {
     base: NonNull<u8>,
     capacity: usize,
-    backing: Backing,
+    reserved: usize,
+    align: usize,
 }
 
 // SAFETY: the arena exclusively owns its region; all access goes through
@@ -131,36 +119,8 @@ impl Arena {
         Ok(Arena {
             base,
             capacity,
-            backing: Backing::Mapped { reserved, align },
-        })
-    }
-
-    /// Wraps a static region (e.g. a BSS array) as an arena.
-    ///
-    /// The base is aligned up to a page boundary and the length trimmed
-    /// accordingly.
-    ///
-    /// # Safety
-    ///
-    /// `base .. base+len` must be valid for reads and writes for the
-    /// program's lifetime and must not be accessed by anything else.
-    pub unsafe fn from_static(base: *mut u8, len: usize) -> Result<Arena, ArenaError> {
-        let addr = base as usize;
-        let aligned = addr.div_ceil(PAGE) * PAGE;
-        let skip = aligned - addr;
-        if len <= skip {
-            return Err(ArenaError::BadCapacity);
-        }
-        let capacity = (len - skip) / PAGE * PAGE;
-        if capacity == 0 {
-            return Err(ArenaError::BadCapacity);
-        }
-        // SAFETY: aligned is within [addr, addr+len) per the checks above.
-        let p = unsafe { base.add(skip) };
-        Ok(Arena {
-            base: NonNull::new(p).ok_or(ArenaError::ReserveFailed)?,
-            capacity,
-            backing: Backing::Static,
+            reserved,
+            align,
         })
     }
 
@@ -169,20 +129,17 @@ impl Arena {
         self.base
     }
 
-    /// Usable capacity in bytes (page multiple). For mapped arenas this
-    /// is the currently exposed prefix of [`Arena::reserved`].
+    /// Usable capacity in bytes (page multiple): the currently exposed
+    /// prefix of [`Arena::reserved`].
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Total reserved address range in bytes — the ceiling [`Arena::grow`]
-    /// can extend [`Arena::capacity`] to. Equals `capacity` for static
-    /// and fixed reservations.
+    /// can extend [`Arena::capacity`] to. Equals `capacity` for fixed
+    /// reservations.
     pub fn reserved(&self) -> usize {
-        match self.backing {
-            Backing::Mapped { reserved, .. } => reserved,
-            Backing::Static => self.capacity,
-        }
+        self.reserved
     }
 
     /// Extends the usable capacity by `extra` bytes (positive page
@@ -194,7 +151,7 @@ impl Arena {
     ///
     /// [`ArenaError::BadCapacity`] for a zero or unaligned `extra`,
     /// [`ArenaError::ReservationExhausted`] when the reservation cannot
-    /// accommodate the growth (static arenas never grow).
+    /// accommodate the growth.
     pub fn grow(&mut self, extra: usize) -> Result<usize, ArenaError> {
         if extra == 0 || extra % PAGE != 0 {
             return Err(ArenaError::BadCapacity);
@@ -203,7 +160,7 @@ impl Arena {
             .capacity
             .checked_add(extra)
             .ok_or(ArenaError::ReservationExhausted)?;
-        if new_cap > self.reserved() {
+        if new_cap > self.reserved {
             return Err(ArenaError::ReservationExhausted);
         }
         // SAFETY: the grown range lies inside the live reservation.
@@ -217,21 +174,17 @@ impl Arena {
         Ok(new_cap)
     }
 
-    /// Returns the physical pages of `[offset, offset+len)` to the kernel
-    /// where the platform supports it. The inner page-aligned sub-range
-    /// is decommitted; reads from it yield zeros afterwards and the
-    /// address range stays usable. Returns the number of bytes actually
-    /// decommitted (0 on static arenas, portable platforms, or ranges
-    /// smaller than a page).
+    /// Returns the physical pages of `[offset, offset+len)` to the
+    /// kernel. The inner page-aligned sub-range is decommitted; reads
+    /// from it yield zeros afterwards and the address range stays usable.
+    /// Returns the number of bytes actually decommitted (0 when the
+    /// kernel refuses, or for ranges smaller than a page).
     ///
     /// # Safety
     ///
     /// The range must hold no live allocator data: on success its
     /// contents are lost (zero-filled on next touch).
     pub unsafe fn decommit(&self, offset: usize, len: usize) -> usize {
-        let Backing::Mapped { .. } = self.backing else {
-            return 0;
-        };
         let Some(end) = offset.checked_add(len) else {
             return 0;
         };
@@ -263,18 +216,15 @@ impl Arena {
     /// Prefers allocating this arena's physical pages from the given NUMA
     /// node (best-effort; `false` when the platform refuses).
     pub fn bind_to_node(&self, node: usize) -> bool {
-        let Backing::Mapped { reserved, .. } = self.backing else {
-            return false;
-        };
         // SAFETY: the whole reservation is a live mapping we own.
-        unsafe { platform().bind_to_node(self.base, reserved, node) }
+        unsafe { platform().bind_to_node(self.base, self.reserved, node) }
     }
 
     /// `true` if `ptr` lies inside the region's reserved range.
     pub fn contains(&self, ptr: *const u8) -> bool {
         let a = self.base.as_ptr() as usize;
         let p = ptr as usize;
-        p >= a && p < a + self.reserved()
+        p >= a && p < a + self.reserved
     }
 
     /// Pointer at byte `offset`.
@@ -292,9 +242,8 @@ impl Arena {
 
     /// Constructs the virtual-physical mapping for the pages covering
     /// `[offset, offset+len)` (zero-fill commit; a page already present
-    /// keeps its contents). A mapped arena asks the kernel to populate
-    /// them in one call; a static arena, or a kernel that refuses, writes
-    /// each page back to itself.
+    /// keeps its contents). The kernel is asked to populate them in one
+    /// call; where it refuses, each page is written back to itself.
     ///
     /// # Panics
     ///
@@ -308,19 +257,17 @@ impl Arena {
             return;
         }
         let first = offset / PAGE * PAGE;
-        if let Backing::Mapped { .. } = self.backing {
-            // `capacity` is a page multiple, so the rounded range stays
-            // inside it.
-            let end = (offset + len).div_ceil(PAGE) * PAGE;
-            // SAFETY: `[first, end)` is page aligned and inside the live
-            // reservation.
-            let populated = unsafe {
-                let start = NonNull::new_unchecked(self.base.as_ptr().add(first));
-                platform().populate(start, end - first)
-            };
-            if populated {
-                return;
-            }
+        // `capacity` is a page multiple, so the rounded range stays
+        // inside it.
+        let end = (offset + len).div_ceil(PAGE) * PAGE;
+        // SAFETY: `[first, end)` is page aligned and inside the live
+        // reservation.
+        let populated = unsafe {
+            let start = NonNull::new_unchecked(self.base.as_ptr().add(first));
+            platform().populate(start, end - first)
+        };
+        if populated {
+            return;
         }
         let mut page = first;
         while page < offset + len {
@@ -340,26 +287,17 @@ impl fmt::Debug for Arena {
         f.debug_struct("Arena")
             .field("base", &self.base.as_ptr())
             .field("capacity", &self.capacity)
-            .field("reserved", &self.reserved())
-            .field(
-                "backing",
-                &match self.backing {
-                    Backing::Mapped { .. } => "mapped",
-                    Backing::Static => "static",
-                },
-            )
+            .field("reserved", &self.reserved)
             .finish()
     }
 }
 
 impl Drop for Arena {
     fn drop(&mut self) {
-        if let Backing::Mapped { reserved, align } = self.backing {
-            // SAFETY: base/reserved/align are the platform reservation's
-            // own parameters; the arena is being destroyed so nothing
-            // aliases the range.
-            unsafe { platform().release(self.base, reserved, align) }
-        }
+        // SAFETY: base/reserved/align are the platform reservation's own
+        // parameters; the arena is being destroyed so nothing aliases the
+        // range.
+        unsafe { platform().release(self.base, self.reserved, self.align) }
     }
 }
 
@@ -419,24 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn static_backing_aligns_base() {
-        static mut BACKING: [u8; PAGE * 3] = [0; PAGE * 3];
-        // SAFETY: test has exclusive use of the static.
-        let a = unsafe { Arena::from_static(std::ptr::addr_of_mut!(BACKING) as *mut u8, PAGE * 3) }
-            .unwrap();
-        assert_eq!(a.base().as_ptr() as usize % PAGE, 0);
-        assert!(a.capacity() >= PAGE * 2);
-        a.touch(0, a.capacity());
-    }
-
-    #[test]
-    fn too_small_static_region_is_rejected() {
-        static mut SMALL: [u8; 64] = [0; 64];
-        let r = unsafe { Arena::from_static(std::ptr::addr_of_mut!(SMALL) as *mut u8, 64) };
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn map_validates_sizes() {
         assert!(matches!(
             Arena::map(PAGE * 8, PAGE * 4, false),
@@ -493,16 +413,12 @@ mod tests {
             *a.at(PAGE * 3 - 1) = 0x5B;
             // Unaligned request: only the interior pages may be dropped.
             let freed = a.decommit(PAGE * 2 + 1, PAGE * 4 - 2);
-            if crate::platform::platform().supports_mapping() {
-                assert_eq!(freed, PAGE * 2, "interior pages decommitted");
-                // Boundary pages keep their data; interior reads as zero.
-                assert_eq!(*a.at(PAGE * 2), 0x5A);
-                assert_eq!(*a.at(PAGE * 3 - 1), 0x5B);
-                assert_eq!(*a.at(PAGE * 3), 0);
-                assert_eq!(*a.at(PAGE * 4), 0);
-            } else {
-                assert_eq!(freed, 0);
-            }
+            assert_eq!(freed, PAGE * 2, "interior pages decommitted");
+            // Boundary pages keep their data; interior reads as zero.
+            assert_eq!(*a.at(PAGE * 2), 0x5A);
+            assert_eq!(*a.at(PAGE * 3 - 1), 0x5B);
+            assert_eq!(*a.at(PAGE * 3), 0);
+            assert_eq!(*a.at(PAGE * 4), 0);
             // Reuse after decommit: touch and write again.
             a.touch(PAGE * 3, PAGE * 2);
             *a.at(PAGE * 3) = 0x77;

@@ -18,63 +18,42 @@
 //! # Bootstrap design
 //!
 //! The first allocation may arrive before `main` (e.g. from the runtime),
-//! and constructing the allocator itself allocates (pool metadata). A tiny
-//! static bump arena serves allocations while the real heap is being
-//! built; its pointers are recognised by address range and their frees are
-//! no-ops. On Linux the heap and large arenas are lazily *mapped* at boot
-//! straight from the kernel (`mmap`, sized by `HERMES_HEAP_MB` /
-//! `HERMES_LARGE_MB`, reserving [`GLOBAL_RESERVE_FACTOR`]× for on-demand
-//! growth); targets without the raw-mmap platform fall back to carving
-//! static BSS regions. Either way the bootstrap never calls the
-//! (self-referential) system allocator.
+//! and constructing the allocator itself allocates (shard and routing
+//! tables). A tiny static bump arena serves allocations while the real
+//! heap is being built; its pointers are recognised by address range and
+//! their frees are no-ops. The heap itself is an ordinary
+//! [`HermesHeap::new`] over the default configuration: per-shard arenas
+//! lazily *mapped* straight from the kernel (`mmap`, sized by
+//! `HERMES_HEAP_MB` / `HERMES_LARGE_MB`, reserving `reserve_factor`× for
+//! on-demand growth), so the bootstrap never calls the (self-referential)
+//! system allocator.
 
-use super::{Arena, HermesHeap, PAGE};
-use crate::config::{default_arena_count, HermesConfig};
-#[cfg(hermes_mmap)]
-use crate::config::{default_heap_capacity, default_huge_pages, default_large_capacity};
+use super::{HermesHeap, HermesHeapConfig};
+use crate::config::{default_arena_count, default_heap_capacity};
 use std::alloc::{GlobalAlloc, Layout};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 
-/// Capacity of the global main-heap backing on targets without the mmap
-/// platform (BSS; virtual until touched), carved into per-arena
-/// sub-regions at boot. Linux sizes the mapped backing from
-/// `HERMES_HEAP_MB` instead (same default).
-pub const GLOBAL_HEAP_CAPACITY: usize = 256 << 20;
-/// Capacity of the global large-chunk backing on non-mmap targets,
-/// carved likewise (`HERMES_LARGE_MB` on Linux, same default).
-pub const GLOBAL_LARGE_CAPACITY: usize = 512 << 20;
-/// Address-space multiplier for the mapped global arenas: each shard
-/// reserves this many times its initial slice and grows on demand, so
-/// the global allocator is no longer hard-capped at the boot-time
-/// capacity. Reservation is virtual-only until touched.
-pub const GLOBAL_RESERVE_FACTOR: usize = 4;
-/// Floor on each carved main-heap slice. Caps the global arena count at
-/// `GLOBAL_HEAP_CAPACITY / GLOBAL_MIN_SLICE` (8 at the current sizes)
-/// regardless of `HERMES_ARENAS`, keeping every large slice at ≥ 64 MB.
-/// Sharding bounds the *single largest* allocation the global allocator
-/// can serve at one large slice (`GLOBAL_LARGE_CAPACITY / arenas`);
-/// see DESIGN.md §4.
+/// Floor on each shard's main-heap slice. Caps the global arena count at
+/// `HERMES_HEAP_MB / GLOBAL_MIN_SLICE` (8 at the default 256 MiB)
+/// regardless of `HERMES_ARENAS`, keeping every large slice at ≥ 64 MB at
+/// the default sizes. Sharding bounds the *single largest* allocation the
+/// global allocator can serve at one large slice's reservation; see
+/// DESIGN.md §4.
 const GLOBAL_MIN_SLICE: usize = 32 << 20;
-/// Bootstrap arena capacity. Sized for the shard set's construction-time
-/// metadata (each shard's pool pre-reserves extent/bucket storage), which
-/// is served from here while `STATE == INITING`.
+/// Bootstrap arena capacity. Serves the heap's construction-time
+/// allocations (shard and routing tables, environment and NUMA node-list
+/// reads), and any other thread's, while `STATE == INITING`.
 const BOOT_CAPACITY: usize = 4 << 20;
 
 #[repr(align(4096))]
-struct Backing<const N: usize>(UnsafeCell<[u8; N]>);
+struct BootBacking(UnsafeCell<[u8; BOOT_CAPACITY]>);
 // SAFETY: access is mediated by the allocator's own synchronisation.
-unsafe impl<const N: usize> Sync for Backing<N> {}
+unsafe impl Sync for BootBacking {}
 
-#[cfg(not(hermes_mmap))]
-static HEAP_BACKING: Backing<GLOBAL_HEAP_CAPACITY> =
-    Backing(UnsafeCell::new([0; GLOBAL_HEAP_CAPACITY]));
-#[cfg(not(hermes_mmap))]
-static LARGE_BACKING: Backing<GLOBAL_LARGE_CAPACITY> =
-    Backing(UnsafeCell::new([0; GLOBAL_LARGE_CAPACITY]));
-static BOOT_BACKING: Backing<BOOT_CAPACITY> = Backing(UnsafeCell::new([0; BOOT_CAPACITY]));
+static BOOT_BACKING: BootBacking = BootBacking(UnsafeCell::new([0; BOOT_CAPACITY]));
 static BOOT_NEXT: AtomicUsize = AtomicUsize::new(0);
 
 const UNINIT: u8 = 0;
@@ -112,63 +91,10 @@ fn boot_alloc(layout: Layout) -> *mut u8 {
     }
 }
 
-/// Carves a static backing of `capacity` bytes into `n` page-aligned
-/// sub-arenas.
-///
-/// # Safety
-///
-/// As [`Arena::from_static`]: the region must be exclusively owned and
-/// live for the program's lifetime, and this must be called exactly once
-/// per backing.
-#[cfg(not(hermes_mmap))]
-unsafe fn carve_static(base: *mut u8, capacity: usize, n: usize) -> Vec<Arena> {
-    let slice = (capacity / n) / PAGE * PAGE;
-    assert!(slice >= PAGE * 2, "backing too small for {n} arenas");
-    let mut arenas = Vec::with_capacity(n);
-    for i in 0..n {
-        // SAFETY: the slices are disjoint sub-ranges of the caller's
-        // exclusively owned backing.
-        let a = unsafe { Arena::from_static(base.add(i * slice), slice).expect("carve backing") };
-        arenas.push(a);
-    }
-    arenas
-}
-
-/// Maps the global arena pairs straight from the kernel: `n` shards,
-/// each exposing a per-shard slice of the configured capacities and
-/// reserving [`GLOBAL_RESERVE_FACTOR`]x that for on-demand growth.
-/// Aborts on mapping failure — a process whose allocator cannot map its
-/// backing has no way to continue, and panicking here would itself
-/// allocate.
-#[cfg(hermes_mmap)]
-fn boot_arena_sets() -> Vec<(Arena, Arena)> {
-    let heap_total = default_heap_capacity();
-    let large_total = default_large_capacity();
-    let huge = default_huge_pages();
-    let max_shards = (heap_total / GLOBAL_MIN_SLICE).max(1);
-    let n = default_arena_count().clamp(1, max_shards);
-    let heap_per = ((heap_total / n) / PAGE * PAGE).max(PAGE * 64);
-    let large_per = ((large_total / n) / PAGE * PAGE).max(PAGE * 64);
-    let map = |cap: usize| {
-        Arena::map(cap, cap.saturating_mul(GLOBAL_RESERVE_FACTOR), huge)
-            .unwrap_or_else(|_| std::process::abort())
-    };
-    (0..n).map(|_| (map(heap_per), map(large_per))).collect()
-}
-
-/// Carves the BSS backings into the global arena pairs (non-mmap
-/// fallback; fixed capacity, no growth).
-#[cfg(not(hermes_mmap))]
-fn boot_arena_sets() -> Vec<(Arena, Arena)> {
-    let n = default_arena_count().clamp(1, GLOBAL_HEAP_CAPACITY / GLOBAL_MIN_SLICE);
-    // SAFETY: the backing statics are used exactly once, here (guarded
-    // by the caller's CAS on STATE).
-    let heap_arenas =
-        unsafe { carve_static(HEAP_BACKING.0.get() as *mut u8, GLOBAL_HEAP_CAPACITY, n) };
-    // SAFETY: as above.
-    let large_arenas =
-        unsafe { carve_static(LARGE_BACKING.0.get() as *mut u8, GLOBAL_LARGE_CAPACITY, n) };
-    heap_arenas.into_iter().zip(large_arenas).collect()
+/// The global heap's shard count: `HERMES_ARENAS` (or the CPU count),
+/// capped by [`GLOBAL_MIN_SLICE`].
+fn global_arena_count() -> usize {
+    default_arena_count().clamp(1, (default_heap_capacity() / GLOBAL_MIN_SLICE).max(1))
 }
 
 fn try_init() {
@@ -178,10 +104,15 @@ fn try_init() {
     {
         return; // someone else is initialising or it is done
     }
-    // Allocations made while constructing the heap (pool metadata) are
-    // served by the bootstrap arena because STATE == INITING.
-    let sets = boot_arena_sets();
-    let heap = HermesHeap::with_arena_sets(sets, HermesConfig::default());
+    // Allocations made while constructing the heap are served by the
+    // bootstrap arena because STATE == INITING.
+    // A process whose allocator cannot map its backing has no way to
+    // continue, and panicking here would itself allocate.
+    let heap = HermesHeap::new(HermesHeapConfig {
+        arenas: global_arena_count(),
+        ..HermesHeapConfig::default()
+    })
+    .unwrap_or_else(|_| std::process::abort());
     // SAFETY: sole writer (we won the CAS); readers wait for READY.
     unsafe { (*GLOBAL.0.get()).write(heap) };
     STATE.store(READY, Ordering::Release);
@@ -306,10 +237,21 @@ mod tests {
         }
     }
 
-    #[cfg(hermes_mmap)]
     #[test]
     fn global_boot_is_mapped_and_lazy() {
+        use crate::config::default_large_capacity;
         let h = Hermes::init();
+        let n = global_arena_count();
+        assert_eq!(h.arena_count(), n, "the slice floor caps the shard count");
+        let factor = HermesHeapConfig::default().reserve_factor;
+        let large_per = crate::rt::per_shard_capacity(default_large_capacity(), n);
+        for i in 0..n {
+            assert_eq!(
+                h.arena_stats(i).large.backing_reserved,
+                factor * large_per,
+                "arena {i} reserves {factor}x its large slice"
+            );
+        }
         let s = h.arena_stats(0);
         assert!(
             s.heap.backing_reserved > s.heap.brk,

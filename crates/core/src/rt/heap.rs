@@ -1434,13 +1434,9 @@ mod tests {
         h.trim(0);
         let freed = h.decommit_tail();
         let s = h.stats();
-        if crate::platform::platform().supports_mapping() {
-            assert!(freed > 0, "trimmed tail pages decommit on mmap hosts");
-            assert!(s.committed < s.backing_reserved);
-            assert_eq!(s.decommitted, freed as u64);
-        } else {
-            assert_eq!(freed, 0);
-        }
+        assert!(freed > 0, "trimmed tail pages decommit");
+        assert!(s.committed < s.backing_reserved);
+        assert_eq!(s.decommitted, freed as u64);
         // Decommit-then-reuse: the dropped range is re-committed on the
         // next carve and fully usable.
         let p = h.malloc(PAGE * 8).unwrap();

@@ -7,17 +7,17 @@
 //! hand-outs are registered in the [`DelayedShrinkSet`] and trimmed back on
 //! the next management round, so the requester never waits for the shrink.
 //!
-//! Divergence from the paper (recorded in DESIGN.md): `mremap`-style
-//! in-place expansion is not portably available without libc, so "expand
-//! the largest chunk" falls back to carving a fresh chunk. Trimmed and
-//! delayed-shrunk memory is recycled through an address-ordered extent
-//! list that coalesces adjacent extents, so mixed sizes cannot fragment
-//! the arena's address space away; on mapping platforms each extent's
-//! pages are really returned to the kernel via [`Arena::decommit`]
-//! (`madvise(DONTNEED)`) as it is trimmed, and the extent is marked cold
-//! so reuse honestly pays (and counts) the mapping-construction faults
-//! again. A cold extent that reaches the bump frontier is handed back to
-//! it: untouched address space either way.
+//! Divergence from the paper (recorded in DESIGN.md): chunks are carved
+//! from one arena reservation, where `mremap`-style in-place expansion
+//! would run into the next chunk, so "expand the largest chunk" falls
+//! back to carving a fresh chunk. Trimmed and delayed-shrunk memory is
+//! recycled through an address-ordered extent list that coalesces
+//! adjacent extents, so mixed sizes cannot fragment the arena's address
+//! space away; each extent's pages are really returned to the kernel via
+//! [`Arena::decommit`] (`madvise(DONTNEED)`) as it is trimmed, and the
+//! extent is marked cold so reuse honestly pays (and counts) the
+//! mapping-construction faults again. A cold extent that reaches the bump
+//! frontier is handed back to it: untouched address space either way.
 //!
 //! Under the `#[global_allocator]` every list here is edited with the
 //! shard's `large` lock held, so no edit may allocate on the large path.
@@ -223,8 +223,8 @@ impl LargePool {
     }
 
     /// Recycles `[off, off+size)` into the extent list, returning its
-    /// pages to the kernel where the platform supports decommit. On
-    /// refusal (portable platform) the extent simply stays warm.
+    /// pages to the kernel. If the kernel refuses the decommit, the
+    /// extent simply stays warm.
     fn push_extent(&mut self, off: usize, size: usize) {
         // SAFETY: the range comes from a trimmed pool chunk or a
         // delayed-shrink tail — no live payload or header remains in it.
@@ -374,7 +374,9 @@ impl LargePool {
         self.process_delayed_shrink();
         let mut reserved = 0;
         if self.pool.total_size() < rsv_thr {
-            let step = round_up(mem_chunk.max(self.min_mmap), PAGE);
+            // `mem_chunk` is a request size; `alloc` adds the header page,
+            // so a chunk without it would never serve a mean-sized request.
+            let step = round_up(mem_chunk.max(self.min_mmap), PAGE) + PAGE;
             while self.pool.total_size() < tgt_mem {
                 if !self.reserve_chunk(step) {
                     break;
@@ -531,10 +533,23 @@ mod tests {
         let reserved = p.management_round(1 << 20, 2 << 20, 8 << 20, 256 * KB);
         assert!(reserved >= 8, "reserved {reserved} chunks");
         assert!(p.pool_total() >= 2 << 20);
-        // A second round with a tiny trim threshold releases chunks.
-        p.management_round(0, 0, 256 * KB, 256 * KB);
-        assert!(p.pool_total() <= 256 * KB);
+        // A second round with a one-chunk trim threshold releases the
+        // rest (each chunk is 256 KiB plus its header page).
+        p.management_round(0, 0, 256 * KB + PAGE, 256 * KB);
+        assert!(p.pool_total() <= 256 * KB + PAGE);
         assert!(p.stats().extent_bytes > 0);
+    }
+
+    #[test]
+    fn reserved_chunk_serves_a_mean_sized_request() {
+        let mut p = pool(16);
+        assert_eq!(p.management_round(1, 1, usize::MAX, 256 * KB), 1);
+        let a = p.alloc(256 * KB, PAGE).unwrap();
+        let s = p.stats();
+        assert_eq!((s.pool_hits, s.cold_allocs), (1, 0), "header page included");
+        assert_eq!(p.shrink_pending(), 0, "an exact fit");
+        // SAFETY: a live.
+        unsafe { p.free(a) };
     }
 
     #[test]
@@ -612,27 +627,20 @@ mod tests {
         let mut p = pool(16);
         let below = p.alloc(256 * KB, PAGE).unwrap();
         let top = p.alloc(512 * KB, PAGE).unwrap();
-        let bump_full = p.bump_off;
         // SAFETY: top live.
         unsafe { p.free(top) };
         p.management_round(0, 0, 0, 256 * KB);
         assert_extents_consistent(&p);
-        if crate::platform::platform().supports_mapping() {
-            // Decommitted and touching the frontier: un-bumped, not listed.
-            assert_eq!(p.bump_off, 260 * KB);
-            assert_eq!(p.stats().extent_bytes, 0);
-            // Freeing the chunk below cascades: the whole arena is fresh.
-            // SAFETY: below live.
-            unsafe { p.free(below) };
-            p.management_round(0, 0, 0, 256 * KB);
-            assert_eq!(p.bump_off, 0);
-            assert!(p.extents.is_empty());
-            assert_eq!(p.stats().committed, 0);
-        } else {
-            // Still resident: it stays a (warm) extent below the frontier.
-            assert_eq!(p.bump_off, bump_full);
-            assert_eq!(p.stats().extent_bytes, 516 * KB);
-        }
+        // Decommitted and touching the frontier: un-bumped, not listed.
+        assert_eq!(p.bump_off, 260 * KB);
+        assert_eq!(p.stats().extent_bytes, 0);
+        // Freeing the chunk below cascades: the whole arena is fresh.
+        // SAFETY: below live.
+        unsafe { p.free(below) };
+        p.management_round(0, 0, 0, 256 * KB);
+        assert_eq!(p.bump_off, 0);
+        assert!(p.extents.is_empty());
+        assert_eq!(p.stats().committed, 0);
     }
 
     #[test]
@@ -661,16 +669,10 @@ mod tests {
         // committed a second time.
         assert_eq!(p.bump_off, 4 * MB);
         assert_eq!(p.stats().extent_bytes, 4 * MB);
-        if crate::platform::platform().supports_mapping() {
-            // The pushed extents were decommitted (cold): each keeps its
-            // own entry between the warm ones.
-            let warmth: Vec<bool> = p.extents.values().map(|e| e.warm).collect();
-            assert_eq!(warmth, [false, true, false, true]);
-        } else {
-            // Decommit refused: all four are warm and merge into one.
-            assert_eq!(p.extents.len(), 1);
-            assert!(p.extents.values().all(|e| e.warm));
-        }
+        // The pushed extents were decommitted (cold): each keeps its own
+        // entry between the warm ones.
+        let warmth: Vec<bool> = p.extents.values().map(|e| e.warm).collect();
+        assert_eq!(warmth, [false, true, false, true]);
     }
 
     #[test]
@@ -705,34 +707,25 @@ mod tests {
         }
         let committed_before = p.stats().committed;
         assert!(committed_before > 0);
-        // Trim everything into extents: on mmap hosts the pages go back
-        // to the kernel and the committed gauge drops below reserved.
+        // Trim everything into extents: the pages go back to the kernel
+        // and the committed gauge drops below reserved.
         p.management_round(0, 0, 0, 256 * KB);
         let s = p.stats();
-        let mapping = crate::platform::platform().supports_mapping();
-        if mapping {
-            assert!(s.decommitted > 0, "trim performed a real decommit");
-            assert!(s.committed < committed_before);
-            assert!(s.committed < s.backing_reserved);
-        } else {
-            assert_eq!(s.decommitted, 0);
-        }
+        assert!(s.decommitted > 0, "trim performed a real decommit");
+        assert!(s.committed < committed_before);
+        assert!(s.committed < s.backing_reserved);
         // Decommit-then-reuse round trip: the cold extent serves a new
         // allocation, zero-filled, and the faults are accounted.
         let cold_before = p.stats().cold_allocs;
         let b = p.alloc(256 * KB, PAGE).unwrap();
         // SAFETY: fresh allocation.
         unsafe {
-            if mapping {
-                assert_eq!(*b.as_ptr(), 0, "decommitted pages read back zero");
-            }
+            assert_eq!(*b.as_ptr(), 0, "decommitted pages read back zero");
             std::ptr::write_bytes(b.as_ptr(), 0x31, 256 * KB);
             assert_eq!(*b.as_ptr(), 0x31);
             p.free(b);
         }
-        if mapping {
-            assert!(p.stats().cold_allocs > cold_before, "cold reuse counted");
-        }
+        assert!(p.stats().cold_allocs > cold_before, "cold reuse counted");
     }
 
     #[test]

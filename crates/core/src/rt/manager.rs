@@ -104,7 +104,7 @@ pub(crate) fn run_round(shared: &Shared) {
         // Retire queued remote frees before sizing the reserve, so the
         // thresholds see the heap the application actually holds.
         remote::drain(shared, i, usize::MAX);
-        heap_round(shared, shard);
+        heap_round(shard);
         large_round(shard);
     }
     Counters::add(&shared.counters.manager_rounds, 1);
@@ -114,7 +114,7 @@ pub(crate) fn run_round(shared: &Shared) {
     );
 }
 
-fn heap_round(shared: &Shared, shard: &Shard) {
+fn heap_round(shard: &Shard) {
     // Roll the interval and read the current reserve under the lock.
     let (th, ready, top_free) = {
         let mut g = lock(&shard.heap);
@@ -124,13 +124,7 @@ fn heap_round(shared: &Shared, shard: &Shard) {
     if ready < th.rsv_thr {
         // Gradual reservation: one lock acquisition per MEM_CHUNK step, so
         // a burst of mallocs is blocked only for a single small step.
-        let deficit = th.tgt_mem - ready;
-        let plan = if shared.cfg.gradual_reservation {
-            ReservationPlan::new(deficit, th.mem_chunk)
-        } else {
-            ReservationPlan::bulk(deficit)
-        };
-        for step in plan {
+        for step in ReservationPlan::new(th.tgt_mem - ready, th.mem_chunk) {
             let mut g = lock(&shard.heap);
             if g.raw.sbrk_commit(step).is_err() {
                 return; // arena exhausted: stop reserving
@@ -142,7 +136,7 @@ fn heap_round(shared: &Shared, shard: &Shard) {
         let mut g = lock(&shard.heap);
         let released = g.raw.trim(th.tgt_mem);
         // The trim shrank the break; hand the now-unreachable committed
-        // tail back to the kernel (no-op on non-mapping platforms).
+        // tail back to the kernel.
         let decommitted = g.raw.decommit_tail();
         drop(g);
         Counters::add(&shard.counters.trimmed_bytes, released as u64);

@@ -24,10 +24,10 @@
 //!   dozens of blocks; cross-shard frees push onto the owning shard's
 //!   lock-free inbox instead of taking its lock.
 //! * [`global::Hermes`] — a zero-sized `#[global_allocator]` facade that
-//!   lazily boots a [`HermesHeap`] over lazily *mapped* per-shard arenas
-//!   (sized by the `HERMES_HEAP_MB`/`HERMES_LARGE_MB` knobs, growable on
-//!   demand within a larger reservation); targets without the raw-mmap
-//!   platform keep the legacy static-BSS carve.
+//!   lazily boots a [`HermesHeap`] through [`HermesHeap::new`], like any
+//!   other heap: lazily *mapped* per-shard arenas sized by the
+//!   `HERMES_HEAP_MB`/`HERMES_LARGE_MB` knobs, growable on demand within a
+//!   larger reservation.
 //!
 //! On hosts with more than one NUMA node each shard's backing is pinned
 //! (best-effort `mbind`) to node `i % nodes`, and a thread's home shard
@@ -379,79 +379,65 @@ impl fmt::Debug for HermesHeap {
 }
 
 impl HermesHeap {
-    /// Creates an allocator with dynamically reserved arenas, splitting
-    /// the configured capacities evenly across `cfg.arenas` shards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ArenaError`] when a backing region cannot be reserved.
-    pub fn new(cfg: HermesHeapConfig) -> Result<Self, ArenaError> {
-        let n = cfg.arenas.max(1);
-        let factor = cfg.reserve_factor.max(1);
-        let huge = cfg.hermes.huge_pages;
-        let heap_per = per_shard_capacity(cfg.heap_capacity, n);
-        let large_per = per_shard_capacity(cfg.large_capacity, n);
-        let mut sets = Vec::with_capacity(n);
-        for _ in 0..n {
-            sets.push((
-                Arena::map(heap_per, heap_per.saturating_mul(factor), huge)?,
-                Arena::map(large_per, large_per.saturating_mul(factor), huge)?,
-            ));
-        }
-        Ok(Self::with_arena_sets(sets, cfg.hermes))
-    }
-
-    /// Creates an allocator over caller-provided `(heap, large)` arena
-    /// pairs, one shard per pair (used by the global-allocator bootstrap,
-    /// which hands in lazily mapped — or, on non-mmap targets, carved
-    /// static BSS — regions).
+    /// Creates an allocator with lazily mapped arenas, splitting the
+    /// configured capacities evenly across `cfg.arenas` shards. Each
+    /// shard's `(heap, large)` pair reserves `reserve_factor`× its slice.
     ///
     /// Free-routing ranges span each arena's full *reservation*, so
     /// pointers handed out after on-demand growth still route home. On
     /// multi-node hosts each shard's backing is bound (best-effort) to
     /// NUMA node `i % nodes`.
     ///
+    /// # Errors
+    ///
+    /// Propagates [`ArenaError`] when a backing region cannot be reserved.
+    ///
     /// # Panics
     ///
-    /// Panics if `sets` is empty.
-    pub fn with_arena_sets(sets: Vec<(Arena, Arena)>, cfg: HermesConfig) -> Self {
-        assert!(!sets.is_empty(), "at least one arena pair required");
-        let n = sets.len();
+    /// Panics with [`HermesConfig::validate`]'s message when `cfg.hermes`
+    /// breaks one of its constraints.
+    pub fn new(cfg: HermesHeapConfig) -> Result<Self, ArenaError> {
+        if let Err(msg) = cfg.hermes.validate() {
+            panic!("invalid HermesConfig: {msg}");
+        }
+        let n = cfg.arenas.max(1);
+        let factor = cfg.reserve_factor.max(1);
+        let heap_per = per_shard_capacity(cfg.heap_capacity, n);
+        let large_per = per_shard_capacity(cfg.large_capacity, n);
         let numa_nodes = platform().numa_nodes().max(1);
         let mut ranges: Vec<RouteRange> = Vec::with_capacity(n * 2);
         let mut max_request = 0usize;
-        let shards: Box<[Shard]> = sets
-            .into_iter()
-            .enumerate()
-            .map(|(i, (h, l))| {
-                let node = i % numa_nodes;
-                if numa_nodes > 1 {
-                    h.bind_to_node(node);
-                    l.bind_to_node(node);
-                }
-                let hb = h.base().as_ptr() as usize;
-                ranges.push((hb, hb + h.reserved(), i, false));
-                let lb = l.base().as_ptr() as usize;
-                ranges.push((lb, lb + l.reserved(), i, true));
-                max_request = max_request.max(l.reserved());
-                Shard::new(h, l, &cfg, n, node)
-            })
-            .collect();
+        let mut shards = Vec::with_capacity(n);
+        for i in 0..n {
+            let h = Arena::map(heap_per, heap_per.saturating_mul(factor), false)?;
+            let l = Arena::map(large_per, large_per.saturating_mul(factor), false)?;
+            let node = i % numa_nodes;
+            if numa_nodes > 1 {
+                h.bind_to_node(node);
+                l.bind_to_node(node);
+            }
+            let hb = h.base().as_ptr() as usize;
+            ranges.push((hb, hb + h.reserved(), i, false));
+            let lb = l.base().as_ptr() as usize;
+            ranges.push((lb, lb + l.reserved(), i, true));
+            max_request = max_request.max(l.reserved());
+            shards.push(Shard::new(h, l, &cfg.hermes, n, node));
+        }
         ranges.sort_unstable_by_key(|&(base, ..)| base);
         let shared = Arc::new(Shared {
-            shards,
+            shards: shards.into_boxed_slice(),
             ranges: ranges.into_boxed_slice(),
             counters: Counters::new(),
-            cfg,
+            cfg: cfg.hermes,
             id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
             tcaches: Mutex::new(Vec::new()),
             max_request,
             numa_nodes,
         });
-        HermesHeap {
+        Ok(HermesHeap {
             shared,
             manager: Mutex::new(None),
-        }
+        })
     }
 
     /// Number of arena shards.
@@ -850,6 +836,16 @@ mod tests {
         let c = h.counters();
         assert_eq!(c.alloc_count, 2);
         assert_eq!(c.free_count, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "trim_ratio")]
+    fn invalid_policy_config_is_refused() {
+        // A trim threshold below the target would trim under it and
+        // reserve again every round.
+        let mut cfg = HermesHeapConfig::small();
+        cfg.hermes.trim_ratio = 0.5;
+        let _ = HermesHeap::new(cfg);
     }
 
     #[test]
