@@ -3,9 +3,11 @@
 //!
 //! Chunks are carved from a dedicated arena. A freed or pre-reserved chunk
 //! goes into the [`SegregatedFreeList`]; handing one out is allocation-
-//! latency-free because its pages were already touched. Over-sized
-//! hand-outs are registered in the [`DelayedShrinkSet`] and trimmed back on
-//! the next management round, so the requester never waits for the shrink.
+//! latency-free because its pages were already touched. A request first
+//! looks for a chunk of its own size class, then applies Equation 1's
+//! rule. Over-sized hand-outs are registered in the [`DelayedShrinkSet`]
+//! and trimmed back on the next management round, so the requester never
+//! waits for the shrink.
 //!
 //! Divergence from the paper (recorded in DESIGN.md): chunks are carved
 //! from one arena reservation, where `mremap`-style in-place expansion
@@ -13,19 +15,23 @@
 //! back to carving a fresh chunk. Trimmed and delayed-shrunk memory is
 //! recycled through an address-ordered extent list that coalesces
 //! adjacent extents, so mixed sizes cannot fragment the arena's address
-//! space away; each extent's pages are really returned to the kernel via
-//! [`Arena::decommit`] (`madvise(DONTNEED)`) as it is trimmed, and the
-//! extent is marked cold so reuse honestly pays (and counts) the
-//! mapping-construction faults again. A cold extent that reaches the bump
-//! frontier is handed back to it: untouched address space either way.
+//! space away. A round takes those ranges out of every list
+//! ([`LargePool::detach`]), returns their pages to the kernel
+//! (`madvise(DONTNEED)`) with no lock held ([`Detached::decommit`]), and
+//! only then lists them as cold extents ([`LargePool::publish`]), so reuse
+//! honestly pays (and counts) the mapping-construction faults again. A
+//! cold extent that reaches the bump frontier is handed back to it:
+//! untouched address space either way.
 //!
 //! Under the `#[global_allocator]` every list here is edited with the
 //! shard's `large` lock held, so no edit may allocate on the large path.
 //! All three lists are B-trees: an insert allocates at most one node of a
 //! few hundred bytes, which the small path serves, however long the list
-//! grows (DESIGN.md §4, *Re-entrancy*).
+//! grows, and a round's [`Detached`] ranges sit in a fixed-capacity buffer
+//! filled before the lock is taken (DESIGN.md §4, *Re-entrancy*).
 
 use super::arena::{Arena, PAGE};
+use crate::platform::platform;
 use crate::policy::{DelayedShrinkSet, MmapChunk, PoolHit, SegregatedFreeList};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,6 +41,101 @@ const MAGIC: u64 = 0x4845_524d_4553_u64; // "HERMES"
 /// Replaces [`MAGIC`] when a block is freed, so a second free of it
 /// aborts instead of pooling its chunk twice.
 const FREED: u64 = 0x0046_5245_4544_u64; // "FREED"
+
+/// Leading chunks of a request's own pool bucket examined, first fit,
+/// before Equation 1's `bucket + 1` rule. That rule never hands a 200 KiB
+/// request a freed 204 KiB chunk; it takes a larger one whose tail the
+/// next round must shrink and decommit (DESIGN.md §2).
+const OWN_BUCKET_PROBE: usize = 8;
+
+/// Most ranges one management round detaches. A round that fills the
+/// buffer leaves its remaining shrink entries pending and its trim
+/// unfinished for the next round.
+const DETACH_CAP: usize = 256;
+
+/// A page range taken out of the pool's lists, and whether the kernel
+/// took its pages back.
+#[derive(Debug, Clone, Copy, Default)]
+struct Range {
+    off: usize,
+    size: usize,
+    cold: bool,
+}
+
+/// One management round's ranges on their way back to the kernel: no
+/// list holds them and no block lives in them, so no allocation can
+/// reach them until [`LargePool::publish`] lists them again. The buffer
+/// is inline and fixed, so filling it never allocates.
+pub(crate) struct Detached {
+    /// Base of the arena the offsets are relative to.
+    base: NonNull<u8>,
+    ranges: [Range; DETACH_CAP],
+    len: usize,
+}
+
+impl Detached {
+    pub(crate) fn new() -> Self {
+        Detached {
+            base: NonNull::dangling(),
+            ranges: [Range::default(); DETACH_CAP],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == DETACH_CAP
+    }
+
+    fn push(&mut self, off: usize, size: usize) {
+        self.ranges[self.len] = Range {
+            off,
+            size,
+            cold: false,
+        };
+        self.len += 1;
+    }
+
+    /// Sorts the ranges by offset, merges adjacent ones, and returns each
+    /// merged range's pages to the kernel with one `madvise(DONTNEED)`,
+    /// recording whether it took them. Meant to run with no lock held.
+    ///
+    /// # Safety
+    ///
+    /// The pool whose [`LargePool::detach`] filled `self` must still be
+    /// alive, and must not have published these ranges yet.
+    pub(crate) unsafe fn decommit(&mut self) {
+        let ranges = &mut self.ranges[..self.len];
+        ranges.sort_unstable_by_key(|r| r.off);
+        let mut merged = 0;
+        for i in 0..ranges.len() {
+            let r = ranges[i];
+            if merged > 0 && ranges[merged - 1].off + ranges[merged - 1].size == r.off {
+                ranges[merged - 1].size += r.size;
+            } else {
+                ranges[merged] = r;
+                merged += 1;
+            }
+        }
+        self.len = merged;
+        for r in &mut self.ranges[..merged] {
+            // SAFETY: the pool's arena is alive per the caller's contract,
+            // the range lies inside its capacity (it was carved, and
+            // capacity only grows), and it is page aligned and holds no
+            // live data: it is a trimmed chunk or a shrunk tail that no
+            // list holds, so nothing can be handed out from it meanwhile.
+            r.cold = unsafe {
+                platform().decommit(
+                    NonNull::new_unchecked(self.base.as_ptr().add(r.off)),
+                    r.size,
+                )
+            };
+        }
+    }
+}
 
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
@@ -170,12 +271,6 @@ impl LargePool {
         self.stats.cold_allocs
     }
 
-    /// Bytes returned to the kernel, cumulative
-    /// ([`LargeStats::decommitted`] without the snapshot).
-    pub fn decommitted(&self) -> u64 {
-        self.stats.decommitted
-    }
-
     /// `true` if `ptr` belongs to this pool's arena.
     pub fn contains(&self, ptr: *const u8) -> bool {
         self.arena.contains(ptr)
@@ -222,18 +317,9 @@ impl LargePool {
         Some((off, false))
     }
 
-    /// Recycles `[off, off+size)` into the extent list, returning its
-    /// pages to the kernel. If the kernel refuses the decommit, the
-    /// extent simply stays warm.
-    fn push_extent(&mut self, off: usize, size: usize) {
-        // SAFETY: the range comes from a trimmed pool chunk or a
-        // delayed-shrink tail — no live payload or header remains in it.
-        let freed = unsafe { self.arena.decommit(off, size) };
-        if freed > 0 {
-            self.committed = self.committed.saturating_sub(freed);
-            self.stats.decommitted += freed as u64;
-        }
-        let warm = freed == 0;
+    /// Recycles `[off, off+size)` into the extent list; `warm` says
+    /// whether its pages are still resident.
+    fn push_extent(&mut self, off: usize, size: usize, warm: bool) {
         self.stats.extent_bytes += size;
         let (mut off, mut size) = (off, size);
         // Coalesce: fold the successor into the new extent, then that into
@@ -282,7 +368,11 @@ impl LargePool {
     pub fn alloc(&mut self, size: usize, align: usize) -> Option<NonNull<u8>> {
         let pad = if align > PAGE { align } else { 0 };
         let need = round_up(size + PAGE + pad, PAGE);
-        let (chunk_off, chunk_size, warm) = match self.pool.take(need) {
+        let hit = match self.pool.take_own_bucket(need, OWN_BUCKET_PROBE) {
+            Some(c) => PoolHit::Fit(c),
+            None => self.pool.take(need),
+        };
+        let (chunk_off, chunk_size, warm) = match hit {
             PoolHit::Fit(c) => (c.id as usize, c.size, true),
             PoolHit::Expand { chunk, .. } => {
                 // No mremap: put the too-small chunk back, carve fresh.
@@ -358,10 +448,11 @@ impl LargePool {
         size
     }
 
-    /// Management round, mmap side (Algorithm 2): processes the delayed
-    /// shrink set, reserves pre-touched chunks up to `tgt_mem` when the
-    /// pool is below `rsv_thr`, and releases the smallest chunks above
-    /// `trim_thr`. `mem_chunk` is the per-reservation chunk size.
+    /// Management round, mmap side (Algorithm 2), for a pool its caller
+    /// owns outright: [`LargePool::detach`], [`Detached::decommit`] and
+    /// [`LargePool::publish`] back to back. The runtime's manager runs
+    /// the same three steps itself, with the shard lock dropped around
+    /// the decommit.
     ///
     /// Returns the number of chunks newly reserved.
     pub fn management_round(
@@ -371,7 +462,44 @@ impl LargePool {
         trim_thr: usize,
         mem_chunk: usize,
     ) -> usize {
-        self.process_delayed_shrink();
+        let mut detached = Detached::new();
+        let reserved = self.detach(&mut detached, rsv_thr, tgt_mem, trim_thr, mem_chunk);
+        // SAFETY: `self` filled `detached` and is alive; nothing has
+        // published it.
+        unsafe { detached.decommit() };
+        self.publish(&detached);
+        reserved
+    }
+
+    /// The part of a management round that runs under the shard lock
+    /// before its page operations: cuts each pending delayed shrink back
+    /// to its requested size, reserves pre-touched chunks up to `tgt_mem`
+    /// when the pool is below `rsv_thr`, and takes the smallest chunks
+    /// out of the pool while it holds more than `trim_thr`. Shrunk tails
+    /// and trimmed chunks go into `out`, in no list, still committed.
+    /// `mem_chunk` is the per-reservation chunk size.
+    ///
+    /// Returns the number of chunks newly reserved.
+    pub(crate) fn detach(
+        &mut self,
+        out: &mut Detached,
+        rsv_thr: usize,
+        tgt_mem: usize,
+        trim_thr: usize,
+        mem_chunk: usize,
+    ) -> usize {
+        out.base = self.arena.base();
+        while !out.is_full() {
+            let Some(e) = self.shrink.pop() else { break };
+            let off = e.id as usize;
+            let tail = e.allocated - e.requested;
+            debug_assert!(tail % PAGE == 0, "pool chunks and requests are whole pages");
+            // Rewrite the header with the kept size (plain hand-outs have
+            // their header in the chunk's first page).
+            self.write_header(off + PAGE, off, e.requested);
+            self.stats.live_bytes -= tail;
+            out.push(off + e.requested, tail);
+        }
         let mut reserved = 0;
         if self.pool.total_size() < rsv_thr {
             // `mem_chunk` is a request size; `alloc` adds the header page,
@@ -384,13 +512,30 @@ impl LargePool {
                 reserved += 1;
             }
         }
-        while self.pool.total_size() > trim_thr {
+        while self.pool.total_size() > trim_thr && !out.is_full() {
             match self.pool.take_smallest() {
-                Some(c) => self.push_extent(c.id as usize, c.size),
+                Some(c) => out.push(c.id as usize, c.size),
                 None => break,
             }
         }
         reserved
+    }
+
+    /// The part of a management round that runs under the shard lock
+    /// after its page operations: lists each of `done`'s ranges as an
+    /// extent, cold, or warm where the kernel refused the decommit, and
+    /// books the bytes returned. Returns those bytes.
+    pub(crate) fn publish(&mut self, done: &Detached) -> usize {
+        let mut freed = 0;
+        for r in &done.ranges[..done.len] {
+            if r.cold {
+                freed += r.size;
+            }
+            self.push_extent(r.off, r.size, !r.cold);
+        }
+        self.committed = self.committed.saturating_sub(freed);
+        self.stats.decommitted += freed as u64;
+        freed
     }
 
     /// Carves and pre-touches one chunk of `bytes`, adding it to the pool.
@@ -413,26 +558,13 @@ impl LargePool {
         }
     }
 
-    /// Applies the delayed shrink set: each over-sized live chunk is cut
-    /// back to its requested size and the tail recycled.
+    /// A management round that only shrinks: [`LargePool::management_round`]
+    /// with reservation and trim switched off. Returns the tail bytes
+    /// released.
     pub fn process_delayed_shrink(&mut self) -> usize {
-        let mut released = 0;
-        for e in self.shrink.drain() {
-            let off = e.id as usize;
-            let tail = e.allocated - e.requested;
-            debug_assert!(tail % PAGE == 0, "pool chunks and requests are whole pages");
-            let tail_pages = tail / PAGE * PAGE;
-            if tail_pages == 0 {
-                continue;
-            }
-            self.push_extent(off + e.allocated - tail_pages, tail_pages);
-            self.stats.live_bytes -= tail_pages;
-            released += tail_pages;
-            // Rewrite the header with the reduced size (plain hand-outs
-            // have their header in the chunk's first page).
-            self.write_header(off + PAGE, off, e.allocated - tail_pages);
-        }
-        released
+        let live = self.stats.live_bytes;
+        self.management_round(0, 0, usize::MAX, 0);
+        live - self.stats.live_bytes
     }
 
     /// Pending shrink entries (diagnostics).
@@ -500,7 +632,9 @@ mod tests {
         assert_eq!(p.shrink_pending(), 1);
         // A live chunk above keeps the shrunk tail off the bump frontier.
         let above = p.alloc(512 * KB, PAGE).unwrap();
-        let released = p.process_delayed_shrink();
+        let live = p.stats().live_bytes;
+        p.management_round(0, 0, usize::MAX, 256 * KB);
+        let released = live - p.stats().live_bytes;
         assert!(released > 0, "tail recycled");
         assert_eq!(p.shrink_pending(), 0);
         // The chunk header now reflects the reduced size; freeing returns
@@ -524,7 +658,10 @@ mod tests {
         // SAFETY: a live.
         unsafe { p.free(a) };
         assert_eq!(p.shrink_pending(), 0, "freeing cancels the shrink");
-        assert_eq!(p.process_delayed_shrink(), 0);
+        p.management_round(0, 0, usize::MAX, 256 * KB);
+        let s = p.stats();
+        assert_eq!((s.extent_bytes, s.decommitted), (0, 0), "nothing shrunk");
+        assert_eq!(s.pool_bytes, 1024 * KB, "the whole chunk is back");
     }
 
     #[test]
@@ -661,15 +798,20 @@ mod tests {
             );
             p.stats.extent_bytes += MB;
         }
-        p.push_extent(0, MB);
-        assert_extents_consistent(&p);
-        p.push_extent(2 * MB, MB);
+        // The first and third sit in the pool; a round trims both.
+        for off in [0, 2 * MB] {
+            p.pool.insert(MmapChunk {
+                id: off as u64,
+                size: MB,
+            });
+        }
+        p.management_round(0, 0, 0, 256 * KB);
         assert_extents_consistent(&p);
         // Warm space is never un-bumped: the bump path would book it as
         // committed a second time.
         assert_eq!(p.bump_off, 4 * MB);
         assert_eq!(p.stats().extent_bytes, 4 * MB);
-        // The pushed extents were decommitted (cold): each keeps its own
+        // The trimmed extents were decommitted (cold): each keeps its own
         // entry between the warm ones.
         let warmth: Vec<bool> = p.extents.values().map(|e| e.warm).collect();
         assert_eq!(warmth, [false, true, false, true]);
@@ -760,5 +902,163 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.live, 0);
         assert_eq!(s.live_bytes, 0);
+    }
+
+    #[test]
+    fn freed_chunk_is_reused_by_its_own_size() {
+        let mut p = pool(16);
+        let a = p.alloc(200 * KB, PAGE).unwrap();
+        let b = p.alloc(512 * KB, PAGE).unwrap();
+        // A live chunk above keeps both off the bump frontier.
+        let above = p.alloc(256 * KB, PAGE).unwrap();
+        // SAFETY: a and b live, freed once.
+        unsafe {
+            p.free(a);
+            p.free(b);
+        }
+        // Equation 1 alone starts at the next bucket up and hands out b's
+        // 516 KiB chunk, leaving a tail to shrink.
+        let c = p.alloc(200 * KB, PAGE).unwrap();
+        assert_eq!(c, a, "a's 204 KiB chunk serves the same size again");
+        assert_eq!(p.shrink_pending(), 0);
+        // SAFETY: c and above live, freed once.
+        unsafe {
+            p.free(c);
+            p.free(above);
+        }
+    }
+
+    /// Chunk range `[start, end)` of a block handed out by `alloc` with
+    /// page alignment: the header page, then the payload.
+    fn block_range(p: &LargePool, ptr: NonNull<u8>, size: usize) -> (usize, usize) {
+        let off = ptr.as_ptr() as usize - p.arena.base().as_ptr() as usize;
+        (off - PAGE, off + size)
+    }
+
+    fn ranges(d: &Detached) -> Vec<(usize, usize)> {
+        d.ranges[..d.len]
+            .iter()
+            .map(|r| (r.off, r.off + r.size))
+            .collect()
+    }
+
+    #[test]
+    fn detached_ranges_stay_out_of_reach_until_published() {
+        let mut p = pool(32);
+        // Two over-sized hand-outs pending shrink, two freed chunks for
+        // the trim, and a live chunk on top that pins the frontier.
+        assert!(p.reserve_chunk(520 * KB));
+        assert!(p.reserve_chunk(520 * KB));
+        let shrunk = [(); 2].map(|()| p.alloc(200 * KB, PAGE).unwrap());
+        let [c, d, top] = [300 * KB, 400 * KB, 256 * KB].map(|s| p.alloc(s, PAGE).unwrap());
+        // SAFETY: c and d live, freed once.
+        unsafe {
+            p.free(c);
+            p.free(d);
+        }
+        assert_eq!(p.shrink_pending(), 2);
+        let (committed, decommitted) = (p.stats().committed, p.stats().decommitted);
+
+        let mut detached = Detached::new();
+        p.detach(&mut detached, 0, 0, 0, 256 * KB);
+        let taken = ranges(&detached);
+        assert_eq!(taken.len(), 4, "two tails and two trimmed chunks");
+        let bytes: usize = taken.iter().map(|(s, e)| e - s).sum();
+        assert_eq!(bytes, 2 * 316 * KB + 304 * KB + 404 * KB);
+        let listed = p
+            .pool
+            .iter()
+            .map(|c| (c.id as usize, c.size))
+            .chain(p.extents.iter().map(|(&off, e)| (off, e.size)));
+        for (off, size) in listed {
+            assert!(
+                taken.iter().all(|&(s, e)| off + size <= s || e <= off),
+                "[{off}, +{size}) is listed and detached"
+            );
+        }
+        assert_eq!(p.stats().committed, committed);
+        // SAFETY: p filled `detached` and has not published it.
+        unsafe { detached.decommit() };
+        assert_eq!(p.stats().committed, committed);
+
+        // Requests of the trimmed chunks' sizes, made while the ranges are
+        // in flight, are carved elsewhere.
+        let between: Vec<_> = [300 * KB, 400 * KB, 200 * KB, 600 * KB]
+            .into_iter()
+            .map(|s| (p.alloc(s, PAGE).unwrap(), s))
+            .collect();
+        for &(ptr, size) in &between {
+            let (start, end) = block_range(&p, ptr, size);
+            assert!(taken.iter().all(|&(s, e)| end <= s || e <= start));
+        }
+        let committed = p.stats().committed;
+        assert_eq!(p.publish(&detached), bytes);
+        assert_extents_consistent(&p);
+        let s = p.stats();
+        assert_eq!(s.decommitted, decommitted + bytes as u64);
+        assert_eq!(s.committed, committed - bytes);
+        for (ptr, _) in between.into_iter().chain(shrunk.map(|b| (b, 0))) {
+            // SAFETY: each block is live and freed once.
+            unsafe { p.free(ptr) };
+        }
+        // SAFETY: top live, freed once.
+        unsafe { p.free(top) };
+    }
+
+    #[test]
+    fn a_refused_decommit_publishes_warm() {
+        let mut p = pool(16);
+        let a = p.alloc(256 * KB, PAGE).unwrap();
+        // A live chunk above keeps the extent off the bump frontier.
+        let above = p.alloc(256 * KB, PAGE).unwrap();
+        // SAFETY: a live, freed once.
+        unsafe { p.free(a) };
+        let committed = p.stats().committed;
+        let mut detached = Detached::new();
+        p.detach(&mut detached, 0, 0, 0, 256 * KB);
+        // SAFETY: p filled `detached` and has not published it.
+        unsafe { detached.decommit() };
+        // Stand in for a kernel that refused the `madvise`.
+        detached.ranges[0].cold = false;
+        assert_eq!(p.publish(&detached), 0);
+        assert_extents_consistent(&p);
+        let s = p.stats();
+        assert_eq!((s.committed, s.decommitted), (committed, 0));
+        let warm: Vec<_> = p.extents.values().map(|e| (e.size, e.warm)).collect();
+        assert_eq!(warm, [(260 * KB, true)]);
+        // A warm extent is reused without re-touching.
+        let b = p.alloc(256 * KB, PAGE).unwrap();
+        assert_eq!(b, a);
+        assert_eq!(p.stats().committed, committed);
+        // SAFETY: b and above live, freed once.
+        unsafe {
+            p.free(b);
+            p.free(above);
+        }
+    }
+
+    #[test]
+    fn a_full_detach_buffer_leaves_the_rest_for_the_next_round() {
+        let mut p = pool(64);
+        // One more shrink entry than the buffer holds, each a 4 KiB tail:
+        // a 136 KiB chunk handed out for a 128 KiB request.
+        let blocks: Vec<_> = (0..DETACH_CAP + 1)
+            .map(|_| {
+                assert!(p.reserve_chunk(136 * KB));
+                p.alloc(128 * KB, PAGE).unwrap()
+            })
+            .collect();
+        assert!(p.reserve_chunk(136 * KB), "one chunk for the trim");
+        p.management_round(0, 0, 0, 128 * KB);
+        assert_eq!(p.shrink_pending(), 1);
+        assert_eq!(p.pool_total(), 136 * KB, "no room left for the trim");
+        p.management_round(0, 0, 0, 128 * KB);
+        assert_eq!(p.shrink_pending(), 0);
+        assert_eq!(p.pool_total(), 0);
+        assert_extents_consistent(&p);
+        for b in blocks {
+            // SAFETY: each block is live and freed once.
+            unsafe { p.free(b) };
+        }
     }
 }

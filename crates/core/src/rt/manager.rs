@@ -11,7 +11,11 @@
 //!   concurrent `malloc`s interleave (Figure 6(b)); trims above `TRIM_THR`;
 //! * **mmap side** (Algorithm 2) — processes the shard's delayed-shrink
 //!   set, refills its segregated pool to `TGT_MEM`, releases above
-//!   `TRIM_THR`.
+//!   `TRIM_THR`. One hold of the shard's `large` lock cuts the shrink
+//!   tails, reserves (populating each reserved chunk) and takes the trimmed
+//!   chunks out of the pool; the lock is then dropped while those ranges
+//!   are decommitted, and a second, short hold lists them as extents. An
+//!   allocation or free therefore never waits on a decommit.
 //!
 //! Reservation and trim byte counters are recorded on the shard they
 //! belong to; round bookkeeping lands on the runtime-wide counters.
@@ -24,6 +28,7 @@
 //! `HermesConfig::manager_core`) pins the thread to a CPU so those
 //! drains and the reservation work stay off the application's cores.
 
+use super::large::Detached;
 use super::stats::Counters;
 use super::{lock, remote, Shard, Shared};
 use crate::platform::platform;
@@ -145,19 +150,31 @@ fn heap_round(shard: &Shard) {
 }
 
 fn large_round(shard: &Shard) {
+    // Sized before the lock is taken; it never grows under it.
+    let mut detached = Detached::new();
     let mut g = lock(&shard.large);
     let th = g.tracker.roll_interval();
     let before = g.pool.pool_total();
-    let decommitted_before = g.pool.decommitted();
-    g.pool
-        .management_round(th.rsv_thr, th.tgt_mem, th.trim_thr, th.mem_chunk);
+    g.pool.detach(
+        &mut detached,
+        th.rsv_thr,
+        th.tgt_mem,
+        th.trim_thr,
+        th.mem_chunk,
+    );
     let after = g.pool.pool_total();
-    let decommitted = g.pool.decommitted() - decommitted_before;
     drop(g);
     if after > before {
         Counters::add(&shard.counters.reserved_bytes, (after - before) as u64);
     } else {
         Counters::add(&shard.counters.trimmed_bytes, (before - after) as u64);
     }
-    Counters::add(&shard.counters.decommitted_bytes, decommitted);
+    if detached.is_empty() {
+        return;
+    }
+    // SAFETY: the shard, and with it the pool that filled `detached`,
+    // lives as long as `shard`; only this round publishes it.
+    unsafe { detached.decommit() };
+    let decommitted = lock(&shard.large).pool.publish(&detached);
+    Counters::add(&shard.counters.decommitted_bytes, decommitted as u64);
 }

@@ -10,6 +10,10 @@
 //! bump frontier had nowhere to go: `Exhausted` near query 36 000 with
 //! ~80 MiB live. With address-ordered, coalescing extents the stream runs
 //! indefinitely and the space parked in extents stays bounded.
+//!
+//! The same stream also runs against a live management thread, whose
+//! decommits happen with the shard lock dropped while this thread
+//! allocates and frees: every value must read back intact.
 
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
 use hermes_core::HermesConfig;
@@ -18,6 +22,17 @@ use std::ptr::NonNull;
 
 const KIB: usize = 1024;
 const LIVE: usize = 300;
+
+fn heap() -> HermesHeap {
+    HermesHeap::new(HermesHeapConfig {
+        heap_capacity: 256 << 20,
+        large_capacity: 512 << 20,
+        arenas: 2,
+        reserve_factor: 4,
+        hermes: HermesConfig::default(),
+    })
+    .unwrap()
+}
 
 /// SplitMix64, as in `benchmark/src/workload.rs`.
 struct Rng(u64);
@@ -46,14 +61,7 @@ impl Rng {
 
 #[test]
 fn kv_large_stream_does_not_exhaust_address_space() {
-    let heap = HermesHeap::new(HermesHeapConfig {
-        heap_capacity: 256 << 20,
-        large_capacity: 512 << 20,
-        arenas: 2,
-        reserve_factor: 4,
-        hermes: HermesConfig::default(),
-    })
-    .unwrap();
+    let heap = heap();
     let queries = if cfg!(debug_assertions) {
         100_000
     } else {
@@ -91,6 +99,72 @@ fn kv_large_stream_does_not_exhaust_address_space() {
         // SAFETY: live, freed once, layout as allocated.
         unsafe { heap.deallocate(p, layout) };
     }
+    assert_eq!(heap.large_stats().live, 0);
+    heap.check_integrity().unwrap();
+}
+
+/// Writes `tag` to the first, middle and last byte of a `size`-byte
+/// value, or checks that they still hold it.
+///
+/// # Safety
+///
+/// `p` must be a live allocation of at least `size` bytes.
+unsafe fn stamp(p: NonNull<u8>, size: usize, tag: u8, check: bool) {
+    for at in [0, size / 2, size - 1] {
+        // SAFETY: `at < size`, inside the caller's live allocation.
+        unsafe {
+            let b = p.as_ptr().add(at);
+            if check {
+                assert_eq!(*b, tag, "byte {at} of a {size}-byte value");
+            } else {
+                *b = tag;
+            }
+        }
+    }
+}
+
+#[test]
+fn kv_large_stream_under_a_live_manager_keeps_every_byte() {
+    let heap = heap();
+    heap.start_manager();
+    let queries = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        200_000
+    };
+    let mut rng = Rng(0x4845_524d_4553);
+    let mut live: Vec<(NonNull<u8>, Layout, u8)> = Vec::with_capacity(LIVE + 1);
+    for q in 0..LIVE + queries {
+        let layout = Layout::from_size_align(rng.value_size(), 16).unwrap();
+        let p = heap.allocate(layout).unwrap_or_else(|e| {
+            panic!("query {q}: {e} with {:?}", heap.large_stats());
+        });
+        // SAFETY: fresh allocation of `layout.size()` bytes.
+        unsafe { stamp(p, layout.size(), q as u8, false) };
+        live.push((p, layout, q as u8));
+        if live.len() > LIVE {
+            let (victim, layout, tag) = live.swap_remove(rng.below(live.len()));
+            // SAFETY: live, stamped at allocation, freed once with its
+            // layout.
+            unsafe {
+                stamp(victim, layout.size(), tag, true);
+                heap.deallocate(victim, layout);
+            }
+        }
+    }
+    for (p, layout, tag) in live {
+        // SAFETY: as above.
+        unsafe {
+            stamp(p, layout.size(), tag, true);
+            heap.deallocate(p, layout);
+        }
+    }
+    heap.stop_manager();
+    let c = heap.counters();
+    assert!(
+        c.manager_rounds > 0 && c.decommitted_bytes > 0,
+        "the manager decommitted while the stream ran: {c:?}"
+    );
     assert_eq!(heap.large_stats().live, 0);
     heap.check_integrity().unwrap();
 }
