@@ -529,8 +529,9 @@ mod tests {
             map_mem_error(MemError::UnknownProcess),
             AllocError::UnregisteredThread
         );
-        // A bad file id must NOT masquerade as exhaustion: fault
-        // attribution in the pressure matrices depends on the split.
+        // A bad file id must NOT masquerade as exhaustion: a caller that
+        // frees memory and retries on `Exhausted` would retry a request
+        // that can never succeed.
         assert_eq!(
             map_mem_error(MemError::UnknownFile),
             AllocError::UnknownFile

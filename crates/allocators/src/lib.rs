@@ -23,17 +23,15 @@
 //! [`SimBackend`]) with two *real* wall-clock backends — the actual
 //! Hermes runtime ([`RealHermesBackend`]) and the process allocator
 //! ([`RealSystemBackend`]) — so every service and workload runs on
-//! simulated and real memory through one code path. [`FaultBackend`]
-//! wraps any of them with deterministic fault injection (seeded
-//! `Exhausted` schedules, live-byte budgets, latency spikes), making
-//! allocation-failure paths testable on every backend.
+//! simulated and real memory through one code path. Allocation failure
+//! is the typed [`AllocError`] every backend returns when it really runs
+//! out.
 
 #![warn(missing_docs)]
 
 pub mod backend;
 pub mod costs;
 pub mod daemon_sim;
-pub mod fault;
 pub mod glibc;
 pub mod heap_model;
 pub mod hermes;
@@ -47,7 +45,6 @@ pub use backend::{
     SimBackend, SimEnv,
 };
 pub use daemon_sim::MonitorDaemonSim;
-pub use fault::{FaultBackend, FaultConfig, FaultProbe, FaultStats};
 pub use glibc::GlibcSim;
 pub use hermes::HermesSim;
 pub use jemalloc::JemallocSim;

@@ -4,8 +4,8 @@
 //! checks for free by joining `all_backends`.
 
 use hermes_allocators::{
-    AllocError, AllocatorBackend, AllocatorKind, BackendKind, FaultBackend, FaultConfig,
-    RealHermesBackend, RealSystemBackend, SimBackend, SimEnv,
+    AllocError, AllocatorBackend, AllocatorKind, BackendKind, RealHermesBackend, RealSystemBackend,
+    SimBackend, SimEnv,
 };
 use hermes_core::rt::HermesHeapConfig;
 use hermes_core::HermesConfig;
@@ -237,99 +237,49 @@ fn oversized_requests_fail_typed_on_real_backends() {
 }
 
 #[test]
-fn exhaust_then_recover_under_a_byte_budget() {
-    // Alloc-until-`Exhausted`, free, alloc again — over every backend,
-    // made finite by a fault-wrapper byte budget so the real system
-    // allocator participates too. The failure must be typed, leak
-    // nothing, and clear once memory is returned.
-    const CHUNK: usize = 1 << 20;
-    for inner in all_backends() {
-        let label = inner.kind().label();
-        let mut b = FaultBackend::new(inner, FaultConfig::new(17).with_budget(4 * CHUNK));
+fn real_hermes_exhausts_natively_and_recovers() {
+    // Both real shapes really run out: the fixed small heap, and the
+    // growing one once `Arena::grow` has used its whole 4x reservation.
+    // The cap on the loop guards against an unbounded heap masking a
+    // missing error.
+    for cfg in [
+        HermesHeapConfig::small(),
+        HermesHeapConfig::small().with_reserve_factor(4),
+    ] {
+        let factor = cfg.reserve_factor;
+        let mut b = RealHermesBackend::with_heap_config(cfg).unwrap();
         let mut held = Vec::new();
-        let denial = loop {
-            match b.malloc(CHUNK) {
+        let mut exhausted = false;
+        for _ in 0..4096 {
+            match b.malloc(256 * 1024) {
                 Ok((h, _)) => held.push(h),
-                Err(e) => break e,
+                Err(AllocError::Exhausted) => {
+                    exhausted = true;
+                    break;
+                }
+                Err(e) => panic!("reserve x{factor}: expected Exhausted, got {e}"),
             }
-            assert!(held.len() <= 5, "{label}: budget must bite within 5 chunks");
-        };
+        }
+        assert!(exhausted, "reserve x{factor}: must exhaust within the cap");
         assert!(
-            matches!(denial, AllocError::Exhausted),
-            "{label}: expected Exhausted, got {denial:?}"
+            !held.is_empty(),
+            "reserve x{factor}: some allocations landed"
         );
-        assert_eq!(held.len(), 4, "{label}: exactly the budget was served");
-        assert_eq!(b.stats().live as usize, held.len(), "{label}: no leak");
-        // Recovery: freeing makes the same request succeed again.
-        b.free(held.pop().expect("held chunks"));
-        let (h, _) = b
-            .malloc(CHUNK)
-            .unwrap_or_else(|e| panic!("{label}: post-free malloc failed: {e}"));
-        held.push(h);
-        for h in held.drain(..) {
+        let half = held.len() / 2;
+        for h in held.drain(..half.max(1)) {
             b.free(h);
         }
-        assert_eq!(b.stats().live, 0, "{label}: fully recovered");
-        assert_eq!(b.budget_live_bytes(), 0, "{label}: budget accounting");
-        b.check()
-            .unwrap_or_else(|e| panic!("{label}: integrity after exhaustion: {e}"));
-    }
-}
-
-#[test]
-fn real_hermes_exhausts_natively_and_recovers() {
-    // No wrapper: the small heap config really runs out. The cap on the
-    // loop guards against an unbounded heap masking a missing error.
-    let mut b = RealHermesBackend::with_heap_config(HermesHeapConfig::small()).unwrap();
-    let mut held = Vec::new();
-    let mut exhausted = false;
-    for _ in 0..4096 {
-        match b.malloc(256 * 1024) {
-            Ok((h, _)) => held.push(h),
-            Err(AllocError::Exhausted) => {
-                exhausted = true;
-                break;
-            }
-            Err(e) => panic!("real:hermes: expected Exhausted, got {e}"),
+        let (h, _) = b
+            .malloc(256 * 1024)
+            .unwrap_or_else(|e| panic!("reserve x{factor}: freed memory must serve: {e}"));
+        b.free(h);
+        for h in held {
+            b.free(h);
         }
+        assert_eq!(b.stats().live, 0, "reserve x{factor}: fully drained");
+        b.check()
+            .unwrap_or_else(|e| panic!("reserve x{factor}: integrity after exhaustion: {e}"));
     }
-    assert!(exhausted, "the small heap must exhaust within the cap");
-    assert!(!held.is_empty(), "some allocations landed first");
-    let half = held.len() / 2;
-    for h in held.drain(..half.max(1)) {
-        b.free(h);
-    }
-    let (h, _) = b
-        .malloc(256 * 1024)
-        .expect("freed memory serves new requests");
-    b.free(h);
-    for h in held {
-        b.free(h);
-    }
-    assert_eq!(b.stats().live, 0, "real:hermes: fully drained");
-    b.check().expect("heap integrity after exhaust/recover");
-}
-
-#[test]
-fn fault_backend_schedule_is_deterministic() {
-    let schedule = |seed: u64| -> Vec<bool> {
-        let cfg = FaultConfig::new(seed).with_exhaust_rate(0.25);
-        let mut b = FaultBackend::new(RealSystemBackend::new(), cfg);
-        (0..200)
-            .map(|_| match b.malloc(1024) {
-                Ok((h, _)) => {
-                    b.free(h);
-                    false
-                }
-                Err(_) => true,
-            })
-            .collect()
-    };
-    let a = schedule(21);
-    assert_eq!(a, schedule(21), "same seed, same failure schedule");
-    assert!(a.iter().any(|&f| f), "the rate injected something");
-    assert!(!a.iter().all(|&f| f), "and let something through");
-    assert_ne!(a, schedule(22), "different seed, different schedule");
 }
 
 #[test]

@@ -10,14 +10,11 @@
 //! backend-aware benches run the actual Hermes runtime and the system
 //! allocator on wall-clock time. With `--backend real` and no explicit
 //! subset, only the real-capable benches run.
-//!
-//! `--scenario` is shorthand for the pressure-scenario matrix: it runs
-//! the `scenario` bench, which always covers all six backends itself.
 
 use hermes_core::config::default_arena_count;
 use std::process::Command;
 
-const BENCHES: [&str; 23] = [
+const BENCHES: [&str; 21] = [
     "fig02",
     "fig03",
     "fig07",
@@ -38,18 +35,14 @@ const BENCHES: [&str; 23] = [
     "ablation_fadvise",
     "ablation_shrink",
     "contention",
-    "real_alloc",
     "service_backend",
-    "scenario",
 ];
 
 /// Benches that exercise real memory and honour `HERMES_BACKEND=real`.
-const REAL_BENCHES: [&str; 4] = ["service_backend", "real_alloc", "contention", "scenario"];
+const REAL_BENCHES: [&str; 2] = ["service_backend", "contention"];
 
 fn usage_exit() -> ! {
-    eprintln!(
-        "usage: repro_all [--backend sim|real] [--scenario] [bench...]\nknown benches: {BENCHES:?}"
-    );
+    eprintln!("usage: repro_all [--backend sim|real] [bench...]\nknown benches: {BENCHES:?}");
     std::process::exit(2);
 }
 
@@ -68,8 +61,6 @@ fn main() {
                 usage_exit();
             }
             backend = v.to_string();
-        } else if a == "--scenario" {
-            names.push("scenario".to_string());
         } else {
             names.push(a);
         }

@@ -14,33 +14,26 @@
 //! path drives the four simulated allocator models in virtual time *and*
 //! the real Hermes runtime / system allocator in wall time. Build
 //! concrete models directly, or go through [`build_service_on`] with a
-//! [`BackendKind`] ([`build_service_faulted`] additionally wraps the
-//! backend in fault injection).
+//! [`BackendKind`].
 //!
-//! When allocation *fails*, the [`degrade`] module turns the typed
-//! error into policy: bounded retry with backoff, criticality-tagged
-//! shedding, per-pressure-level accounting.
+//! When allocation *fails*, a query returns the backend's typed
+//! [`AllocError`](hermes_allocators::AllocError), and nothing it
+//! allocated before the failure leaks.
 
 #![warn(missing_docs)]
 
-pub mod degrade;
 pub mod files;
 pub mod redis;
 pub mod rocksdb;
 pub mod service;
 
-pub use degrade::{
-    query_degraded, Criticality, DegradeCounters, DegradePolicy, LevelCounters, PressureLevel,
-    QueryOutcome,
-};
 pub use files::{FileStore, RealFiles, SimFiles};
 pub use redis::{RedisCosts, RedisModel};
 pub use rocksdb::{RocksdbCosts, RocksdbModel};
 pub use service::{QueryLatency, Service};
 
 use hermes_allocators::{
-    build_backend, AllocatorBackend, BackendKind, BuildError, FaultBackend, FaultConfig,
-    SimBackend, SimEnv,
+    build_backend, AllocatorBackend, BackendKind, BuildError, SimBackend, SimEnv,
 };
 use hermes_core::HermesConfig;
 
@@ -87,28 +80,6 @@ pub fn build_service_on(
     seed: u64,
     cfg: &HermesConfig,
 ) -> Result<Box<dyn Service>, BuildError> {
-    build_service_faulted(service, backend, env, seed, cfg, None)
-}
-
-/// [`build_service_on`] with optional fault injection: when `fault` is
-/// given, the freshly built backend is wrapped in a
-/// [`FaultBackend`] before the service adopts it, so injected
-/// `Exhausted` errors, budgets and latency spikes hit the service's own
-/// allocation path. The caller keeps the config's
-/// [`FaultProbe`](hermes_allocators::FaultProbe) to observe injections
-/// after the service is boxed.
-///
-/// # Errors
-///
-/// Same as [`build_service_on`].
-pub fn build_service_faulted(
-    service: ServiceKind,
-    backend: BackendKind,
-    env: Option<&SimEnv>,
-    seed: u64,
-    cfg: &HermesConfig,
-    fault: Option<&FaultConfig>,
-) -> Result<Box<dyn Service>, BuildError> {
     fn finish<B: AllocatorBackend + 'static>(
         service: ServiceKind,
         b: B,
@@ -124,25 +95,16 @@ pub fn build_service_faulted(
         BackendKind::Sim(kind) => {
             let env = env.ok_or(BuildError::NeedsSimEnv)?;
             let b = SimBackend::new(kind, env, seed, cfg);
-            // The file store needs the backend's process identity, so
-            // grab it before any fault wrapper hides the concrete type.
             let files: Box<dyn FileStore> = Box::new(SimFiles::new(
                 env.os.clone(),
                 env.clock.clone(),
                 b.proc_id(),
             ));
-            match fault {
-                Some(f) => finish(service, FaultBackend::new(b, f.clone()), files, seed),
-                None => finish(service, b, files, seed),
-            }
+            finish(service, b, files, seed)
         }
         real => {
             let b = build_backend(real, None, seed, cfg)?;
-            let files: Box<dyn FileStore> = Box::new(RealFiles::new());
-            match fault {
-                Some(f) => finish(service, FaultBackend::new(b, f.clone()), files, seed),
-                None => finish(service, b, files, seed),
-            }
+            finish(service, b, Box::new(RealFiles::new()), seed)
         }
     }
 }
@@ -185,37 +147,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{sk}: query must not fail on a fresh node: {e}"));
             assert!(q.total().as_nanos() > 0, "{sk}: wall-clock latency");
             assert!(!s.backend().clock().is_virtual());
-        }
-    }
-
-    #[test]
-    fn faulted_factory_injects_into_the_service_path() {
-        let cfg = HermesConfig::default();
-        let env = SimEnv::new(OsConfig::small_test_node());
-        for sk in ServiceKind::ALL {
-            let fault = FaultConfig::new(13).with_every_nth(3);
-            let probe = fault.probe.clone();
-            let mut s = build_service_faulted(
-                sk,
-                BackendKind::Sim(hermes_allocators::AllocatorKind::Glibc),
-                Some(&env),
-                13,
-                &cfg,
-                Some(&fault),
-            )
-            .unwrap();
-            let mut failures = 0u64;
-            for _ in 0..20 {
-                if s.query(1024).is_err() {
-                    failures += 1;
-                }
-            }
-            assert!(failures > 0, "{sk}: injected faults surface as errors");
-            assert_eq!(
-                probe.snapshot().injected_exhausted,
-                failures,
-                "{sk}: probe sees the boxed backend's injections"
-            );
         }
     }
 

@@ -138,22 +138,6 @@ impl<B: AllocatorBackend> Service for RedisModel<B> {
         self.costs.lookup + self.backend.free(h) + self.backend.free(entry)
     }
 
-    fn shed_memory(&mut self, target: usize) -> usize {
-        // Value memory is the bulk of a record; evict whole records
-        // (value + entry metadata) approximately oldest-first until the
-        // target is met. Each eviction pays one hash-table lookup.
-        let mut freed = 0;
-        while freed < target && !self.records.is_empty() {
-            let (entry, h, size) = self.records.swap_remove(0);
-            self.stored -= size;
-            self.clock.advance(self.costs.lookup);
-            self.backend.free(h);
-            self.backend.free(entry);
-            freed += size + self.costs.entry_bytes;
-        }
-        freed
-    }
-
     fn stored_bytes(&self) -> usize {
         self.stored
     }
@@ -164,10 +148,6 @@ impl<B: AllocatorBackend> Service for RedisModel<B> {
 
     fn backend(&self) -> &dyn AllocatorBackend {
         &self.backend
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn AllocatorBackend {
-        &mut self.backend
     }
 }
 
@@ -258,26 +238,5 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{kind}: query must not exhaust: {e}"));
             assert!(q.total() > SimDuration::ZERO, "{kind}");
         }
-    }
-
-    #[test]
-    fn shed_memory_frees_records_value_first() {
-        let (_env, mut r) = redis(AllocatorKind::Glibc);
-        for _ in 0..20 {
-            r.query(4096)
-                .unwrap_or_else(|e| panic!("insert must not exhaust at this scale: {e}"));
-        }
-        let live_before = r.backend().stats().live;
-        let freed = r.shed_memory(8 * 4096);
-        assert!(freed >= 8 * 4096, "freed {freed}");
-        assert!(r.stored_bytes() < 20 * 4096);
-        assert!(r.backend().stats().live < live_before, "handles released");
-        // Shedding everything leaves an empty, still-functional store.
-        let freed_all = r.shed_memory(usize::MAX);
-        assert!(freed_all > 0);
-        assert_eq!(r.stored_bytes(), 0);
-        assert_eq!(r.shed_memory(1024), 0, "nothing left to shed");
-        r.query(1024)
-            .expect("service still serves after a full shed");
     }
 }

@@ -61,12 +61,10 @@ pub struct RocksdbModel<B: AllocatorBackend> {
     files: Box<dyn FileStore>,
     costs: RocksdbCosts,
     wal: FileId,
-    /// Live SST files and the page-cache bytes each one populated.
-    ssts: Vec<(FileId, usize)>,
+    /// Live SST files, oldest first.
+    ssts: Vec<FileId>,
     /// Live arena blocks backing the current memtable.
     arena_blocks: Vec<AllocHandle>,
-    /// Allocator bytes held by the memtable arena (blocks + nodes).
-    arena_bytes: usize,
     arena_left: usize,
     memtable_bytes: usize,
     stored: usize,
@@ -101,7 +99,6 @@ impl<B: AllocatorBackend> RocksdbModel<B> {
             wal,
             ssts: Vec::new(),
             arena_blocks: Vec::new(),
-            arena_bytes: 0,
             arena_left: 0,
             memtable_bytes: 0,
             stored: 0,
@@ -119,11 +116,6 @@ impl<B: AllocatorBackend> RocksdbModel<B> {
         self.ssts.len()
     }
 
-    /// Bytes in the active memtable.
-    pub fn memtable_bytes(&self) -> usize {
-        self.memtable_bytes
-    }
-
     fn copy_cost(&self, bytes: usize) -> SimDuration {
         SimDuration::from_nanos((bytes as f64 * self.costs.per_byte_ns) as u64)
     }
@@ -134,16 +126,15 @@ impl<B: AllocatorBackend> RocksdbModel<B> {
         // the SST write must not advance the foreground clock.
         if let Ok(sst) = self.files.create() {
             let _ = self.files.write_background(sst, self.memtable_bytes);
-            self.ssts.push((sst, self.memtable_bytes));
+            self.ssts.push(sst);
         }
         for h in std::mem::take(&mut self.arena_blocks) {
             self.backend.free(h);
         }
-        self.arena_bytes = 0;
         self.arena_left = 0;
         self.memtable_bytes = 0;
         while self.ssts.len() > self.costs.max_ssts {
-            let (victim, _) = self.ssts.remove(0);
+            let victim = self.ssts.remove(0);
             self.files.delete(victim);
         }
         self.clock.advance(self.costs.flush_stall);
@@ -166,7 +157,6 @@ impl<B: AllocatorBackend> Service for RocksdbModel<B> {
         // Every insert allocates a skiplist node + key slice (small path).
         let (node, node_lat) = self.backend.malloc(48 + 24)?;
         self.arena_blocks.push(node);
-        self.arena_bytes += 48 + 24;
         insert += node_lat;
         if self.arena_left < value_bytes {
             // New arena block through the allocator (mmap path for the
@@ -175,7 +165,6 @@ impl<B: AllocatorBackend> Service for RocksdbModel<B> {
             let (h, lat) = self.backend.malloc(block)?;
             insert += lat;
             self.arena_blocks.push(h);
-            self.arena_bytes += block;
             self.arena_left = block;
         }
         self.arena_left -= value_bytes;
@@ -211,7 +200,7 @@ impl<B: AllocatorBackend> Service for RocksdbModel<B> {
             self.clock.advance(copy);
         } else {
             let idx = self.rng.index(self.ssts.len());
-            let sst = self.ssts[idx].0;
+            let sst = self.ssts[idx];
             read += self.files.read(sst, value_bytes)?;
             let copy = self.copy_cost(value_bytes.min(16 * 1024));
             read += copy;
@@ -227,26 +216,6 @@ impl<B: AllocatorBackend> Service for RocksdbModel<B> {
         self.costs.lookup
     }
 
-    fn shed_memory(&mut self, target: usize) -> usize {
-        let mut freed = 0;
-        // Page cache first: dropping an old SST's cached pages costs no
-        // foreground work and no durability (the model's SSTs are
-        // re-readable), exactly the "drop clean memory first" policy.
-        while freed < target && !self.ssts.is_empty() {
-            let (victim, bytes) = self.ssts.remove(0);
-            self.files.delete(victim);
-            freed += bytes;
-        }
-        // Still short: release the memtable arena with an early flush
-        // (RocksDB's own response to memory pressure). This returns the
-        // arena blocks to the allocator at the cost of a flush stall.
-        if freed < target && self.memtable_bytes > 0 {
-            freed += self.arena_bytes;
-            self.flush();
-        }
-        freed
-    }
-
     fn stored_bytes(&self) -> usize {
         self.stored
     }
@@ -257,10 +226,6 @@ impl<B: AllocatorBackend> Service for RocksdbModel<B> {
 
     fn backend(&self) -> &dyn AllocatorBackend {
         &self.backend
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn AllocatorBackend {
-        &mut self.backend
     }
 }
 
@@ -395,29 +360,5 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{kind}: query must not exhaust: {e}"));
             assert!(q.total() > SimDuration::ZERO, "{kind}");
         }
-    }
-
-    #[test]
-    fn shed_memory_drops_page_cache_then_memtable() {
-        let (env, mut r) = rocks(AllocatorKind::Glibc);
-        r.costs_mut().memtable_cap = 512 * 1024;
-        for _ in 0..20 {
-            r.query(64 * 1024)
-                .unwrap_or_else(|e| panic!("warm-up query must not fail: {e}"));
-        }
-        assert!(r.sst_count() > 0, "warm-up produced SSTs");
-        let cached_before = env.os().file_cached_pages();
-        let ssts_before = r.sst_count();
-        // Small target: only clean page-cache memory is dropped.
-        let freed = r.shed_memory(256 * 1024);
-        assert!(freed >= 256 * 1024, "freed {freed}");
-        assert!(r.sst_count() < ssts_before, "oldest SSTs evicted");
-        assert!(env.os().file_cached_pages() < cached_before);
-        // Huge target: the memtable arena is also flushed out.
-        let freed_all = r.shed_memory(usize::MAX);
-        assert!(freed_all > 0);
-        assert_eq!(r.memtable_bytes(), 0, "arena released by early flush");
-        r.query(1024)
-            .expect("service still serves after a full shed");
     }
 }

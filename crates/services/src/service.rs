@@ -50,22 +50,14 @@ pub trait Service {
     ///
     /// # Errors
     ///
-    /// Propagates the backend's typed [`AllocError`].
+    /// Propagates the backend's typed [`AllocError`]. Memory the query
+    /// allocated before the failure is freed or stays owned by the
+    /// service; none of it leaks.
     fn query(&mut self, value_bytes: usize) -> Result<QueryLatency, AllocError>;
 
     /// Deletes one stored record (workload churn). Returns its latency,
     /// already elapsed on the clock.
     fn delete_one(&mut self) -> SimDuration;
-
-    /// Releases service memory under pressure, lowest-value first (page
-    /// cache and bulk value memory before metadata), until roughly
-    /// `target` bytes have been returned or nothing sheddable remains.
-    /// Returns the bytes actually released. The degradation layer calls
-    /// this between retries of an [`AllocError::Exhausted`] query.
-    fn shed_memory(&mut self, target: usize) -> usize {
-        let _ = target;
-        0
-    }
 
     /// Bytes of user data currently stored.
     fn stored_bytes(&self) -> usize;
@@ -75,10 +67,6 @@ pub trait Service {
 
     /// The underlying backend (for stats and overhead inspection).
     fn backend(&self) -> &dyn AllocatorBackend;
-
-    /// Mutable access to the backend, for pressure generators that share
-    /// the service's substrate (scenario ballast, colocated tenants).
-    fn backend_mut(&mut self) -> &mut dyn AllocatorBackend;
 }
 
 #[cfg(test)]

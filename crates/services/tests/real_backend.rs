@@ -1,9 +1,10 @@
 //! Acceptance: the Redis service answers queries through the *real*
 //! Hermes runtime — arenas, thread caches and the live management
-//! thread — on wall-clock time, and the identical service path runs
+//! thread — on wall-clock time, fails typed and without leaking when
+//! that runtime really runs out, and the identical service path runs
 //! unchanged over the sim backend.
 
-use hermes_allocators::{AllocatorKind, BackendKind, RealHermesBackend, SimEnv};
+use hermes_allocators::{AllocError, AllocatorKind, BackendKind, RealHermesBackend, SimEnv};
 use hermes_core::rt::HermesHeapConfig;
 use hermes_core::HermesConfig;
 use hermes_os::config::OsConfig;
@@ -56,6 +57,45 @@ fn redis_answers_queries_on_the_real_hermes_runtime() {
     );
     assert!(!redis.backend().clock().is_virtual(), "wall-clock domain");
     redis.backend().check().expect("heap integrity holds");
+}
+
+#[test]
+fn redis_exhausts_on_real_hermes_without_leaking() {
+    // Real exhaustion through the service path: 200 KiB values fill the
+    // small config's large arenas until a value allocation is refused.
+    // The query must fail typed and free the entry it had already
+    // allocated; one delete must make room for the next query.
+    const VALUE: usize = 200 * 1024;
+    let backend =
+        RealHermesBackend::with_heap_config(HermesHeapConfig::small()).expect("arena reservation");
+    let mut redis = RedisModel::new(backend, 7);
+    let mut records = 0u64;
+    let mut exhausted = false;
+    for _ in 0..4096 {
+        match redis.query(VALUE) {
+            Ok(_) => records += 1,
+            Err(AllocError::Exhausted) => {
+                exhausted = true;
+                break;
+            }
+            Err(e) => panic!("expected Exhausted, got {e}"),
+        }
+    }
+    assert!(exhausted, "the small heap must exhaust within the cap");
+    assert!(records > 0, "some queries landed first");
+    assert_eq!(
+        redis.backend().stats().live,
+        2 * records,
+        "entry + value per stored record; the failed query's entry was freed"
+    );
+    redis.delete_one();
+    redis
+        .query(VALUE)
+        .expect("a deleted record's memory serves the next query");
+    redis
+        .backend()
+        .check()
+        .expect("heap integrity after exhaustion");
 }
 
 #[test]

@@ -12,9 +12,6 @@
 //!   Hermes / Killing / Dedicated policies (Table 1).
 //! * [`sensitivity`] — the `RSV_FACTOR` sweep (Figures 15, 16).
 //! * [`overhead`] — management-thread, reserve and daemon overhead (§5.5).
-//! * [`scenario`] — pressure scenarios beyond the paper: deterministic
-//!   load/pressure traces with fault injection and graceful degradation,
-//!   reported as an SLO-violation-vs-pressure matrix.
 //!
 //! Every driver is deterministic for a given seed; the bench harnesses in
 //! `hermes-bench` print paper-vs-measured tables from these results.
@@ -24,7 +21,6 @@
 pub mod colocation;
 pub mod micro;
 pub mod overhead;
-pub mod scenario;
 pub mod sensitivity;
 pub mod slo;
 pub mod throughput;
@@ -32,10 +28,6 @@ pub mod throughput;
 pub use colocation::{run_colocation, ColocationConfig, ColocationResult, PRESSURE_LEVELS};
 pub use micro::{run_micro, run_micro_all, run_micro_on, MicroConfig, MicroResult, Scenario};
 pub use overhead::{measure_overhead, OverheadReport};
-pub use scenario::{
-    run_scenario, sample_criticality, sample_value_bytes, LevelRow, ScenarioConfig, ScenarioResult,
-    ThresholdWatcher, TraceKind, TracePoint,
-};
 pub use sensitivity::{run_sensitivity, SensitivityPoint, FACTORS};
 pub use slo::{
     run_service_latency, run_service_slo, violation_reduction_pct, ServiceLatencyRun,
