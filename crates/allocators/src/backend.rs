@@ -14,6 +14,9 @@
 //!   — real memory, measured with `std::time::Instant` on a
 //!   [`WallClock`].
 //!
+//! Sim backends are built with [`SimBackend::new`] over an experiment's
+//! [`SimEnv`], real ones by their own constructors.
+//!
 //! # Time convention
 //!
 //! Latencies returned by backend operations *have already elapsed on
@@ -81,32 +84,12 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// `true` for the wall-clock backends.
-    pub fn is_real(self) -> bool {
-        !matches!(self, BackendKind::Sim(_))
-    }
-
-    /// Stable label used in tables, CSV names and CLI output.
+    /// Stable label, also the `Display` form (test and log messages).
     pub fn label(self) -> String {
         match self {
             BackendKind::Sim(k) => format!("sim:{k}"),
             BackendKind::RealHermes => "real:hermes".to_string(),
             BackendKind::RealSystem => "real:system".to_string(),
-        }
-    }
-
-    /// Parses a `--backend` axis value: `sim` (defaults to the Hermes
-    /// model), `sim:<allocator>`, `real` / `real:hermes`, `real:system`.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "sim" | "sim:hermes" => Some(BackendKind::Sim(AllocatorKind::Hermes)),
-            "sim:glibc" => Some(BackendKind::Sim(AllocatorKind::Glibc)),
-            "sim:jemalloc" => Some(BackendKind::Sim(AllocatorKind::Jemalloc)),
-            "sim:tcmalloc" => Some(BackendKind::Sim(AllocatorKind::Tcmalloc)),
-            "real" | "real:hermes" => Some(BackendKind::RealHermes),
-            "real:system" | "real:sys" => Some(BackendKind::RealSystem),
-            _ => None,
         }
     }
 }
@@ -349,8 +332,10 @@ impl AllocatorBackend for SimBackend {
             self.alloc.free(handle, now, &mut os)
         };
         self.clock.advance(lat);
-        self.frees += 1;
+        // Only a live handle counts: the model frees nothing for an
+        // unknown or already-freed one, as the real backends do.
         if let Some(size) = self.sizes.remove(&handle) {
+            self.frees += 1;
             self.live_bytes -= size;
         }
         lat
@@ -410,90 +395,9 @@ impl AllocatorBackend for SimBackend {
     }
 }
 
-/// Why a backend could not be built.
-#[derive(Debug)]
-pub enum BuildError {
-    /// A simulated backend was requested without a [`SimEnv`].
-    NeedsSimEnv,
-    /// The real Hermes runtime could not reserve its arenas.
-    Arena(hermes_core::rt::ArenaError),
-    /// Service-side set-up (e.g. WAL creation) failed.
-    Alloc(AllocError),
-}
-
-impl fmt::Display for BuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BuildError::NeedsSimEnv => write!(f, "sim backend requires a SimEnv"),
-            BuildError::Arena(e) => write!(f, "arena reservation failed: {e}"),
-            BuildError::Alloc(e) => write!(f, "set-up allocation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-impl From<hermes_core::rt::ArenaError> for BuildError {
-    fn from(e: hermes_core::rt::ArenaError) -> Self {
-        BuildError::Arena(e)
-    }
-}
-
-impl From<AllocError> for BuildError {
-    fn from(e: AllocError) -> Self {
-        BuildError::Alloc(e)
-    }
-}
-
-/// Builds a boxed backend of the requested kind. Sim backends need the
-/// experiment's [`SimEnv`]; real backends ignore it.
-///
-/// # Errors
-///
-/// [`BuildError::NeedsSimEnv`] for a sim kind without an environment;
-/// [`BuildError::Arena`] when the real runtime cannot reserve backing.
-pub fn build_backend(
-    kind: BackendKind,
-    env: Option<&SimEnv>,
-    seed: u64,
-    cfg: &HermesConfig,
-) -> Result<Box<dyn AllocatorBackend>, BuildError> {
-    Ok(match kind {
-        BackendKind::Sim(k) => {
-            let env = env.ok_or(BuildError::NeedsSimEnv)?;
-            Box::new(SimBackend::new(k, env, seed, cfg))
-        }
-        BackendKind::RealHermes => Box::new(crate::real::RealHermesBackend::new(cfg.clone())?),
-        BackendKind::RealSystem => Box::new(crate::real::RealSystemBackend::new()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_kind_parse_and_label_round_trip() {
-        for (s, k) in [
-            ("sim", BackendKind::Sim(AllocatorKind::Hermes)),
-            ("sim:glibc", BackendKind::Sim(AllocatorKind::Glibc)),
-            ("sim:jemalloc", BackendKind::Sim(AllocatorKind::Jemalloc)),
-            ("sim:tcmalloc", BackendKind::Sim(AllocatorKind::Tcmalloc)),
-            ("real", BackendKind::RealHermes),
-            ("real:hermes", BackendKind::RealHermes),
-            ("real:system", BackendKind::RealSystem),
-        ] {
-            assert_eq!(BackendKind::parse(s), Some(k), "{s}");
-        }
-        assert_eq!(BackendKind::parse("bogus"), None);
-        assert_eq!(BackendKind::RealHermes.label(), "real:hermes");
-        assert!(BackendKind::RealHermes.is_real());
-        assert!(!BackendKind::Sim(AllocatorKind::Hermes).is_real());
-        assert_eq!(
-            BackendKind::parse(&BackendKind::Sim(AllocatorKind::Glibc).label()),
-            Some(BackendKind::Sim(AllocatorKind::Glibc))
-        );
-    }
 
     #[test]
     fn sim_backend_advances_the_shared_clock() {
@@ -536,14 +440,5 @@ mod tests {
             map_mem_error(MemError::UnknownFile),
             AllocError::UnknownFile
         );
-    }
-
-    #[test]
-    fn build_backend_requires_env_for_sims() {
-        let cfg = HermesConfig::default();
-        match build_backend(BackendKind::Sim(AllocatorKind::Glibc), None, 1, &cfg) {
-            Err(BuildError::NeedsSimEnv) => {}
-            other => panic!("expected NeedsSimEnv, got {:?}", other.map(|_| ())),
-        }
     }
 }

@@ -22,9 +22,11 @@
 //! the [`AllocatorBackend`] trait unifies the four sim models (via
 //! [`SimBackend`]) with two *real* wall-clock backends — the actual
 //! Hermes runtime ([`RealHermesBackend`]) and the process allocator
-//! ([`RealSystemBackend`]) — so every service and workload runs on
-//! simulated and real memory through one code path. Allocation failure
-//! is the typed [`AllocError`] every backend returns when it really runs
+//! ([`RealSystemBackend`]) — so the services run one query path on
+//! simulated and real memory. The paper's experiments build sim
+//! backends; real ones are constructed directly by the caller (the repo
+//! benchmark under `benchmark/` and the tests). Allocation failure is
+//! the typed [`AllocError`] every backend returns when it really runs
 //! out.
 
 #![warn(missing_docs)]
@@ -41,8 +43,7 @@ pub mod tcmalloc;
 pub mod traits;
 
 pub use backend::{
-    build_backend, AllocError, AllocatorBackend, BackendKind, BackendStats, BuildError, SharedOs,
-    SimBackend, SimEnv,
+    AllocError, AllocatorBackend, BackendKind, BackendStats, SharedOs, SimBackend, SimEnv,
 };
 pub use daemon_sim::MonitorDaemonSim;
 pub use glibc::GlibcSim;

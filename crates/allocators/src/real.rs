@@ -10,7 +10,6 @@
 use crate::backend::{AllocatorBackend, BackendKind, BackendStats};
 use crate::traits::AllocHandle;
 use hermes_core::rt::{AllocError, ArenaError, HermesHeap, HermesHeapConfig, IntegrityError};
-use hermes_core::HermesConfig;
 use hermes_sim::clock::{ClockHandle, WallClock};
 use hermes_sim::time::SimDuration;
 use std::alloc::Layout;
@@ -121,19 +120,6 @@ impl fmt::Debug for RealHermesBackend {
 }
 
 impl RealHermesBackend {
-    /// Boots a heap with default capacities over `cfg` and starts the
-    /// management thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ArenaError`] when the backing cannot be reserved.
-    pub fn new(cfg: HermesConfig) -> Result<Self, ArenaError> {
-        Self::with_heap_config(HermesHeapConfig {
-            hermes: cfg,
-            ..HermesHeapConfig::default()
-        })
-    }
-
     /// Boots a heap with explicit sizing and starts the management
     /// thread.
     ///

@@ -335,6 +335,13 @@ pub mod sweep {
             let _ = t.write_csv(csv_path(fig, record));
 
             // Shape checks.
+            let h0 = find(&cells, AllocatorKind::Hermes, 0.0).summary.p90;
+            checks.check(
+                &format!("{label} @0%: Hermes p90 <= 1.2x Glibc p90"),
+                "Hermes tail no worse dedicated",
+                &format!("{h0} vs {slo}"),
+                h0 <= slo.mul_f64(1.2),
+            );
             for &level in &[1.0, 1.25, 1.5] {
                 let h = find(&cells, AllocatorKind::Hermes, level).summary.p90;
                 let g = find(&cells, AllocatorKind::Glibc, level).summary.p90;

@@ -172,22 +172,9 @@ where
 }
 
 impl Palindrome {
-    /// Number of configurations.
-    pub fn configs(&self) -> usize {
-        self.first.len()
-    }
-
     /// Number of repetitions.
     pub fn reps(&self) -> usize {
         self.first.first().map_or(0, Vec::len)
-    }
-
-    /// All raw metric values of one configuration (both passes of every
-    /// repetition, `2 * reps` values) — the per-cell sample vector.
-    pub fn samples(&self, cfg: usize) -> Vec<f64> {
-        let mut v = self.first[cfg].clone();
-        v.extend_from_slice(&self.second[cfg]);
-        v
     }
 
     /// Drift-cancelled paired ratios `num / den`, one per repetition:
@@ -202,11 +189,6 @@ impl Palindrome {
                     .sqrt()
             })
             .collect()
-    }
-
-    /// Median paired ratio with its bootstrap interval.
-    pub fn ratio_ci(&self, num: usize, den: usize) -> (f64, Ci) {
-        median_ci(&self.ratio_samples(num, den))
     }
 }
 
@@ -252,8 +234,8 @@ mod tests {
             [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1)],
             "A-B-B-A per repetition"
         );
-        assert_eq!(p.samples(0).len(), 6);
-        let (r, ci) = p.ratio_ci(1, 0);
+        assert_eq!(p.reps(), 3);
+        let (r, ci) = median_ci(&p.ratio_samples(1, 0));
         assert_eq!(r, 2.0);
         assert_eq!((ci.lo, ci.hi), (2.0, 2.0));
         let inv = p.ratio_samples(0, 1);

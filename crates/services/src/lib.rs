@@ -12,12 +12,13 @@
 //! with 1 KB ("small") or 200 KB ("large") values. Both services are
 //! generic over [`hermes_allocators::AllocatorBackend`], so one query
 //! path drives the four simulated allocator models in virtual time *and*
-//! the real Hermes runtime / system allocator in wall time. Build
-//! concrete models directly, or go through [`build_service_on`] with a
-//! [`BackendKind`].
+//! the real Hermes runtime / system allocator in wall time. The paper's
+//! experiments go through [`build_service_on`], which is sim-only; real
+//! memory is built by constructing the model over a real backend (with
+//! [`RealFiles`] for RocksDB), as the repo benchmark does.
 //!
 //! When allocation *fails*, a query returns the backend's typed
-//! [`AllocError`](hermes_allocators::AllocError), and nothing it
+//! [`AllocError`], and nothing it
 //! allocated before the failure leaks.
 
 #![warn(missing_docs)]
@@ -32,9 +33,7 @@ pub use redis::{RedisCosts, RedisModel};
 pub use rocksdb::{RocksdbCosts, RocksdbModel};
 pub use service::{QueryLatency, Service};
 
-use hermes_allocators::{
-    build_backend, AllocatorBackend, BackendKind, BuildError, SimBackend, SimEnv,
-};
+use hermes_allocators::{AllocError, AllocatorKind, SimBackend, SimEnv};
 use hermes_core::HermesConfig;
 
 /// Which service model to build.
@@ -65,69 +64,42 @@ impl std::fmt::Display for ServiceKind {
     }
 }
 
-/// Builds a service over a freshly constructed backend of `backend`
-/// kind. Sim kinds join the experiment's [`SimEnv`] (shared OS +
-/// virtual clock); real kinds boot actual memory and run on wall time.
+/// Builds a service over a fresh sim backend of the `allocator` model,
+/// joined to the experiment's [`SimEnv`] (shared OS + virtual clock).
+/// Real-memory services are built directly, e.g.
+/// `RedisModel::new(RealHermesBackend::with_heap_config(..)?, seed)`.
 ///
 /// # Errors
 ///
-/// [`BuildError::NeedsSimEnv`] for a sim backend without an
-/// environment; otherwise arena-reservation or set-up failures.
+/// Service set-up failures (RocksDB's WAL creation).
 pub fn build_service_on(
     service: ServiceKind,
-    backend: BackendKind,
-    env: Option<&SimEnv>,
+    allocator: AllocatorKind,
+    env: &SimEnv,
     seed: u64,
     cfg: &HermesConfig,
-) -> Result<Box<dyn Service>, BuildError> {
-    fn finish<B: AllocatorBackend + 'static>(
-        service: ServiceKind,
-        b: B,
-        files: Box<dyn FileStore>,
-        seed: u64,
-    ) -> Result<Box<dyn Service>, BuildError> {
-        Ok(match service {
-            ServiceKind::Redis => Box::new(RedisModel::new(b, seed)),
-            ServiceKind::Rocksdb => Box::new(RocksdbModel::new(b, files, seed)?),
-        })
-    }
-    match backend {
-        BackendKind::Sim(kind) => {
-            let env = env.ok_or(BuildError::NeedsSimEnv)?;
-            let b = SimBackend::new(kind, env, seed, cfg);
-            let files: Box<dyn FileStore> = Box::new(SimFiles::new(
-                env.os.clone(),
-                env.clock.clone(),
-                b.proc_id(),
-            ));
-            finish(service, b, files, seed)
+) -> Result<Box<dyn Service>, AllocError> {
+    let b = SimBackend::new(allocator, env, seed, cfg);
+    Ok(match service {
+        ServiceKind::Redis => Box::new(RedisModel::new(b, seed)),
+        ServiceKind::Rocksdb => {
+            let files = SimFiles::new(env.os.clone(), env.clock.clone(), b.proc_id());
+            Box::new(RocksdbModel::new(b, Box::new(files), seed)?)
         }
-        real => {
-            let b = build_backend(real, None, seed, cfg)?;
-            finish(service, b, Box::new(RealFiles::new()), seed)
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hermes_os::config::OsConfig;
-    use hermes_sim::clock::Clock;
 
     #[test]
     fn factory_builds_both_services_on_sim() {
         let cfg = HermesConfig::default();
         let env = SimEnv::new(OsConfig::small_test_node());
         for sk in ServiceKind::ALL {
-            let mut s = build_service_on(
-                sk,
-                BackendKind::Sim(hermes_allocators::AllocatorKind::Hermes),
-                Some(&env),
-                7,
-                &cfg,
-            )
-            .unwrap();
+            let mut s = build_service_on(sk, AllocatorKind::Hermes, &env, 7, &cfg).unwrap();
             assert_eq!(s.name(), sk.name());
             let q = s
                 .query(1024)
@@ -135,33 +107,5 @@ mod tests {
             assert!(q.total().as_nanos() > 0);
             assert!(s.stored_bytes() >= 1024);
         }
-    }
-
-    #[test]
-    fn factory_builds_both_services_on_real_system() {
-        let cfg = HermesConfig::default();
-        for sk in ServiceKind::ALL {
-            let mut s = build_service_on(sk, BackendKind::RealSystem, None, 7, &cfg).unwrap();
-            let q = s
-                .query(1024)
-                .unwrap_or_else(|e| panic!("{sk}: query must not fail on a fresh node: {e}"));
-            assert!(q.total().as_nanos() > 0, "{sk}: wall-clock latency");
-            assert!(!s.backend().clock().is_virtual());
-        }
-    }
-
-    #[test]
-    fn sim_factory_requires_env() {
-        let cfg = HermesConfig::default();
-        let err = build_service_on(
-            ServiceKind::Redis,
-            BackendKind::Sim(hermes_allocators::AllocatorKind::Glibc),
-            None,
-            1,
-            &cfg,
-        )
-        .err()
-        .expect("must fail without env");
-        assert!(matches!(err, BuildError::NeedsSimEnv));
     }
 }

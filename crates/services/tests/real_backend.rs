@@ -1,14 +1,19 @@
 //! Acceptance: the Redis service answers queries through the *real*
 //! Hermes runtime — arenas, thread caches and the live management
 //! thread — on wall-clock time, fails typed and without leaking when
-//! that runtime really runs out, and the identical service path runs
+//! that runtime really runs out; both services run over both real
+//! backends by direct construction; and the identical service path runs
 //! unchanged over the sim backend.
 
-use hermes_allocators::{AllocError, AllocatorKind, BackendKind, RealHermesBackend, SimEnv};
+use hermes_allocators::{
+    AllocError, AllocatorBackend, AllocatorKind, RealHermesBackend, RealSystemBackend, SimEnv,
+};
 use hermes_core::rt::HermesHeapConfig;
 use hermes_core::HermesConfig;
 use hermes_os::config::OsConfig;
-use hermes_services::{build_service_on, RedisModel, Service, ServiceKind};
+use hermes_services::{
+    build_service_on, RealFiles, RedisModel, RocksdbModel, Service, ServiceKind,
+};
 use hermes_sim::clock::Clock;
 use hermes_sim::stats::LatencyRecorder;
 use hermes_sim::time::SimDuration;
@@ -99,14 +104,61 @@ fn redis_exhausts_on_real_hermes_without_leaking() {
 }
 
 #[test]
+fn both_services_run_on_both_real_backends() {
+    // Real memory is built one way: the service model constructed over a
+    // real backend, RocksDB with real files.
+    for service in ServiceKind::ALL {
+        for on_hermes in [true, false] {
+            let backend: Box<dyn AllocatorBackend> = if on_hermes {
+                Box::new(
+                    RealHermesBackend::with_heap_config(HermesHeapConfig::small())
+                        .expect("arena reservation"),
+                )
+            } else {
+                Box::new(RealSystemBackend::new())
+            };
+            let mut svc: Box<dyn Service> = match service {
+                ServiceKind::Redis => Box::new(RedisModel::new(backend, 7)),
+                ServiceKind::Rocksdb => Box::new(
+                    RocksdbModel::new(backend, Box::new(RealFiles::new()), 7)
+                        .expect("WAL creation"),
+                ),
+            };
+            let label = format!("{service} on {}", svc.backend().kind());
+            let mut rec = LatencyRecorder::new(label.clone());
+            for i in 0..64usize {
+                let q = svc
+                    .query(1024)
+                    .unwrap_or_else(|e| panic!("{label}: query failed: {e}"));
+                rec.record(q.total());
+                if i % 8 == 7 {
+                    svc.delete_one();
+                }
+            }
+            assert!(
+                !svc.backend().clock().is_virtual(),
+                "{label}: wall-clock domain"
+            );
+            assert!(
+                rec.percentile(0.99) > SimDuration::ZERO,
+                "{label}: measured latency"
+            );
+            svc.backend()
+                .check()
+                .unwrap_or_else(|e| panic!("{label}: heap integrity: {e}"));
+        }
+    }
+}
+
+#[test]
 fn the_same_service_path_runs_on_the_sim_backend() {
-    // `--backend sim` takes this exact construction: same service code,
+    // The paper's experiments take this construction: same service code,
     // same query loop, virtual time instead of wall time.
     let env = SimEnv::new(OsConfig::small_test_node());
     let mut svc = build_service_on(
         ServiceKind::Redis,
-        BackendKind::Sim(AllocatorKind::Hermes),
-        Some(&env),
+        AllocatorKind::Hermes,
+        &env,
         42,
         &HermesConfig::default(),
     )

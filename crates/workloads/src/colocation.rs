@@ -1,7 +1,7 @@
 //! Co-location experiments (§5.3): a latency-critical service sharing the
 //! node with batch jobs at a configurable memory-pressure level.
 
-use hermes_allocators::{AllocatorKind, BackendKind, MonitorDaemonSim, SimEnv};
+use hermes_allocators::{AllocatorKind, MonitorDaemonSim, SimEnv};
 use hermes_batch::{BatchLoad, BatchPolicy, JobSpec};
 use hermes_core::HermesConfig;
 use hermes_os::prelude::*;
@@ -85,14 +85,8 @@ pub fn run_colocation(cfg: &ColocationConfig) -> ColocationResult {
         seed: cfg.seed,
         ..OsConfig::paper_node()
     });
-    let mut service = build_service_on(
-        cfg.service,
-        BackendKind::Sim(cfg.allocator),
-        Some(&env),
-        cfg.seed,
-        &cfg.hermes,
-    )
-    .expect("service set-up");
+    let mut service = build_service_on(cfg.service, cfg.allocator, &env, cfg.seed, &cfg.hermes)
+        .expect("service set-up");
     let jobs = if cfg.pressure_level > 0.0 { 3 } else { 0 };
     let mut batch = BatchLoad::new(
         &mut env.os(),

@@ -13,8 +13,11 @@
 //! * [`sensitivity`] — the `RSV_FACTOR` sweep (Figures 15, 16).
 //! * [`overhead`] — management-thread, reserve and daemon overhead (§5.5).
 //!
-//! Every driver is deterministic for a given seed; the bench harnesses in
+//! Every driver runs the simulated allocator models in virtual time and
+//! is deterministic for a given seed; the bench harnesses in
 //! `hermes-bench` print paper-vs-measured tables from these results.
+//! Real memory is measured by the repo benchmark under `benchmark/`, not
+//! here.
 
 #![warn(missing_docs)]
 
@@ -26,11 +29,8 @@ pub mod slo;
 pub mod throughput;
 
 pub use colocation::{run_colocation, ColocationConfig, ColocationResult, PRESSURE_LEVELS};
-pub use micro::{run_micro, run_micro_all, run_micro_on, MicroConfig, MicroResult, Scenario};
+pub use micro::{run_micro, run_micro_all, MicroConfig, MicroResult, Scenario};
 pub use overhead::{measure_overhead, OverheadReport};
 pub use sensitivity::{run_sensitivity, SensitivityPoint, FACTORS};
-pub use slo::{
-    run_service_latency, run_service_slo, violation_reduction_pct, ServiceLatencyRun,
-    ServiceSloReport, Slo,
-};
+pub use slo::{violation_reduction_pct, Slo};
 pub use throughput::{run_throughput, ThroughputConfig, ThroughputResult, ThroughputScenario};

@@ -2,17 +2,11 @@
 //! volume is reached, under a dedicated system, anonymous-page pressure or
 //! file-cache pressure.
 //!
-//! The driver runs over the backend-agnostic [`AllocatorBackend`] API:
-//! [`run_micro`] drives a simulated model in virtual time, and
-//! [`run_micro_on`] accepts any [`BackendKind`] — including the real
-//! Hermes runtime and the system allocator, measured on a wall clock
-//! (dedicated scenario only; the pressure hogs exist in the simulated
-//! OS).
+//! [`run_micro`] drives a simulated allocator model through a
+//! [`SimBackend`] in virtual time, on the simulated OS whose hogs create
+//! the pressure scenarios.
 
-use hermes_allocators::{
-    build_backend, AllocatorBackend, AllocatorKind, BackendKind, MonitorDaemonSim, SimBackend,
-    SimEnv,
-};
+use hermes_allocators::{AllocatorBackend, AllocatorKind, MonitorDaemonSim, SimBackend, SimEnv};
 use hermes_batch::{AnonHog, FileHog};
 use hermes_core::HermesConfig;
 use hermes_os::prelude::*;
@@ -163,10 +157,20 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
     backend.advance();
     let t0 = env.clock.now();
 
-    let label = format!("{}-{}-{}", cfg.allocator, cfg.scenario, cfg.request_size);
-    let rec = drive_micro_loop(&mut backend, cfg, label, |now| {
-        daemon.advance_to(now, &mut env.os())
-    });
+    let mut rec = LatencyRecorder::new(format!(
+        "{}-{}-{}",
+        cfg.allocator, cfg.scenario, cfg.request_size
+    ));
+    let mut rng = DetRng::new(cfg.seed, "micro-gap");
+    let n = (cfg.total_bytes / cfg.request_size).max(1);
+    for _ in 0..n {
+        daemon.advance_to(env.clock.now(), &mut env.os());
+        let (_, lat) = backend.malloc(cfg.request_size).expect("micro allocation");
+        rec.record(lat);
+        // Tight loop with minimal think time between requests.
+        let gap = SimDuration::from_nanos(80 + rng.range(0, 60));
+        env.clock.advance(gap);
+    }
 
     let stats = backend.stats();
     let os_stats = env.os().stats();
@@ -177,73 +181,6 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
         management_busy: stats.management_busy,
         daemon_busy: daemon.busy(),
         os_stats,
-    }
-}
-
-/// The shared allocation loop: `n` fixed-size requests with minimal
-/// think time, recording the latency each one reports. The clock moves
-/// per the backend convention (virtual clocks advance by each latency;
-/// wall clocks move on their own).
-fn drive_micro_loop<B: AllocatorBackend>(
-    backend: &mut B,
-    cfg: &MicroConfig,
-    label: String,
-    mut tick: impl FnMut(SimTime),
-) -> LatencyRecorder {
-    let clock = backend.clock();
-    let mut rec = LatencyRecorder::new(label);
-    let mut rng = DetRng::new(cfg.seed, "micro-gap");
-    let n = (cfg.total_bytes / cfg.request_size).max(1);
-    for _ in 0..n {
-        tick(clock.now());
-        let (_, lat) = backend.malloc(cfg.request_size).expect("micro allocation");
-        rec.record(lat);
-        // Tight loop with minimal think time between requests.
-        clock.advance(SimDuration::from_nanos(80 + rng.range(0, 60)));
-    }
-    rec
-}
-
-/// Runs the micro benchmark on any backend. Sim kinds delegate to
-/// [`run_micro`] with the matching allocator model; real kinds run the
-/// identical loop against actual memory on a wall clock.
-///
-/// # Panics
-///
-/// Panics when a real backend is combined with a pressure scenario (the
-/// hogs live in the simulated OS), when the real runtime cannot reserve
-/// its arenas, or on allocation failure — real runs must size
-/// `total_bytes` within the runtime's capacity, since every request
-/// stays live until the run ends.
-pub fn run_micro_on(backend: BackendKind, cfg: &MicroConfig) -> MicroResult {
-    let kind = match backend {
-        BackendKind::Sim(k) => {
-            let cfg = MicroConfig {
-                allocator: k,
-                ..cfg.clone()
-            };
-            return run_micro(&cfg);
-        }
-        real => real,
-    };
-    assert_eq!(
-        cfg.scenario,
-        Scenario::Dedicated,
-        "pressure scenarios require the sim backend (the hogs live in the simulated OS)"
-    );
-    let mut b = build_backend(kind, None, cfg.seed, &cfg.hermes).expect("real backend boots");
-    let clock = b.clock();
-    let t0 = clock.now();
-    let label = format!("{}-{}-{}", kind.label(), cfg.scenario, cfg.request_size);
-    let rec = drive_micro_loop(&mut b, cfg, label, |_| {});
-    let stats = b.stats();
-    MicroResult {
-        latencies: rec,
-        wall: clock.now().duration_since(t0),
-        reserved_unused: stats.reserved_unused_bytes,
-        management_busy: stats.management_busy,
-        daemon_busy: SimDuration::ZERO,
-        os_stats: OsStats::default(),
     }
 }
 
@@ -332,33 +269,5 @@ mod tests {
         let a = run_micro(&cfg);
         let b = run_micro(&cfg);
         assert_eq!(a.latencies.samples_ns(), b.latencies.samples_ns());
-    }
-
-    #[test]
-    fn real_backends_run_the_dedicated_micro() {
-        for kind in [BackendKind::RealSystem, BackendKind::RealHermes] {
-            let cfg = MicroConfig::paper(AllocatorKind::Hermes, Scenario::Dedicated, 4096)
-                .scaled(2 << 20);
-            let mut r = run_micro_on(kind, &cfg);
-            let s = r.latencies.summary();
-            assert!(s.p99 > SimDuration::ZERO, "{kind}: measured tail");
-            assert!(r.wall > SimDuration::ZERO, "{kind}: wall time passed");
-            if kind == BackendKind::RealHermes {
-                assert!(r.management_busy >= SimDuration::ZERO);
-            }
-        }
-    }
-
-    #[test]
-    fn run_micro_on_sim_matches_run_micro() {
-        let cfg =
-            MicroConfig::paper(AllocatorKind::Glibc, Scenario::Dedicated, 1024).scaled(4 << 20);
-        let a = run_micro(&cfg);
-        let b = run_micro_on(BackendKind::Sim(AllocatorKind::Glibc), &cfg);
-        assert_eq!(
-            a.latencies.samples_ns(),
-            b.latencies.samples_ns(),
-            "the backend axis does not change the sim trace"
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! three concurrent KMeans-like jobs next to a churning KV service, under
 //! the Default / Hermes / Killing policies plus the Dedicated baseline.
 
-use hermes_allocators::{AllocatorKind, BackendKind, MonitorDaemonSim, SimEnv};
+use hermes_allocators::{AllocatorKind, MonitorDaemonSim, SimEnv};
 use hermes_batch::{BatchLoad, BatchPolicy, JobSpec};
 use hermes_core::HermesConfig;
 use hermes_os::prelude::*;
@@ -97,14 +97,8 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputResult {
         ThroughputScenario::Dedicated => (AllocatorKind::Glibc, BatchPolicy::Default, 0),
     };
     let hermes_cfg = HermesConfig::default();
-    let mut service = build_service_on(
-        cfg.service,
-        BackendKind::Sim(alloc_kind),
-        Some(&env),
-        cfg.seed,
-        &hermes_cfg,
-    )
-    .expect("service set-up");
+    let mut service = build_service_on(cfg.service, alloc_kind, &env, cfg.seed, &hermes_cfg)
+        .expect("service set-up");
     // Each KMeans job requests ~40 GB over 8 containers; three concurrent
     // jobs give the paper's 100 % pressure level together with the
     // service's 20-40 GB working set.

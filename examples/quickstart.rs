@@ -2,9 +2,10 @@
 //!
 //! This is deliverable R3 of the paper: applications adopt Hermes without
 //! source changes beyond installing the allocator. The global facade boots
-//! from static arenas and starts the memory management thread, which
-//! reserves memory — mappings pre-constructed — ahead of your allocation
-//! bursts.
+//! a mapped heap through `HermesHeap::new` — sized by `HERMES_HEAP_MB` /
+//! `HERMES_LARGE_MB` and grown on demand — and starts the memory
+//! management thread, which reserves memory — mappings pre-constructed —
+//! ahead of your allocation bursts.
 //!
 //! Run with: `cargo run --release --example quickstart`
 

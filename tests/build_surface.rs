@@ -1,8 +1,10 @@
-//! Smoke test for the build surface: every allocator and service kind
-//! must be constructible through the public factories, so a manifest or
-//! feature regression fails here in tier-1 instead of only at bench time.
+//! Smoke test for the build surface: every allocator model and service
+//! kind must be constructible through the public sim factories, so a
+//! manifest or feature regression fails here in tier-1 instead of only at
+//! bench time. The services over real memory are covered by
+//! `crates/services/tests/real_backend.rs`.
 
-use hermes::allocators::{build_allocator, build_backend, AllocatorKind, BackendKind, SimEnv};
+use hermes::allocators::{build_allocator, AllocatorKind, SimEnv};
 use hermes::core::HermesConfig;
 use hermes::os::prelude::*;
 use hermes::services::{build_service_on, ServiceKind};
@@ -29,7 +31,7 @@ fn every_service_kind_builds_over_every_sim_backend() {
     for service in ServiceKind::ALL {
         for kind in AllocatorKind::ALL {
             let env = SimEnv::new(OsConfig::small_test_node());
-            let mut svc = build_service_on(service, BackendKind::Sim(kind), Some(&env), 2, &cfg)
+            let mut svc = build_service_on(service, kind, &env, 2, &cfg)
                 .unwrap_or_else(|e| panic!("{service}/{kind:?}: build failed: {e}"));
             assert_eq!(svc.name(), service.name());
             let q = svc
@@ -37,41 +39,6 @@ fn every_service_kind_builds_over_every_sim_backend() {
                 .unwrap_or_else(|e| panic!("{service}/{kind:?}: query failed: {e}"));
             assert!(q.total().as_nanos() > 0);
         }
-    }
-}
-
-#[test]
-fn every_service_kind_builds_over_the_real_backends() {
-    let cfg = HermesConfig::default();
-    for service in ServiceKind::ALL {
-        for backend in [BackendKind::RealSystem, BackendKind::RealHermes] {
-            let mut svc = build_service_on(service, backend, None, 2, &cfg)
-                .unwrap_or_else(|e| panic!("{service}/{backend}: build failed: {e}"));
-            let q = svc
-                .query(1024)
-                .unwrap_or_else(|e| panic!("{service}/{backend}: query failed: {e}"));
-            assert!(q.total().as_nanos() > 0);
-        }
-    }
-}
-
-#[test]
-fn every_backend_kind_builds_through_the_factory() {
-    let cfg = HermesConfig::default();
-    let env = SimEnv::new(OsConfig::small_test_node());
-    for kind in [
-        BackendKind::Sim(AllocatorKind::Hermes),
-        BackendKind::RealSystem,
-        BackendKind::RealHermes,
-    ] {
-        let mut b = build_backend(kind, Some(&env), 3, &cfg)
-            .unwrap_or_else(|e| panic!("{kind}: build failed: {e}"));
-        assert_eq!(b.kind(), kind);
-        let (h, lat) = b
-            .malloc(4096)
-            .unwrap_or_else(|e| panic!("{kind}: malloc failed: {e}"));
-        assert!(lat.as_nanos() > 0, "{kind}: latency must be positive");
-        b.free(h);
     }
 }
 
