@@ -1,13 +1,20 @@
 //! Smoke test for the build surface: every allocator model and service
-//! kind must be constructible through the public sim factories, so a
+//! kind must be constructible through the public sim factories, and every
+//! service kind by direct construction over the real backends, so a
 //! manifest or feature regression fails here in tier-1 instead of only at
-//! bench time. The services over real memory are covered by
+//! bench time. The services' behaviour over real memory is covered by
 //! `crates/services/tests/real_backend.rs`.
 
-use hermes::allocators::{build_allocator, AllocatorKind, SimEnv};
+use hermes::allocators::{
+    build_allocator, AllocatorBackend, AllocatorKind, RealHermesBackend, RealSystemBackend,
+    SimEnv,
+};
+use hermes::core::rt::HermesHeapConfig;
 use hermes::core::HermesConfig;
 use hermes::os::prelude::*;
-use hermes::services::{build_service_on, ServiceKind};
+use hermes::services::{
+    build_service_on, RealFiles, RedisModel, RocksdbModel, Service, ServiceKind,
+};
 use hermes::sim::time::SimTime;
 
 #[test]
@@ -37,6 +44,35 @@ fn every_service_kind_builds_over_every_sim_backend() {
             let q = svc
                 .query(1024)
                 .unwrap_or_else(|e| panic!("{service}/{kind:?}: query failed: {e}"));
+            assert!(q.total().as_nanos() > 0);
+        }
+    }
+}
+
+#[test]
+fn every_service_kind_builds_over_the_real_backends() {
+    for service in ServiceKind::ALL {
+        for on_hermes in [true, false] {
+            let backend: Box<dyn AllocatorBackend> = if on_hermes {
+                Box::new(
+                    RealHermesBackend::with_heap_config(HermesHeapConfig::small())
+                        .expect("arena reservation"),
+                )
+            } else {
+                Box::new(RealSystemBackend::new())
+            };
+            let mut svc: Box<dyn Service> = match service {
+                ServiceKind::Redis => Box::new(RedisModel::new(backend, 2)),
+                ServiceKind::Rocksdb => Box::new(
+                    RocksdbModel::new(backend, Box::new(RealFiles::new()), 2)
+                        .unwrap_or_else(|e| panic!("{service}: build failed: {e}")),
+                ),
+            };
+            let kind = svc.backend().kind();
+            assert_eq!(svc.name(), service.name());
+            let q = svc
+                .query(1024)
+                .unwrap_or_else(|e| panic!("{service}/{kind}: query failed: {e}"));
             assert!(q.total().as_nanos() > 0);
         }
     }
