@@ -8,8 +8,10 @@
 //! [`AllocError`] shared with `hermes_core::rt`. Two families implement
 //! it:
 //!
-//! * [`SimBackend`] — wraps any [`SimAllocator`] model over a shared
-//!   simulated OS ([`SimEnv`]) and a [`VirtualClock`];
+//! * [`SimBackend`] — one of the four allocator models over a shared
+//!   simulated OS and [`VirtualClock`] ([`SimEnv`]). It keeps the sim's
+//!   one handle table; the models are handle-free policies that see
+//!   only a block's size and their own tag;
 //! * [`crate::real::RealHermesBackend`] / [`crate::real::RealSystemBackend`]
 //!   — real memory, measured with `std::time::Instant` on a
 //!   [`WallClock`].
@@ -25,7 +27,10 @@
 //! passed by definition. Drivers advance only think time (a no-op in
 //! the wall domain), so the identical driver loop runs in both domains.
 
-use crate::build_allocator;
+use crate::glibc::GlibcSim;
+use crate::hermes::HermesSim;
+use crate::jemalloc::JemallocSim;
+use crate::tcmalloc::TcmallocSim;
 use crate::traits::{AllocHandle, AllocatorKind, SimAllocator};
 pub use hermes_core::rt::AllocError;
 use hermes_core::rt::IntegrityError;
@@ -33,6 +38,7 @@ use hermes_core::HermesConfig;
 use hermes_os::prelude::*;
 use hermes_sim::clock::{Clock, ClockHandle, VirtualClock};
 use hermes_sim::time::{SimDuration, SimTime};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -252,13 +258,18 @@ pub fn map_mem_error(e: MemError) -> AllocError {
     }
 }
 
-/// Adapter: any [`SimAllocator`] model as an [`AllocatorBackend`] over
-/// a [`SimEnv`].
+/// One allocator model as an [`AllocatorBackend`] over a [`SimEnv`]:
+/// the sim's one handle table. It mints the handles, records each live
+/// block's size and model tag, and fast-forwards the model before every
+/// operation.
 pub struct SimBackend {
-    alloc: Box<dyn SimAllocator>,
-    os: SharedOs,
-    clock: VirtualClock,
-    sizes: std::collections::HashMap<AllocHandle, usize>,
+    kind: AllocatorKind,
+    model: Box<dyn SimAllocator>,
+    proc: ProcId,
+    env: SimEnv,
+    /// Live handle -> (requested bytes, model tag).
+    live: HashMap<AllocHandle, (usize, u64)>,
+    next_handle: u64,
     allocs: u64,
     frees: u64,
     reallocs: u64,
@@ -268,8 +279,8 @@ pub struct SimBackend {
 impl fmt::Debug for SimBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimBackend")
-            .field("kind", &self.kind())
-            .field("live", &self.sizes.len())
+            .field("kind", &self.kind)
+            .field("live", &self.live.len())
             .finish()
     }
 }
@@ -278,12 +289,20 @@ impl SimBackend {
     /// Builds the `kind` model over `env`, registering a new
     /// latency-critical process with the simulated OS.
     pub fn new(kind: AllocatorKind, env: &SimEnv, seed: u64, cfg: &HermesConfig) -> Self {
-        let alloc = build_allocator(kind, &mut env.os(), seed, cfg);
+        let proc = env.os().register_process(ProcKind::LatencyCritical);
+        let model: Box<dyn SimAllocator> = match kind {
+            AllocatorKind::Glibc => Box::new(GlibcSim::new(proc, seed)),
+            AllocatorKind::Jemalloc => Box::new(JemallocSim::new(proc, seed)),
+            AllocatorKind::Tcmalloc => Box::new(TcmallocSim::new(proc, seed)),
+            AllocatorKind::Hermes => Box::new(HermesSim::new(proc, seed, cfg.clone())),
+        };
         SimBackend {
-            alloc,
-            os: Arc::clone(&env.os),
-            clock: env.clock.clone(),
-            sizes: std::collections::HashMap::new(),
+            kind,
+            model,
+            proc,
+            env: env.clone(),
+            live: HashMap::new(),
+            next_handle: 1,
             allocs: 0,
             frees: 0,
             reallocs: 0,
@@ -293,51 +312,54 @@ impl SimBackend {
 
     /// The simulated process this backend's allocator belongs to.
     pub fn proc_id(&self) -> ProcId {
-        self.alloc.proc_id()
-    }
-
-    fn lock_os(&self) -> MutexGuard<'_, Os> {
-        self.os.lock().unwrap_or_else(|e| e.into_inner())
+        self.proc
     }
 }
 
 impl AllocatorBackend for SimBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Sim(self.alloc.kind())
+        BackendKind::Sim(self.kind)
     }
 
     fn clock(&self) -> ClockHandle {
-        ClockHandle::Virtual(self.clock.clone())
+        ClockHandle::Virtual(self.env.clock.clone())
     }
 
     fn malloc(&mut self, size: usize) -> Result<(AllocHandle, SimDuration), AllocError> {
-        let now = self.clock.now();
-        let (h, lat) = {
-            let mut os = self.os.lock().unwrap_or_else(|e| e.into_inner());
-            self.alloc
+        let now = self.env.now();
+        let (tag, lat) = {
+            let mut os = self.env.os();
+            self.model.advance_to(now, &mut os);
+            self.model
                 .malloc(size, now, &mut os)
                 .map_err(map_mem_error)?
         };
-        self.clock.advance(lat);
+        self.env.clock.advance(lat);
+        let h = AllocHandle(self.next_handle);
+        self.next_handle += 1;
         self.allocs += 1;
         self.live_bytes += size;
-        self.sizes.insert(h, size);
+        self.live.insert(h, (size, tag));
         Ok((h, lat))
     }
 
     fn free(&mut self, handle: AllocHandle) -> SimDuration {
-        let now = self.clock.now();
+        let now = self.env.now();
         let lat = {
-            let mut os = self.os.lock().unwrap_or_else(|e| e.into_inner());
-            self.alloc.free(handle, now, &mut os)
+            let mut os = self.env.os();
+            self.model.advance_to(now, &mut os);
+            // An unknown or already-freed handle frees nothing, as on
+            // the real backends.
+            match self.live.remove(&handle) {
+                Some((size, tag)) => {
+                    self.frees += 1;
+                    self.live_bytes -= size;
+                    self.model.free(size, tag, now, &mut os)
+                }
+                None => SimDuration::ZERO,
+            }
         };
-        self.clock.advance(lat);
-        // Only a live handle counts: the model frees nothing for an
-        // unknown or already-freed one, as the real backends do.
-        if let Some(size) = self.sizes.remove(&handle) {
-            self.frees += 1;
-            self.live_bytes -= size;
-        }
+        self.env.clock.advance(lat);
         lat
     }
 
@@ -346,10 +368,11 @@ impl AllocatorBackend for SimBackend {
         handle: AllocHandle,
         new_size: usize,
     ) -> Result<(AllocHandle, SimDuration), AllocError> {
+        // An unknown handle changes nothing, as on the real backends.
+        let &(old_size, _) = self.live.get(&handle).ok_or(AllocError::Exhausted)?;
         // The models expose no native realloc; compose it the way a
         // libc shim would: allocate, copy (modelled as touching the old
         // allocation), free.
-        let old_size = self.sizes.get(&handle).copied().unwrap_or(0);
         let (new_handle, alloc_lat) = self.malloc(new_size)?;
         let copy_lat = self.access(handle, old_size.min(new_size));
         let free_lat = self.free(handle);
@@ -358,19 +381,23 @@ impl AllocatorBackend for SimBackend {
     }
 
     fn access(&mut self, handle: AllocHandle, bytes: usize) -> SimDuration {
-        let now = self.clock.now();
+        let now = self.env.now();
         let lat = {
-            let mut os = self.os.lock().unwrap_or_else(|e| e.into_inner());
-            self.alloc.access(handle, bytes, now, &mut os)
+            let mut os = self.env.os();
+            self.model.advance_to(now, &mut os);
+            if self.live.contains_key(&handle) {
+                os.touch_resident(self.proc, pages_for(bytes), now)
+            } else {
+                SimDuration::ZERO
+            }
         };
-        self.clock.advance(lat);
+        self.env.clock.advance(lat);
         lat
     }
 
     fn advance(&mut self) {
-        let now = self.clock.now();
-        let mut os = self.os.lock().unwrap_or_else(|e| e.into_inner());
-        self.alloc.advance_to(now, &mut os);
+        let now = self.env.now();
+        self.model.advance_to(now, &mut self.env.os());
     }
 
     fn stats(&self) -> BackendStats {
@@ -378,10 +405,10 @@ impl AllocatorBackend for SimBackend {
             alloc_count: self.allocs,
             free_count: self.frees,
             realloc_count: self.reallocs,
-            live: self.sizes.len() as u64,
+            live: self.live.len() as u64,
             live_bytes: self.live_bytes,
-            reserved_unused_bytes: self.alloc.reserved_unused(),
-            management_busy: self.alloc.management_busy(),
+            reserved_unused_bytes: self.model.reserved_unused(),
+            management_busy: self.model.management_busy(),
             manager_rounds: 0,
             committed_bytes: 0,
             backing_reserved_bytes: 0,
@@ -391,7 +418,7 @@ impl AllocatorBackend for SimBackend {
     }
 
     fn contention(&self) -> f64 {
-        self.lock_os().service_contention()
+        self.env.os().service_contention()
     }
 }
 

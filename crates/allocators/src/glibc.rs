@@ -4,39 +4,27 @@
 
 use crate::costs::GlibcCosts;
 use crate::heap_model::{HeapModel, SmallAlloc};
-use crate::traits::{AllocHandle, AllocatorKind, SimAllocator};
+use crate::traits::SimAllocator;
 use hermes_core::DEFAULT_MMAP_THRESHOLD;
 use hermes_os::prelude::*;
 use hermes_sim::rng::DetRng;
 use hermes_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
-
-#[derive(Debug, Clone, Copy)]
-struct Live {
-    size: usize,
-    mmapped: bool,
-}
 
 /// Simulated Glibc allocator bound to one process.
 #[derive(Debug)]
-pub struct GlibcSim {
+pub(crate) struct GlibcSim {
     proc: ProcId,
     heap: HeapModel,
-    live: HashMap<u64, Live>,
-    next_handle: u64,
     costs: GlibcCosts,
     rng: DetRng,
 }
 
 impl GlibcSim {
-    /// Creates the model for a new latency-critical process.
-    pub fn new(os: &mut Os, seed: u64) -> Self {
-        let proc = os.register_process(ProcKind::LatencyCritical);
+    /// Creates the model for the latency-critical process `proc`.
+    pub(crate) fn new(proc: ProcId, seed: u64) -> Self {
         GlibcSim {
             proc,
             heap: HeapModel::new(),
-            live: HashMap::new(),
-            next_handle: 1,
             costs: GlibcCosts::default(),
             rng: DetRng::new(seed, "glibc"),
         }
@@ -48,14 +36,6 @@ impl GlibcSim {
 }
 
 impl SimAllocator for GlibcSim {
-    fn kind(&self) -> AllocatorKind {
-        AllocatorKind::Glibc
-    }
-
-    fn proc_id(&self) -> ProcId {
-        self.proc
-    }
-
     fn advance_to(&mut self, now: SimTime, os: &mut Os) {
         os.advance_to(now);
     }
@@ -65,11 +45,9 @@ impl SimAllocator for GlibcSim {
         size: usize,
         now: SimTime,
         os: &mut Os,
-    ) -> Result<(AllocHandle, SimDuration), MemError> {
-        self.advance_to(now, os);
-        let mmapped = size >= DEFAULT_MMAP_THRESHOLD;
+    ) -> Result<(u64, SimDuration), MemError> {
         let mut lat;
-        if mmapped {
+        if size >= DEFAULT_MMAP_THRESHOLD {
             // mmap syscall + per-request overhead, then the mapping is
             // constructed page by page on the first write.
             let n = self.rng.tail_multiplier(self.costs.sigma_large);
@@ -96,39 +74,17 @@ impl SimAllocator for GlibcSim {
                 }
             }
         }
-        let h = AllocHandle(self.next_handle);
-        self.next_handle += 1;
-        self.live.insert(h.0, Live { size, mmapped });
-        Ok((h, lat))
+        Ok((0, lat))
     }
 
-    fn free(&mut self, handle: AllocHandle, now: SimTime, os: &mut Os) -> SimDuration {
-        self.advance_to(now, os);
-        let Some(l) = self.live.remove(&handle.0) else {
-            return SimDuration::ZERO;
-        };
-        if l.mmapped {
+    fn free(&mut self, size: usize, _tag: u64, _now: SimTime, os: &mut Os) -> SimDuration {
+        if size >= DEFAULT_MMAP_THRESHOLD {
             // Glibc releases mmapped chunks straight back to the OS.
-            os.release_anon(self.proc, pages_for(l.size), false);
+            os.release_anon(self.proc, pages_for(size), false);
             os.syscall_cost() + SimDuration::from_nanos(400)
         } else {
-            self.heap.free_small(l.size);
+            self.heap.free_small(size);
             SimDuration::from_nanos(250)
-        }
-    }
-
-    fn access(
-        &mut self,
-        handle: AllocHandle,
-        bytes: usize,
-        now: SimTime,
-        os: &mut Os,
-    ) -> SimDuration {
-        self.advance_to(now, os);
-        if self.live.contains_key(&handle.0) {
-            os.touch_resident(self.proc, pages_for(bytes), now)
-        } else {
-            SimDuration::ZERO
         }
     }
 }
@@ -140,7 +96,7 @@ mod tests {
 
     fn setup() -> (Os, GlibcSim) {
         let mut os = Os::new(OsConfig::small_test_node());
-        let a = GlibcSim::new(&mut os, 1);
+        let a = GlibcSim::new(os.register_process(ProcKind::LatencyCritical), 1);
         (os, a)
     }
 
@@ -150,7 +106,7 @@ mod tests {
         let mut total = SimDuration::ZERO;
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {
-            let (_, lat) = a.malloc(1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(1024, now, &mut os).unwrap();
             total += lat;
             now += lat;
         }
@@ -164,7 +120,7 @@ mod tests {
     #[test]
     fn large_allocations_cost_near_millisecond() {
         let (mut os, mut a) = setup();
-        let (_, lat) = a.malloc(256 * 1024, SimTime::ZERO, &mut os).unwrap();
+        let (_, lat) = a.malloc_at(256 * 1024, SimTime::ZERO, &mut os).unwrap();
         let us = lat.as_micros();
         assert!((300..4_000).contains(&us), "large latency {us}us");
     }
@@ -173,18 +129,18 @@ mod tests {
     fn mmap_free_returns_pages() {
         let (mut os, mut a) = setup();
         let before = os.free_pages();
-        let (h, _) = a.malloc(512 * 1024, SimTime::ZERO, &mut os).unwrap();
+        let (tag, _) = a.malloc_at(512 * 1024, SimTime::ZERO, &mut os).unwrap();
         assert!(os.free_pages() < before);
-        a.free(h, SimTime::from_micros(10), &mut os);
+        a.free_at(512 * 1024, tag, SimTime::from_micros(10), &mut os);
         assert_eq!(os.free_pages(), before);
     }
 
     #[test]
     fn heap_free_keeps_pages_resident() {
         let (mut os, mut a) = setup();
-        let (h, _) = a.malloc(1024, SimTime::ZERO, &mut os).unwrap();
+        let (tag, _) = a.malloc_at(1024, SimTime::ZERO, &mut os).unwrap();
         let before = os.free_pages();
-        a.free(h, SimTime::from_micros(10), &mut os);
+        a.free_at(1024, tag, SimTime::from_micros(10), &mut os);
         assert_eq!(os.free_pages(), before, "binned chunks stay resident");
     }
 
@@ -196,27 +152,18 @@ mod tests {
         let mut warm = SimDuration::ZERO;
         const N: u64 = 500;
         for _ in 0..N {
-            let (h, lat) = a.malloc(4096, now, &mut os).unwrap();
+            let (tag, lat) = a.malloc_at(4096, now, &mut os).unwrap();
             fresh += lat;
             now += lat;
-            a.free(h, now, &mut os);
+            a.free_at(4096, tag, now, &mut os);
         }
         for _ in 0..N {
-            let (h, lat) = a.malloc(4096, now, &mut os).unwrap();
+            let (tag, lat) = a.malloc_at(4096, now, &mut os).unwrap();
             warm += lat;
             now += lat;
-            a.free(h, now, &mut os);
+            a.free_at(4096, tag, now, &mut os);
         }
         // The second wave is fully recycled after the first free.
         assert!(warm < fresh, "warm {warm} vs fresh {fresh}");
-    }
-
-    #[test]
-    fn double_free_is_harmless() {
-        let (mut os, mut a) = setup();
-        let (h, _) = a.malloc(1024, SimTime::ZERO, &mut os).unwrap();
-        a.free(h, SimTime::from_micros(1), &mut os);
-        let lat = a.free(h, SimTime::from_micros(2), &mut os);
-        assert_eq!(lat, SimDuration::ZERO);
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::costs::{GlibcCosts, HermesCosts};
 use crate::heap_model::{HeapModel, SmallAlloc};
-use crate::traits::{AllocHandle, AllocatorKind, SimAllocator};
+use crate::traits::SimAllocator;
 use hermes_core::policy::{
     DelayedShrinkSet, MmapChunk, PoolHit, ReservationPlan, SegregatedFreeList, ThresholdTracker,
 };
@@ -29,17 +29,9 @@ use hermes_sim::rng::DetRng;
 use hermes_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 
-#[derive(Debug, Clone, Copy)]
-struct Live {
-    /// Requested bytes.
-    size: usize,
-    /// For large allocations: backing chunk id and its current size.
-    chunk: Option<(u64, usize)>,
-}
-
 /// Simulated Hermes allocator bound to one latency-critical process.
 #[derive(Debug)]
-pub struct HermesSim {
+pub(crate) struct HermesSim {
     proc: ProcId,
     cfg: HermesConfig,
     costs: HermesCosts,
@@ -51,10 +43,10 @@ pub struct HermesSim {
     /// Chunks in the pool that are still mlocked (fresh reservations).
     locked_chunks: HashSet<u64>,
     shrink: DelayedShrinkSet,
-    /// chunk id -> live handle, for shrink bookkeeping.
-    chunk_owner: HashMap<u64, u64>,
-    live: HashMap<u64, Live>,
-    next_handle: u64,
+    /// Handed-out chunk id -> its current size; the id is the block's
+    /// tag.
+    chunks: HashMap<u64, usize>,
+    /// Next chunk id; ids start at 1 so tag 0 marks a heap block.
     next_chunk: u64,
     next_wakeup: SimTime,
     lock_windows: VecDeque<(SimTime, SimTime)>,
@@ -64,9 +56,8 @@ pub struct HermesSim {
 }
 
 impl HermesSim {
-    /// Creates the model for a new latency-critical process.
-    pub fn new(os: &mut Os, seed: u64, cfg: HermesConfig) -> Self {
-        let proc = os.register_process(ProcKind::LatencyCritical);
+    /// Creates the model for the latency-critical process `proc`.
+    pub(crate) fn new(proc: ProcId, seed: u64, cfg: HermesConfig) -> Self {
         let small_tracker = ThresholdTracker::new(
             cfg.rsv_factor,
             cfg.min_rsv,
@@ -95,9 +86,7 @@ impl HermesSim {
             pool,
             locked_chunks: HashSet::new(),
             shrink: DelayedShrinkSet::new(),
-            chunk_owner: HashMap::new(),
-            live: HashMap::new(),
-            next_handle: 1,
+            chunks: HashMap::new(),
             next_chunk: 1,
             next_wakeup: SimTime::ZERO + interval,
             lock_windows: VecDeque::new(),
@@ -183,12 +172,8 @@ impl HermesSim {
                 os.release_anon(self.proc, tail_pages, false);
                 cursor += os.syscall_cost();
             }
-            if let Some(&handle) = self.chunk_owner.get(&e.id) {
-                if let Some(l) = self.live.get_mut(&handle) {
-                    if let Some((_, ref mut sz)) = l.chunk {
-                        *sz = e.requested;
-                    }
-                }
+            if let Some(size) = self.chunks.get_mut(&e.id) {
+                *size = e.requested;
             }
         }
         if self.pool.total_size() < th.rsv_thr {
@@ -334,14 +319,6 @@ impl HermesSim {
 }
 
 impl SimAllocator for HermesSim {
-    fn kind(&self) -> AllocatorKind {
-        AllocatorKind::Hermes
-    }
-
-    fn proc_id(&self) -> ProcId {
-        self.proc
-    }
-
     fn advance_to(&mut self, now: SimTime, os: &mut Os) {
         os.advance_to(now);
         while self.next_wakeup <= now {
@@ -355,59 +332,32 @@ impl SimAllocator for HermesSim {
         size: usize,
         now: SimTime,
         os: &mut Os,
-    ) -> Result<(AllocHandle, SimDuration), MemError> {
-        self.advance_to(now, os);
-        let (lat, chunk) = if size >= self.cfg.mmap_threshold {
-            let (lat, chunk) = self.malloc_large(size, now, os)?;
-            (lat, Some(chunk))
+    ) -> Result<(u64, SimDuration), MemError> {
+        if size >= self.cfg.mmap_threshold {
+            let (lat, (id, chunk_size)) = self.malloc_large(size, now, os)?;
+            self.chunks.insert(id, chunk_size);
+            Ok((id, lat))
         } else {
-            (self.malloc_small(size, now, os)?, None)
-        };
-        let h = AllocHandle(self.next_handle);
-        self.next_handle += 1;
-        if let Some((id, _)) = chunk {
-            self.chunk_owner.insert(id, h.0);
+            Ok((0, self.malloc_small(size, now, os)?))
         }
-        self.live.insert(h.0, Live { size, chunk });
-        Ok((h, lat))
     }
 
-    fn free(&mut self, handle: AllocHandle, now: SimTime, os: &mut Os) -> SimDuration {
-        self.advance_to(now, os);
-        let Some(l) = self.live.remove(&handle.0) else {
-            return SimDuration::ZERO;
-        };
-        match l.chunk {
-            Some((id, chunk_size)) => {
+    fn free(&mut self, size: usize, tag: u64, _now: SimTime, _os: &mut Os) -> SimDuration {
+        match self.chunks.remove(&tag) {
+            Some(chunk_size) => {
                 // Freed large chunks rejoin the segregated pool (still
                 // resident, evictable).
-                self.shrink.cancel(id);
-                self.chunk_owner.remove(&id);
+                self.shrink.cancel(tag);
                 self.pool.insert(MmapChunk {
-                    id,
+                    id: tag,
                     size: chunk_size,
                 });
                 SimDuration::from_nanos(600)
             }
             None => {
-                self.heap.free_small(l.size);
+                self.heap.free_small(size);
                 SimDuration::from_nanos(250)
             }
-        }
-    }
-
-    fn access(
-        &mut self,
-        handle: AllocHandle,
-        bytes: usize,
-        now: SimTime,
-        os: &mut Os,
-    ) -> SimDuration {
-        self.advance_to(now, os);
-        if self.live.contains_key(&handle.0) {
-            os.touch_resident(self.proc, pages_for(bytes), now)
-        } else {
-            SimDuration::ZERO
         }
     }
 
@@ -427,14 +377,18 @@ mod tests {
 
     fn setup() -> (Os, HermesSim) {
         let mut os = Os::new(OsConfig::small_test_node());
-        let a = HermesSim::new(&mut os, 4, HermesConfig::default());
+        let a = HermesSim::new(
+            os.register_process(ProcKind::LatencyCritical),
+            4,
+            HermesConfig::default(),
+        );
         (os, a)
     }
 
     fn warmup(a: &mut HermesSim, os: &mut Os, size: usize, n: usize) -> SimTime {
         let mut now = SimTime::ZERO;
         for _ in 0..n {
-            let (_, lat) = a.malloc(size, now, os).unwrap();
+            let (_, lat) = a.malloc_at(size, now, os).unwrap();
             now += lat + SimDuration::from_nanos(300);
         }
         now
@@ -460,16 +414,16 @@ mod tests {
         let mut now = warmup(&mut a, &mut os, 1024, 2000);
         let mut hermes_total = SimDuration::ZERO;
         for _ in 0..500 {
-            let (_, lat) = a.malloc(1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(1024, now, &mut os).unwrap();
             hermes_total += lat;
             now += lat + SimDuration::from_nanos(300);
         }
         let mut os2 = Os::new(OsConfig::small_test_node());
-        let mut g = crate::glibc::GlibcSim::new(&mut os2, 4);
+        let mut g = crate::glibc::GlibcSim::new(os2.register_process(ProcKind::LatencyCritical), 4);
         let mut now2 = SimTime::ZERO;
         let mut glibc_total = SimDuration::ZERO;
         for _ in 0..500 {
-            let (_, lat) = g.malloc(1024, now2, &mut os2).unwrap();
+            let (_, lat) = g.malloc_at(1024, now2, &mut os2).unwrap();
             glibc_total += lat;
             now2 += lat + SimDuration::from_nanos(300);
         }
@@ -484,15 +438,15 @@ mod tests {
         let (mut os, mut a) = setup();
         let now = warmup(&mut a, &mut os, 1024, 100);
         a.advance_to(now + SimDuration::from_millis(20), &mut os);
-        let locked_before = os.process(a.proc_id()).unwrap().locked;
+        let locked_before = os.process(a.proc).unwrap().locked;
         assert!(locked_before > 0, "reserve is mlocked");
         // Consume a lot of reserve.
         let mut t = now + SimDuration::from_millis(20);
         for _ in 0..2000 {
-            let (_, lat) = a.malloc(1024, t, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(1024, t, &mut os).unwrap();
             t += lat + SimDuration::from_nanos(200);
         }
-        let st = os.process(a.proc_id()).unwrap();
+        let st = os.process(a.proc).unwrap();
         assert!(st.anon_resident > 0, "handed-out pages are evictable");
     }
 
@@ -502,7 +456,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut lats = Vec::new();
         for _ in 0..60 {
-            let (_, lat) = a.malloc(256 * 1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(256 * 1024, now, &mut os).unwrap();
             lats.push(lat);
             now += lat + SimDuration::from_micros(50);
         }
@@ -519,10 +473,10 @@ mod tests {
     #[test]
     fn freed_large_chunk_is_reused_warm() {
         let (mut os, mut a) = setup();
-        let (h, first) = a.malloc(300 * 1024, SimTime::ZERO, &mut os).unwrap();
-        a.free(h, SimTime::from_micros(1), &mut os);
+        let (tag, first) = a.malloc_at(300 * 1024, SimTime::ZERO, &mut os).unwrap();
+        a.free_at(300 * 1024, tag, SimTime::from_micros(1), &mut os);
         let (_, second) = a
-            .malloc(300 * 1024, SimTime::from_micros(2), &mut os)
+            .malloc_at(300 * 1024, SimTime::from_micros(2), &mut os)
             .unwrap();
         // The reused chunk skips mapping construction.
         assert!(second < first, "warm {second} vs cold {first}");
@@ -535,7 +489,7 @@ mod tests {
         let mut now = warmup(&mut a, &mut os, 512 * 1024, 20);
         now += SimDuration::from_millis(10);
         a.advance_to(now, &mut os);
-        let (_, _lat) = a.malloc(200 * 1024, now, &mut os).unwrap();
+        let (_, _lat) = a.malloc_at(200 * 1024, now, &mut os).unwrap();
         if !a.shrink.is_empty() {
             let pending = a.shrink.len();
             a.advance_to(now + SimDuration::from_millis(5), &mut os);
@@ -566,7 +520,7 @@ mod tests {
         let mut now = SimTime::from_millis(100);
         let mut slow = 0;
         for _ in 0..500 {
-            let (_, lat) = a.malloc(1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(1024, now, &mut os).unwrap();
             if lat > SimDuration::from_micros(8) {
                 slow += 1;
             }

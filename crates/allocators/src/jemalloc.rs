@@ -5,22 +5,16 @@
 //! is in the fault path.
 
 use crate::costs::JemallocCosts;
-use crate::traits::{AllocHandle, AllocatorKind, SimAllocator};
+use crate::traits::SimAllocator;
 use hermes_core::DEFAULT_MMAP_THRESHOLD;
 use hermes_os::prelude::*;
 use hermes_sim::rng::DetRng;
 use hermes_sim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 
-#[derive(Debug, Clone, Copy)]
-struct Live {
-    size: usize,
-    large: bool,
-}
-
 /// Simulated jemalloc allocator bound to one process.
 #[derive(Debug)]
-pub struct JemallocSim {
+pub(crate) struct JemallocSim {
     proc: ProcId,
     costs: JemallocCosts,
     /// Recycled small objects per size class.
@@ -31,16 +25,13 @@ pub struct JemallocSim {
     extent_left: usize,
     /// Dirty (reusable, still-resident) pages from freed large chunks.
     dirty_pages: u64,
-    live: HashMap<u64, Live>,
-    next_handle: u64,
     last_decay: SimTime,
     rng: DetRng,
 }
 
 impl JemallocSim {
-    /// Creates the model for a new latency-critical process.
-    pub fn new(os: &mut Os, seed: u64) -> Self {
-        let proc = os.register_process(ProcKind::LatencyCritical);
+    /// Creates the model for the latency-critical process `proc`.
+    pub(crate) fn new(proc: ProcId, seed: u64) -> Self {
         JemallocSim {
             proc,
             costs: JemallocCosts::default(),
@@ -48,8 +39,6 @@ impl JemallocSim {
             run_left: HashMap::new(),
             extent_left: 0,
             dirty_pages: 0,
-            live: HashMap::new(),
-            next_handle: 1,
             last_decay: SimTime::ZERO,
             rng: DetRng::new(seed, "jemalloc"),
         }
@@ -70,14 +59,6 @@ impl JemallocSim {
 }
 
 impl SimAllocator for JemallocSim {
-    fn kind(&self) -> AllocatorKind {
-        AllocatorKind::Jemalloc
-    }
-
-    fn proc_id(&self) -> ProcId {
-        self.proc
-    }
-
     fn advance_to(&mut self, now: SimTime, os: &mut Os) {
         os.advance_to(now);
         // Decay-based purging returns dirty pages to the kernel over time.
@@ -98,11 +79,9 @@ impl SimAllocator for JemallocSim {
         size: usize,
         now: SimTime,
         os: &mut Os,
-    ) -> Result<(AllocHandle, SimDuration), MemError> {
-        self.advance_to(now, os);
-        let large = size >= DEFAULT_MMAP_THRESHOLD;
+    ) -> Result<(u64, SimDuration), MemError> {
         let mut lat;
-        if large {
+        if size >= DEFAULT_MMAP_THRESHOLD {
             let pages = pages_for(size);
             lat = self
                 .costs
@@ -126,12 +105,9 @@ impl SimAllocator for JemallocSim {
             if let Some(n) = self.bins.get_mut(&class) {
                 if *n > 0 {
                     *n -= 1;
-                    let h = AllocHandle(self.next_handle);
-                    self.next_handle += 1;
-                    self.live.insert(h.0, Live { size, large });
                     let lat = self.costs.book_small.mul_f64(self.noise())
                         + os.touch_resident(self.proc, 1, now);
-                    return Ok((h, lat));
+                    return Ok((0, lat));
                 }
             }
             lat = self.costs.book_small.mul_f64(self.noise());
@@ -149,39 +125,17 @@ impl SimAllocator for JemallocSim {
             }
             *self.run_left.get_mut(&class).expect("entry exists") -= 1;
         }
-        let h = AllocHandle(self.next_handle);
-        self.next_handle += 1;
-        self.live.insert(h.0, Live { size, large });
-        Ok((h, lat))
+        Ok((0, lat))
     }
 
-    fn free(&mut self, handle: AllocHandle, now: SimTime, os: &mut Os) -> SimDuration {
-        self.advance_to(now, os);
-        let Some(l) = self.live.remove(&handle.0) else {
-            return SimDuration::ZERO;
-        };
-        if l.large {
+    fn free(&mut self, size: usize, _tag: u64, _now: SimTime, _os: &mut Os) -> SimDuration {
+        if size >= DEFAULT_MMAP_THRESHOLD {
             // Pages stay resident as dirty until decay purges them.
-            self.dirty_pages += pages_for(l.size);
+            self.dirty_pages += pages_for(size);
             SimDuration::from_nanos(700)
         } else {
-            *self.bins.entry(Self::class_of(l.size)).or_insert(0) += 1;
+            *self.bins.entry(Self::class_of(size)).or_insert(0) += 1;
             SimDuration::from_nanos(250)
-        }
-    }
-
-    fn access(
-        &mut self,
-        handle: AllocHandle,
-        bytes: usize,
-        now: SimTime,
-        os: &mut Os,
-    ) -> SimDuration {
-        self.advance_to(now, os);
-        if self.live.contains_key(&handle.0) {
-            os.touch_resident(self.proc, pages_for(bytes), now)
-        } else {
-            SimDuration::ZERO
         }
     }
 }
@@ -193,7 +147,7 @@ mod tests {
 
     fn setup() -> (Os, JemallocSim) {
         let mut os = Os::new(OsConfig::small_test_node());
-        let a = JemallocSim::new(&mut os, 2);
+        let a = JemallocSim::new(os.register_process(ProcKind::LatencyCritical), 2);
         (os, a)
     }
 
@@ -214,7 +168,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut lats = Vec::new();
         for _ in 0..200 {
-            let (_, lat) = a.malloc(1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(1024, now, &mut os).unwrap();
             lats.push(lat.as_nanos());
             now += lat;
         }
@@ -231,7 +185,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut lats = Vec::new();
         for _ in 0..50 {
-            let (_, lat) = a.malloc(256 * 1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(256 * 1024, now, &mut os).unwrap();
             lats.push(lat.as_micros());
             now += lat;
         }
@@ -248,10 +202,10 @@ mod tests {
     #[test]
     fn dirty_reuse_is_cheaper_than_cold() {
         let (mut os, mut a) = setup();
-        let (h, cold) = a.malloc(512 * 1024, SimTime::ZERO, &mut os).unwrap();
-        a.free(h, SimTime::from_micros(1), &mut os);
+        let (tag, cold) = a.malloc_at(512 * 1024, SimTime::ZERO, &mut os).unwrap();
+        a.free_at(512 * 1024, tag, SimTime::from_micros(1), &mut os);
         let (_, warm) = a
-            .malloc(512 * 1024, SimTime::from_micros(2), &mut os)
+            .malloc_at(512 * 1024, SimTime::from_micros(2), &mut os)
             .unwrap();
         assert!(warm < cold, "warm {warm} vs cold {cold}");
     }
@@ -259,8 +213,8 @@ mod tests {
     #[test]
     fn decay_returns_pages_to_os() {
         let (mut os, mut a) = setup();
-        let (h, _) = a.malloc(1 << 20, SimTime::ZERO, &mut os).unwrap();
-        a.free(h, SimTime::from_micros(1), &mut os);
+        let (tag, _) = a.malloc_at(1 << 20, SimTime::ZERO, &mut os).unwrap();
+        a.free_at(1 << 20, tag, SimTime::from_micros(1), &mut os);
         let free_before = os.free_pages();
         a.advance_to(SimTime::from_secs(30), &mut os);
         assert!(os.free_pages() > free_before, "decay purged dirty pages");

@@ -4,44 +4,33 @@
 //! very long tail, in all three memory scenarios.
 
 use crate::costs::TcmallocCosts;
-use crate::traits::{AllocHandle, AllocatorKind, SimAllocator};
+use crate::traits::SimAllocator;
 use hermes_core::DEFAULT_MMAP_THRESHOLD;
 use hermes_os::prelude::*;
 use hermes_sim::rng::DetRng;
 use hermes_sim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 
-#[derive(Debug, Clone, Copy)]
-struct Live {
-    size: usize,
-    large: bool,
-}
-
 /// Simulated TCMalloc allocator bound to one process.
 #[derive(Debug)]
-pub struct TcmallocSim {
+pub(crate) struct TcmallocSim {
     proc: ProcId,
     costs: TcmallocCosts,
     /// Objects available in the thread cache, per class.
     cache: HashMap<usize, u64>,
     /// Freed span pages retained by the page heap (warm reuse).
     span_pool_pages: u64,
-    live: HashMap<u64, Live>,
-    next_handle: u64,
     rng: DetRng,
 }
 
 impl TcmallocSim {
-    /// Creates the model for a new latency-critical process.
-    pub fn new(os: &mut Os, seed: u64) -> Self {
-        let proc = os.register_process(ProcKind::LatencyCritical);
+    /// Creates the model for the latency-critical process `proc`.
+    pub(crate) fn new(proc: ProcId, seed: u64) -> Self {
         TcmallocSim {
             proc,
             costs: TcmallocCosts::default(),
             cache: HashMap::new(),
             span_pool_pages: 0,
-            live: HashMap::new(),
-            next_handle: 1,
             rng: DetRng::new(seed, "tcmalloc"),
         }
     }
@@ -56,14 +45,6 @@ impl TcmallocSim {
 }
 
 impl SimAllocator for TcmallocSim {
-    fn kind(&self) -> AllocatorKind {
-        AllocatorKind::Tcmalloc
-    }
-
-    fn proc_id(&self) -> ProcId {
-        self.proc
-    }
-
     fn advance_to(&mut self, now: SimTime, os: &mut Os) {
         os.advance_to(now);
     }
@@ -73,11 +54,9 @@ impl SimAllocator for TcmallocSim {
         size: usize,
         now: SimTime,
         os: &mut Os,
-    ) -> Result<(AllocHandle, SimDuration), MemError> {
-        self.advance_to(now, os);
-        let large = size >= DEFAULT_MMAP_THRESHOLD;
+    ) -> Result<(u64, SimDuration), MemError> {
         let mut lat;
-        if large {
+        if size >= DEFAULT_MMAP_THRESHOLD {
             let pages = pages_for(size);
             lat = self
                 .costs
@@ -115,38 +94,16 @@ impl SimAllocator for TcmallocSim {
                 *self.cache.entry(class).or_insert(0) += self.costs.batch_len - 1;
             }
         }
-        let h = AllocHandle(self.next_handle);
-        self.next_handle += 1;
-        self.live.insert(h.0, Live { size, large });
-        Ok((h, lat))
+        Ok((0, lat))
     }
 
-    fn free(&mut self, handle: AllocHandle, now: SimTime, os: &mut Os) -> SimDuration {
-        self.advance_to(now, os);
-        let Some(l) = self.live.remove(&handle.0) else {
-            return SimDuration::ZERO;
-        };
-        if l.large {
-            self.span_pool_pages += pages_for(l.size);
+    fn free(&mut self, size: usize, _tag: u64, _now: SimTime, _os: &mut Os) -> SimDuration {
+        if size >= DEFAULT_MMAP_THRESHOLD {
+            self.span_pool_pages += pages_for(size);
             SimDuration::from_nanos(600)
         } else {
-            *self.cache.entry(Self::class_of(l.size)).or_insert(0) += 1;
+            *self.cache.entry(Self::class_of(size)).or_insert(0) += 1;
             SimDuration::from_nanos(150)
-        }
-    }
-
-    fn access(
-        &mut self,
-        handle: AllocHandle,
-        bytes: usize,
-        now: SimTime,
-        os: &mut Os,
-    ) -> SimDuration {
-        self.advance_to(now, os);
-        if self.live.contains_key(&handle.0) {
-            os.touch_resident(self.proc, pages_for(bytes), now)
-        } else {
-            SimDuration::ZERO
         }
     }
 }
@@ -158,7 +115,7 @@ mod tests {
 
     fn setup() -> (Os, TcmallocSim) {
         let mut os = Os::new(OsConfig::small_test_node());
-        let a = TcmallocSim::new(&mut os, 3);
+        let a = TcmallocSim::new(os.register_process(ProcKind::LatencyCritical), 3);
         (os, a)
     }
 
@@ -168,7 +125,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut lats: Vec<u64> = Vec::new();
         for _ in 0..2000 {
-            let (_, lat) = a.malloc(1024, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(1024, now, &mut os).unwrap();
             lats.push(lat.as_nanos());
             now += lat;
         }
@@ -184,10 +141,10 @@ mod tests {
     #[test]
     fn span_reuse_after_free_is_warm() {
         let (mut os, mut a) = setup();
-        let (h, cold) = a.malloc(256 * 1024, SimTime::ZERO, &mut os).unwrap();
-        a.free(h, SimTime::from_micros(1), &mut os);
+        let (tag, cold) = a.malloc_at(256 * 1024, SimTime::ZERO, &mut os).unwrap();
+        a.free_at(256 * 1024, tag, SimTime::from_micros(1), &mut os);
         let (_, warm) = a
-            .malloc(256 * 1024, SimTime::from_micros(2), &mut os)
+            .malloc_at(256 * 1024, SimTime::from_micros(2), &mut os)
             .unwrap();
         // Warm spans skip span acquisition and mapping construction but
         // still pay the per-request overhead.
@@ -200,7 +157,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut cheap = 0;
         for i in 0..64 {
-            let (_, lat) = a.malloc(100, now, &mut os).unwrap();
+            let (_, lat) = a.malloc_at(100, now, &mut os).unwrap();
             now += lat;
             if i > 0 && lat < SimDuration::from_micros(3) {
                 cheap += 1;

@@ -1,4 +1,6 @@
-//! The simulated-allocator interface shared by all four models.
+//! The allocator kinds the paper compares, the opaque handle every
+//! backend hands out, and the policy interface the four sim models
+//! implement.
 
 use hermes_os::prelude::*;
 use hermes_sim::time::{SimDuration, SimTime};
@@ -47,52 +49,33 @@ impl fmt::Display for AllocatorKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AllocHandle(pub u64);
 
-/// A simulated user-space allocator bound to one process.
+/// One allocator model's policy and cost model, bound to one process.
 ///
-/// All operations take the current virtual instant and the shared OS; they
-/// return the latency the calling thread experiences. Implementations
-/// fast-forward their background activity (management threads, decay
-/// purging) before serving the foreground operation.
-///
-/// `Send` is required so the [`crate::backend::SimBackend`] adapter —
-/// which owns one of these behind the backend-agnostic API — can move
-/// between threads like the real backends do.
-pub trait SimAllocator: Send {
-    /// Which model this is.
-    fn kind(&self) -> AllocatorKind;
-
-    /// The process this allocator belongs to.
-    fn proc_id(&self) -> ProcId;
-
-    /// Fast-forwards background work to `now`.
+/// A model holds no handles: [`crate::backend::SimBackend`] keeps the one
+/// handle table, fast-forwards the model with [`SimAllocator::advance_to`]
+/// before every operation, and hands each block's size and model tag
+/// back to [`SimAllocator::free`]. All operations take the current
+/// virtual instant and the shared OS; they return the latency the
+/// calling thread experiences.
+pub(crate) trait SimAllocator: Send {
+    /// Fast-forwards background work (management threads, decay
+    /// purging) to `now`.
     fn advance_to(&mut self, now: SimTime, os: &mut Os);
 
     /// `malloc(size)` followed by the first write to the returned memory
     /// (the paper measures allocation latency through data insertion, so
-    /// mapping-construction faults are part of the cost).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] when physical memory cannot be obtained.
+    /// mapping-construction faults are part of the cost). Returns the
+    /// model's tag for the block and the latency.
     fn malloc(
         &mut self,
         size: usize,
         now: SimTime,
         os: &mut Os,
-    ) -> Result<(AllocHandle, SimDuration), MemError>;
+    ) -> Result<(u64, SimDuration), MemError>;
 
-    /// `free` of a live handle. Returns the (small) latency.
-    fn free(&mut self, handle: AllocHandle, now: SimTime, os: &mut Os) -> SimDuration;
-
-    /// Touches `bytes` of a live allocation (data access by the service);
-    /// may stall on swap-in under pressure.
-    fn access(
-        &mut self,
-        handle: AllocHandle,
-        bytes: usize,
-        now: SimTime,
-        os: &mut Os,
-    ) -> SimDuration;
+    /// `free` of a live block of `size` bytes that [`SimAllocator::malloc`]
+    /// tagged `tag`. Returns the (small) latency.
+    fn free(&mut self, size: usize, tag: u64, now: SimTime, os: &mut Os) -> SimDuration;
 
     /// Reserved-but-unused bytes (Hermes overhead metric, §5.5); zero for
     /// the baselines.
@@ -103,6 +86,25 @@ pub trait SimAllocator: Send {
     /// Cumulative management-thread busy time (§5.5); zero for baselines.
     fn management_busy(&self) -> SimDuration {
         SimDuration::ZERO
+    }
+
+    /// Advances to `now`, then mallocs, as `SimBackend` drives a model.
+    #[cfg(test)]
+    fn malloc_at(
+        &mut self,
+        size: usize,
+        now: SimTime,
+        os: &mut Os,
+    ) -> Result<(u64, SimDuration), MemError> {
+        self.advance_to(now, os);
+        self.malloc(size, now, os)
+    }
+
+    /// Advances to `now`, then frees, as `SimBackend` drives a model.
+    #[cfg(test)]
+    fn free_at(&mut self, size: usize, tag: u64, now: SimTime, os: &mut Os) -> SimDuration {
+        self.advance_to(now, os);
+        self.free(size, tag, now, os)
     }
 }
 

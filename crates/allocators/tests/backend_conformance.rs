@@ -207,21 +207,101 @@ fn cross_thread_free_under_remote_queue_stays_lock_free() {
     }
 }
 
+/// The handle counters and gauges of a snapshot (the byte gauges of a
+/// live manager move on their own).
+fn handle_stats(b: &dyn AllocatorBackend) -> (u64, u64, u64, u64, usize) {
+    let s = b.stats();
+    (
+        s.alloc_count,
+        s.free_count,
+        s.realloc_count,
+        s.live,
+        s.live_bytes,
+    )
+}
+
 #[test]
-fn free_of_unknown_handle_is_a_safe_noop() {
+fn unknown_handles_change_nothing() {
     for mut b in all_backends() {
         let label = b.kind().label();
         let bogus = hermes_allocators::AllocHandle(12345);
         assert_eq!(b.free(bogus), SimDuration::ZERO, "{label}");
-        let s = b.stats();
-        assert_eq!(s.free_count, 0, "{label}: nothing was freed");
+        assert_eq!(b.stats().free_count, 0, "{label}: nothing was freed");
+        let before = handle_stats(&*b);
+        assert!(
+            matches!(b.realloc(bogus, 64), Err(AllocError::Exhausted)),
+            "{label}: realloc of an unknown handle"
+        );
+        assert_eq!(handle_stats(&*b), before, "{label}: unknown realloc");
         // A double free is the same no-op once the first one retired
-        // the handle.
+        // the handle, and so is a realloc of the retired handle.
         let (h, _) = b.malloc(256).unwrap();
         b.free(h);
         assert_eq!(b.free(h), SimDuration::ZERO, "{label}: double free");
         assert_eq!(b.stats().free_count, 1, "{label}: one real free");
+        let before = handle_stats(&*b);
+        assert!(
+            matches!(b.realloc(h, 64), Err(AllocError::Exhausted)),
+            "{label}: realloc of a freed handle"
+        );
+        assert_eq!(handle_stats(&*b), before, "{label}: freed realloc");
     }
+}
+
+/// Folds `x` into an FNV-1a style checksum.
+fn fold(sum: &mut u64, x: u64) {
+    *sum = (*sum ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+#[test]
+fn sim_latency_streams_are_pinned() {
+    // A fixed script over every sim model: mallocs cycling through the
+    // small, page, pool-sized and large classes, a free of the oldest
+    // handle every third op, an access of the newest, and background
+    // progress every 64 ops. Every latency and the final overhead
+    // gauges fold into one checksum per model, so any change to a
+    // model's output stream — not just to its figures — fails here.
+    const SIZES: [usize; 4] = [64, 4096, 200 * 1024, 1 << 20];
+    const PINNED: [(AllocatorKind, u64); 4] = [
+        (AllocatorKind::Hermes, 15456847165729245315),
+        (AllocatorKind::Glibc, 9227445938228063245),
+        (AllocatorKind::Jemalloc, 18034290863395433511),
+        (AllocatorKind::Tcmalloc, 4661550685018629610),
+    ];
+    let cfg = HermesConfig::default();
+    let mut got = Vec::new();
+    for kind in AllocatorKind::ALL {
+        let env = SimEnv::new(OsConfig::small_test_node());
+        let mut b = SimBackend::new(kind, &env, 11, &cfg);
+        let mut live = std::collections::VecDeque::new();
+        let mut sum = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..3000usize {
+            let size = SIZES[i % SIZES.len()];
+            match b.malloc(size) {
+                Ok((h, lat)) => {
+                    fold(&mut sum, lat.as_nanos());
+                    live.push_back((h, size));
+                }
+                Err(_) => fold(&mut sum, u64::MAX),
+            }
+            if i % 3 == 2 {
+                if let Some((h, _)) = live.pop_front() {
+                    fold(&mut sum, b.free(h).as_nanos());
+                }
+            }
+            if let Some(&(h, size)) = live.back() {
+                fold(&mut sum, b.access(h, size).as_nanos());
+            }
+            if i % 64 == 63 {
+                b.advance();
+            }
+        }
+        let s = b.stats();
+        fold(&mut sum, s.reserved_unused_bytes as u64);
+        fold(&mut sum, s.management_busy.as_nanos());
+        got.push((kind, sum));
+    }
+    assert_eq!(got, PINNED, "sim latency streams moved");
 }
 
 #[test]

@@ -164,12 +164,6 @@ impl Os {
         self.file_cached_pages
     }
 
-    /// "Available" memory in the `free(1)` sense: free plus reclaimable
-    /// file cache.
-    pub fn available_bytes(&self) -> usize {
-        (self.free_pages + self.file_cached_pages) as usize * PAGE_SIZE
-    }
-
     /// Fraction of physical memory in use (including file cache).
     pub fn used_fraction(&self) -> f64 {
         1.0 - self.free_pages as f64 / self.cfg.total_pages() as f64
@@ -187,11 +181,6 @@ impl Os {
     /// `true` while kswapd is actively reclaiming.
     pub fn kswapd_active(&self) -> bool {
         self.kswapd.active
-    }
-
-    /// The swap device (for utilisation reporting).
-    pub fn swap_device(&self) -> &SwapDevice {
-        &self.swap
     }
 
     /// Registers a process of the given role.

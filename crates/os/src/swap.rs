@@ -13,7 +13,6 @@ pub struct SwapDevice {
     used_pages: u64,
     writes: u64,
     reads: u64,
-    busy_accum: SimDuration,
 }
 
 /// Outcome of a device operation.
@@ -35,7 +34,6 @@ impl SwapDevice {
             used_pages: 0,
             writes: 0,
             reads: 0,
-            busy_accum: SimDuration::ZERO,
         }
     }
 
@@ -57,11 +55,6 @@ impl SwapDevice {
     /// Instant the device becomes idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total device busy time accumulated (for utilisation reporting).
-    pub fn busy_total(&self) -> SimDuration {
-        self.busy_accum
     }
 
     /// Number of batch writes issued.
@@ -104,7 +97,6 @@ impl SwapDevice {
         let start = now.max(self.busy_until);
         let dur = self.transfer_time(pages);
         self.busy_until = start + dur;
-        self.busy_accum += dur;
         self.used_pages += pages;
         self.writes += 1;
         Some(IoOutcome {
@@ -120,7 +112,6 @@ impl SwapDevice {
     pub fn read_group(&mut self, now: SimTime, group_cost: SimDuration, pages: u64) -> IoOutcome {
         let start = now.max(self.busy_until);
         self.busy_until = start + group_cost;
-        self.busy_accum += group_cost;
         self.used_pages = self.used_pages.saturating_sub(pages);
         self.reads += 1;
         IoOutcome {

@@ -6,7 +6,7 @@
 //! `crates/services/tests/real_backend.rs`.
 
 use hermes::allocators::{
-    build_allocator, AllocatorBackend, AllocatorKind, RealHermesBackend, RealSystemBackend,
+    AllocatorBackend, AllocatorKind, BackendKind, RealHermesBackend, RealSystemBackend, SimBackend,
     SimEnv,
 };
 use hermes::core::rt::HermesHeapConfig;
@@ -15,20 +15,23 @@ use hermes::os::prelude::*;
 use hermes::services::{
     build_service_on, RealFiles, RedisModel, RocksdbModel, Service, ServiceKind,
 };
-use hermes::sim::time::SimTime;
 
 #[test]
 fn every_allocator_kind_builds_and_allocates() {
-    let mut os = Os::new(OsConfig::small_test_node());
     let cfg = HermesConfig::default();
     for kind in AllocatorKind::ALL {
-        let mut alloc = build_allocator(kind, &mut os, 1, &cfg);
-        assert_eq!(alloc.kind(), kind, "factory built the requested kind");
+        let env = SimEnv::new(OsConfig::small_test_node());
+        let mut alloc = SimBackend::new(kind, &env, 1, &cfg);
+        assert_eq!(
+            alloc.kind(),
+            BackendKind::Sim(kind),
+            "built the requested kind"
+        );
         let (handle, latency) = alloc
-            .malloc(4096, SimTime::ZERO, &mut os)
+            .malloc(4096)
             .unwrap_or_else(|e| panic!("{kind:?}: malloc failed: {e:?}"));
         assert!(latency.as_nanos() > 0, "{kind:?}: latency must be positive");
-        alloc.free(handle, SimTime::from_micros(1), &mut os);
+        alloc.free(handle);
     }
 }
 
