@@ -10,9 +10,11 @@
 //! * TCMalloc — thread cache + central lists + page heap; lowest
 //!   average, very long tail.
 //! * Hermes — the paper's mechanism, executing the same
-//!   `hermes_core::policy` code as the real allocator: gradual
-//!   reservation with per-step lock windows, the segregated mmap pool
-//!   with delayed shrink, `mlock`-constructed mappings.
+//!   `hermes_core::policy` thresholds and reservation plans as the real
+//!   allocator: gradual reservation with per-step lock windows, plus the
+//!   paper's segregated mmap pool with delayed shrink (the real runtime
+//!   carves its large blocks from a free map instead), and
+//!   `mlock`-constructed mappings.
 //!
 //! Plus [`MonitorDaemonSim`], the proactive-reclamation daemon.
 //!

@@ -55,8 +55,8 @@ fn burst_past_the_former_ceiling_then_decommit() {
         "commit stays within the reservation"
     );
 
-    // Release the burst and run the manager until delayed shrink hands
-    // pages back to the kernel.
+    // Release the burst and run the manager until its trim hands pages
+    // back to the kernel.
     for h in held {
         b.free(h);
     }

@@ -141,6 +141,8 @@ pub struct HermesConfig {
     /// Boundary between the heap (brk) path and the mmap path.
     pub mmap_threshold: usize,
     /// Number of buckets in the segregated free list (`table_size`).
+    /// Read by the simulated allocator only: the runtime's large path
+    /// keeps one free map with no size-class table (DESIGN.md §2).
     pub table_size: usize,
     /// `RSV_THR` as a fraction of `TGT_MEM`: reserve more when the free
     /// reserve drops below this fraction of the target.

@@ -12,12 +12,15 @@
 //! * [`policy`] — the algorithms as pure logic: adaptive thresholds
 //!   (Algorithms 1–2), gradual reservation (§3.2.1), the segregated free
 //!   list with Equation 1 bucketing and delayed shrink (§3.2.2), and the
-//!   monitor daemon's largest-file-first reclamation (§3.3). Shared by
-//!   both the real allocator and the simulation stack.
+//!   monitor daemon's largest-file-first reclamation (§3.3). The
+//!   thresholds and gradual reservation are shared by both the real
+//!   allocator and the simulation stack; the segregated list and delayed
+//!   shrink are the simulation's.
 //! * [`rt`] — a real user-space allocator built on that policy,
 //!   implementing [`std::alloc::GlobalAlloc`]: boundary-tag main heap
-//!   with an emulated program break, page-granular large pool, and a
-//!   background management thread.
+//!   with an emulated program break, a large pool carving exact-size
+//!   blocks from one coalescing warm/cold free map, and a background
+//!   management thread.
 //!
 //! Underneath [`rt`] sits [`platform`], the OS page-management seam:
 //! mmap-backed lazy reservations, real `madvise` decommit, huge-page

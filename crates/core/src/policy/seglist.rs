@@ -5,14 +5,13 @@
 //! so the first chunk found is guaranteed to fit without scanning; if the
 //! list has no fitting chunk the *largest* chunk is expanded to the
 //! requested size, and only if the pool is empty does allocation fall back
-//! to a fresh `mmap`. The runtime looks in the request's own bucket first
-//! ([`SegregatedFreeList::take_own_bucket`]); the simulator does not.
+//! to a fresh `mmap`.
 //!
-//! Both lists here are B-trees rather than growable arrays: an insert
-//! allocates at most one node of a few hundred bytes, never a buffer that
-//! grows with the list. The runtime's large path edits them under its
-//! shard lock, where an allocation that grew with the list could come
-//! back to that same lock (DESIGN.md §4, *Re-entrancy*).
+//! The simulated allocator (`HermesSim`) runs Algorithm 2 on these lists
+//! exactly as the paper writes it. The runtime's large path does not use
+//! them: it carves exact-size blocks from one coalescing free map
+//! (`rt::large`, DESIGN.md §2), so it never hands out an over-sized chunk
+//! and has nothing to shrink.
 
 use std::cmp::Reverse;
 use std::collections::{btree_map, BTreeMap};
@@ -101,19 +100,6 @@ impl SegregatedFreeList {
         self.total += chunk.size;
         self.buckets[b].insert(self.next_seq, chunk);
         self.next_seq += 1;
-    }
-
-    /// Removes and returns the first of the leading `limit` chunks (FIFO
-    /// order) of `req`'s own bucket that holds at least `req` bytes.
-    /// [`SegregatedFreeList::take`] never looks there, since a chunk of
-    /// the request's own bucket may be smaller than the request.
-    pub fn take_own_bucket(&mut self, req: usize, limit: usize) -> Option<MmapChunk> {
-        let b = self.bucket_of(req);
-        let bucket = &mut self.buckets[b];
-        let (&seq, _) = bucket.iter().take(limit).find(|(_, c)| c.size >= req)?;
-        let c = bucket.remove(&seq).expect("key present");
-        self.total -= c.size;
-        Some(c)
     }
 
     /// Serves a request of `req` bytes per the paper's lookup rule.
@@ -233,12 +219,6 @@ impl DelayedShrinkSet {
     /// the management round (`DelayRelease(alloc_set)` in Algorithm 2).
     pub fn drain(&mut self) -> btree_map::IntoValues<u64, ShrinkEntry> {
         std::mem::take(&mut self.entries).into_values()
-    }
-
-    /// Takes the pending entry with the lowest chunk id, for a round that
-    /// may stop before the set is empty.
-    pub fn pop(&mut self) -> Option<ShrinkEntry> {
-        self.entries.pop_first().map(|(_, e)| e)
     }
 
     /// Number of pending entries.
@@ -424,23 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn own_bucket_take_is_first_fit_within_the_limit() {
-        let mut p = pool();
-        // Bucket 1, in FIFO order: too small, too small, a fit, a fit.
-        for (id, sz) in [(1u64, 150), (2, 180), (3, 220), (4, 204)] {
-            p.insert(MmapChunk { id, size: sz * KB });
-        }
-        assert_eq!(
-            p.take_own_bucket(204 * KB, 2),
-            None,
-            "fits lie past the limit"
-        );
-        assert_eq!(p.take_own_bucket(204 * KB, 4).map(|c| c.id), Some(3));
-        assert_eq!(p.total_size(), (150 + 180 + 204) * KB);
-        assert_eq!(p.take_own_bucket(300 * KB, 8), None, "bucket 2 is empty");
-    }
-
-    #[test]
     fn delayed_shrink_set_behaviour() {
         let mut s = DelayedShrinkSet::new();
         s.push(1, 524 * KB, 278 * KB);
@@ -462,16 +425,5 @@ mod tests {
         assert!(s.cancel(1).is_none());
         assert_eq!(s.len(), 1);
         assert_eq!(s.drain().map(|e| e.id).collect::<Vec<_>>(), [2]);
-    }
-
-    #[test]
-    fn delayed_shrink_pop_takes_lowest_id_first() {
-        let mut s = DelayedShrinkSet::new();
-        s.push(7, 300 * KB, 200 * KB);
-        s.push(3, 300 * KB, 150 * KB);
-        assert_eq!(s.pop().map(|e| (e.id, e.requested)), Some((3, 150 * KB)));
-        assert_eq!(s.len(), 1, "the rest stays pending");
-        assert_eq!(s.pop().map(|e| e.id), Some(7));
-        assert_eq!(s.pop(), None);
     }
 }

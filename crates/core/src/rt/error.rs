@@ -54,9 +54,10 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// A structural invariant violated inside one heap walk.
+/// A structural invariant violated inside one heap or large-arena walk.
 ///
-/// Offsets are heap-relative byte offsets of the offending chunk.
+/// Offsets are arena-relative byte offsets of the offending chunk or
+/// free range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntegrityViolation {
     /// A chunk's size word is below the minimum or misaligned.
@@ -138,6 +139,68 @@ pub enum IntegrityViolation {
     StatsDrift,
     /// The top chunk starts beyond the program break.
     TopBeyondBreak,
+    /// A listed large-arena range is empty, not page-granular, or runs
+    /// past the bump frontier.
+    BadLargeRange {
+        /// Offset of the range.
+        off: usize,
+        /// Its size.
+        size: usize,
+    },
+    /// Two listed large-arena ranges overlap.
+    LargeRangesOverlap {
+        /// Offset of the earlier range.
+        prev_off: usize,
+        /// Offset of the later range.
+        off: usize,
+    },
+    /// Two adjacent listed large-arena ranges of the same warmth were
+    /// left unmerged (missed coalescing).
+    LargeRangesUnmerged {
+        /// Offset of the earlier range.
+        prev_off: usize,
+        /// Offset of the later range.
+        off: usize,
+    },
+    /// A cold range ends at the bump frontier instead of un-bumping it.
+    ColdRangeAtFrontier {
+        /// Offset of the range.
+        off: usize,
+        /// Its size.
+        size: usize,
+    },
+    /// The warm or cold size index disagrees with the free map.
+    LargeIndexMismatch {
+        /// Which index.
+        warm: bool,
+    },
+    /// The warm (`pool_bytes`) or cold (`extent_bytes`) gauge disagrees
+    /// with the sum of the listed ranges.
+    LargeGaugeMismatch {
+        /// Which gauge.
+        warm: bool,
+        /// The gauge's value.
+        gauge: usize,
+        /// The listed ranges' sum.
+        listed: usize,
+    },
+    /// Live, listed and in-flight bytes do not add up to the bump
+    /// frontier.
+    LargeBytesUnbalanced {
+        /// Their sum.
+        accounted: usize,
+        /// The frontier's offset.
+        frontier: usize,
+    },
+}
+
+/// `"warm"` or `"cold"`.
+fn warmth(warm: bool) -> &'static str {
+    if warm {
+        "warm"
+    } else {
+        "cold"
+    }
 }
 
 impl fmt::Display for IntegrityViolation {
@@ -181,6 +244,43 @@ impl fmt::Display for IntegrityViolation {
             }
             IntegrityViolation::StatsDrift => write!(f, "in-use stats drift"),
             IntegrityViolation::TopBeyondBreak => write!(f, "top beyond break"),
+            IntegrityViolation::BadLargeRange { off, size } => {
+                write!(f, "large range {off:#x}: bad size {size}")
+            }
+            IntegrityViolation::LargeRangesOverlap { prev_off, off } => {
+                write!(f, "large ranges at {prev_off:#x} and {off:#x} overlap")
+            }
+            IntegrityViolation::LargeRangesUnmerged { prev_off, off } => {
+                write!(
+                    f,
+                    "adjacent large ranges at {prev_off:#x} and {off:#x} unmerged"
+                )
+            }
+            IntegrityViolation::ColdRangeAtFrontier { off, size } => {
+                write!(
+                    f,
+                    "cold large range {off:#x} (+{size}) ends at the frontier"
+                )
+            }
+            IntegrityViolation::LargeIndexMismatch { warm } => {
+                write!(
+                    f,
+                    "{} large index disagrees with the free map",
+                    warmth(warm)
+                )
+            }
+            IntegrityViolation::LargeGaugeMismatch {
+                warm,
+                gauge,
+                listed,
+            } => write!(f, "{} large bytes {gauge} != listed {listed}", warmth(warm)),
+            IntegrityViolation::LargeBytesUnbalanced {
+                accounted,
+                frontier,
+            } => write!(
+                f,
+                "live + listed + in-flight large bytes {accounted} != frontier {frontier}"
+            ),
         }
     }
 }

@@ -9,13 +9,14 @@
 //!   reserve is below `RSV_THR`, *gradually* extends and touches the break
 //!   in `MEM_CHUNK`-sized steps, taking that shard's heap lock per step so
 //!   concurrent `malloc`s interleave (Figure 6(b)); trims above `TRIM_THR`;
-//! * **mmap side** (Algorithm 2) — processes the shard's delayed-shrink
-//!   set, refills its segregated pool to `TGT_MEM`, releases above
-//!   `TRIM_THR`. One hold of the shard's `large` lock cuts the shrink
-//!   tails, reserves (populating each reserved chunk) and takes the trimmed
-//!   chunks out of the pool; the lock is then dropped while those ranges
-//!   are decommitted, and a second, short hold lists them as extents. An
-//!   allocation or free therefore never waits on a decommit.
+//! * **mmap side** (Algorithm 2) — refills the shard's warm free space to
+//!   `TGT_MEM`, releases above `TRIM_THR`. There is no delayed shrink:
+//!   the large pool carves every block to exactly its size (DESIGN.md
+//!   §2). One hold of the shard's `large` lock reserves (populating each
+//!   reserved step) and takes the trimmed ranges out of the free map; the
+//!   lock is then dropped while those ranges are decommitted, and a
+//!   second, short hold lists them cold. An allocation or free therefore
+//!   never waits on a decommit.
 //!
 //! Reservation and trim byte counters are recorded on the shard they
 //! belong to; round bookkeeping lands on the runtime-wide counters.

@@ -7,8 +7,9 @@
 //! * [`heap::RawHeap`] — a main heap (brk path) for requests below the
 //!   mmap threshold: boundary-tag chunks, free bins, top chunk, emulated
 //!   program break.
-//! * [`large::LargePool`] — the mmap path: page-granular chunks with the
-//!   segregated pre-touch pool and delayed shrink.
+//! * [`large::LargePool`] — the mmap path: exact-size page-granular
+//!   blocks carved from one coalescing warm/cold free map, whose warm
+//!   (pre-touched) bytes are Algorithm 2's pool.
 //! * [`HermesHeap`] — the synchronised front end over **N arena shards**,
 //!   each holding its own `RawHeap` + `LargePool` pair behind per-shard
 //!   locks. Each thread allocates from one home shard (round-robin
@@ -596,7 +597,8 @@ impl HermesHeap {
         }
     }
 
-    /// Walks every arena's heap verifying structural invariants.
+    /// Walks every arena's heap and large-arena free map verifying
+    /// structural invariants, each under its own shard lock.
     ///
     /// # Errors
     ///
@@ -607,6 +609,10 @@ impl HermesHeap {
         for (i, s) in self.shared.shards.iter().enumerate() {
             lock(&s.heap)
                 .raw
+                .check_integrity()
+                .map_err(|e| e.with_arena(i))?;
+            lock(&s.large)
+                .pool
                 .check_integrity()
                 .map_err(|e| e.with_arena(i))?;
         }

@@ -88,7 +88,7 @@ counter_fields! {
         /// Bytes released by trims.
         trimmed_bytes,
         /// Bytes returned to the kernel (`madvise(DONTNEED)`) by the
-        /// management thread's trim and delayed-shrink decommits.
+        /// management thread's trim decommits.
         decommitted_bytes,
         /// Allocations served from a warm thread cache. Live caches tally
         /// hits locally (the warm path performs no shared atomic RMW for

@@ -4,16 +4,19 @@
 //! driven straight at a default-capacity two-arena `HermesHeap` with a
 //! deterministic management round every 16 queries.
 //!
-//! Trim and delayed shrink recycle address space through each arena's
-//! extent list. When that list did not coalesce, mixed sizes shredded the
-//! 2 GiB reservation until a request found no extent large enough and the
-//! bump frontier had nowhere to go: `Exhausted` near query 36 000 with
-//! ~80 MiB live. With address-ordered, coalescing extents the stream runs
-//! indefinitely and the space parked in extents stays bounded.
+//! Every arena recycles address space through one address-ordered free
+//! map of warm and cold page ranges. When the recycled space did not
+//! coalesce, mixed sizes shredded the 2 GiB reservation until a request
+//! found no range large enough and the bump frontier had nowhere to go:
+//! `Exhausted` near query 36 000 with ~80 MiB live. With coalescing ranges
+//! the stream runs indefinitely and the cold space parked in the map stays
+//! bounded.
 //!
 //! The same stream also runs against a live management thread, whose
 //! decommits happen with the shard lock dropped while this thread
-//! allocates and frees: every value must read back intact.
+//! allocates and frees: every value must read back intact. Both runs walk
+//! every arena's heap and free map (`check_integrity`) every 4 096
+//! queries.
 
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
 use hermes_core::HermesConfig;
@@ -93,6 +96,8 @@ fn kv_large_stream_does_not_exhaust_address_space() {
                 s.extent_bytes,
                 s.backing_reserved
             );
+            heap.check_integrity()
+                .unwrap_or_else(|e| panic!("query {q}: {e}"));
         }
     }
     for (p, layout) in live {
@@ -150,6 +155,10 @@ fn kv_large_stream_under_a_live_manager_keeps_every_byte() {
                 stamp(victim, layout.size(), tag, true);
                 heap.deallocate(victim, layout);
             }
+        }
+        if q % 4096 == 0 {
+            heap.check_integrity()
+                .unwrap_or_else(|e| panic!("query {q}: {e}"));
         }
     }
     for (p, layout, tag) in live {

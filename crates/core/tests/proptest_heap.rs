@@ -154,8 +154,10 @@ proptest! {
                 }
                 live.push((p, size, i as u8));
             }
+            pool.check_integrity().map_err(|e| TestCaseError::fail(format!("alloc {i}: {e}")))?;
             if i % 5 == 4 {
                 pool.management_round(1 << 20, 2 << 20, 16 << 20, 256 * 1024);
+                pool.check_integrity().map_err(|e| TestCaseError::fail(format!("round {i}: {e}")))?;
             }
         }
         for &f in &frees {
@@ -168,13 +170,19 @@ proptest! {
                 prop_assert_eq!(*p.as_ptr().add(size - 1), tag);
                 pool.free(p);
             }
+            pool.check_integrity().map_err(|e| TestCaseError::fail(format!("free: {e}")))?;
         }
-        let live_count = live.len();
         for (p, _, _) in live {
             // SAFETY: still live.
             unsafe { pool.free(p) };
+            pool.check_integrity().map_err(|e| TestCaseError::fail(format!("drain: {e}")))?;
         }
-        let _ = live_count;
+        pool.management_round(0, 0, 0, 256 * 1024);
+        pool.check_integrity().map_err(|e| TestCaseError::fail(format!("final round: {e}")))?;
+        // Everything freed merges into warm space, and the trim hands all
+        // of it back: nothing stays committed.
+        let s = pool.stats();
+        prop_assert_eq!((s.pool_bytes, s.extent_bytes, s.committed), (0, 0, 0));
         prop_assert_eq!(pool.stats().live, 0);
         prop_assert_eq!(pool.stats().live_bytes, 0);
     }
