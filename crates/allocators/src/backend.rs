@@ -14,7 +14,7 @@
 //!   only a block's size and their own tag;
 //! * [`crate::real::RealHermesBackend`] / [`crate::real::RealSystemBackend`]
 //!   — real memory, measured with `std::time::Instant` on a
-//!   [`WallClock`].
+//!   [`WallClock`](hermes_sim::clock::WallClock).
 //!
 //! Sim backends are built with [`SimBackend::new`] over an experiment's
 //! [`SimEnv`], real ones by their own constructors.

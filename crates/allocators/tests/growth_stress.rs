@@ -7,11 +7,17 @@
 //! suite allocates past that from a far smaller initial exposure.
 
 use hermes_allocators::{AllocatorBackend, RealHermesBackend};
+use hermes_core::policy::TRIM_WINDOW_ROUNDS;
 use hermes_core::rt::HermesHeapConfig;
 use hermes_core::HermesConfig;
 
 /// 1 MiB chunks: the large (mmap-path) side, where the burst lands.
 const CHUNK: usize = 1 << 20;
+
+/// Management rounds a test waits for a large-side decommit: the large
+/// pool is trimmed against the peak of the last `TRIM_WINDOW_ROUNDS`
+/// rounds, so this outlasts a burst's peak by a whole window.
+const DECOMMIT_ROUNDS: usize = 2 * TRIM_WINDOW_ROUNDS;
 
 fn growing_backend() -> RealHermesBackend {
     // 32 MiB + 64 MiB exposed, 8x reserved: the 288 MiB burst below can
@@ -56,19 +62,17 @@ fn burst_past_the_former_ceiling_then_decommit() {
     );
 
     // Release the burst and run the manager until its trim hands pages
-    // back to the kernel.
+    // back to the kernel. The burst's rounds leave the trim window one
+    // at a time, so the first decommits can be partial: run every round
+    // before reading the gauges.
     for h in held {
         b.free(h);
     }
     assert_eq!(b.stats().live, 0);
-    let mut decommitted = 0;
-    for _ in 0..256 {
+    for _ in 0..DECOMMIT_ROUNDS {
         b.heap().run_management_round();
-        decommitted = b.stats().decommitted_bytes;
-        if decommitted > 0 {
-            break;
-        }
     }
+    let decommitted = b.stats().decommitted_bytes;
     assert!(decommitted > 0, "manager rounds decommit the freed burst");
     let after = b.stats();
     assert!(
@@ -94,7 +98,7 @@ fn decommitted_memory_is_reusable() {
     for h in held {
         b.free(h);
     }
-    for _ in 0..256 {
+    for _ in 0..DECOMMIT_ROUNDS {
         b.heap().run_management_round();
         if b.stats().decommitted_bytes > 0 {
             break;

@@ -147,7 +147,10 @@ pub struct HermesConfig {
     /// `RSV_THR` as a fraction of `TGT_MEM`: reserve more when the free
     /// reserve drops below this fraction of the target.
     pub rsv_trigger_ratio: f64,
-    /// `TRIM_THR` as a multiple of `TGT_MEM`: release reserve above it.
+    /// `TRIM_THR` as a multiple of `TGT_MEM`: release reserve above it —
+    /// against the peak target of the last
+    /// [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds on
+    /// the large path.
     pub trim_ratio: f64,
     /// Enable the monitor daemon's proactive file-cache reclamation. Read
     /// by the simulated allocator only.

@@ -22,4 +22,4 @@ pub mod thresholds;
 pub use gradual::ReservationPlan;
 pub use reclaim::{select_victims, FileCacheView, ReclaimDecision, ReclaimInputs};
 pub use seglist::{DelayedShrinkSet, MmapChunk, PoolHit, SegregatedFreeList, ShrinkEntry};
-pub use thresholds::{IntervalStats, ThresholdTracker, Thresholds};
+pub use thresholds::{IntervalStats, PeakWindow, ThresholdTracker, Thresholds, TRIM_WINDOW_ROUNDS};

@@ -165,6 +165,43 @@ impl ThresholdTracker {
     }
 }
 
+/// Management rounds a [`PeakWindow`] remembers: 256 ms at the default
+/// 2 ms interval.
+pub const TRIM_WINDOW_ROUNDS: usize = 128;
+
+/// The largest of the last [`TRIM_WINDOW_ROUNDS`] values pushed, so a
+/// trim threshold can follow the recent peak of demand instead of the
+/// last interval alone (the large path's trim rule, DESIGN.md §2).
+#[derive(Debug, Clone)]
+pub struct PeakWindow {
+    ring: [usize; TRIM_WINDOW_ROUNDS],
+    next: usize,
+}
+
+impl PeakWindow {
+    /// An empty window: every slot reads 0 until pushed over.
+    pub fn new() -> Self {
+        PeakWindow {
+            ring: [0; TRIM_WINDOW_ROUNDS],
+            next: 0,
+        }
+    }
+
+    /// Records `v` in place of the oldest value and returns the max of
+    /// the last [`TRIM_WINDOW_ROUNDS`] values pushed.
+    pub fn push(&mut self, v: usize) -> usize {
+        self.ring[self.next] = v;
+        self.next = (self.next + 1) % TRIM_WINDOW_ROUNDS;
+        self.ring.iter().copied().max().unwrap_or(v)
+    }
+}
+
+impl Default for PeakWindow {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Rounds `v` up to a multiple of `quantum`.
 pub fn round_up(v: usize, quantum: usize) -> usize {
     debug_assert!(quantum > 0);
@@ -310,6 +347,34 @@ mod tests {
         );
         // Tiny floors never drop below one reservation quantum.
         assert_eq!(per_shard_min_rsv(1024, 8, 4096), 4096);
+    }
+
+    #[test]
+    fn peak_window_first_push_is_its_own_max() {
+        assert_eq!(PeakWindow::new().push(7), 7);
+        assert_eq!(PeakWindow::new().push(0), 0);
+    }
+
+    #[test]
+    fn peak_window_holds_a_max_for_exactly_the_window() {
+        let mut w = PeakWindow::new();
+        assert_eq!(w.push(100), 100);
+        // The peak is one of the last TRIM_WINDOW_ROUNDS values through
+        // the push that makes it the oldest...
+        for _ in 1..TRIM_WINDOW_ROUNDS {
+            assert_eq!(w.push(3), 100);
+        }
+        // ...and the next push forgets it.
+        assert_eq!(w.push(3), 3);
+        assert_eq!(w.push(1), 3);
+    }
+
+    #[test]
+    fn peak_window_follows_a_non_decreasing_input() {
+        let mut w = PeakWindow::new();
+        for v in 0..3 * TRIM_WINDOW_ROUNDS {
+            assert_eq!(w.push(v), v);
+        }
     }
 
     #[test]

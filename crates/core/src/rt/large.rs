@@ -19,19 +19,23 @@
 //!
 //! The warm bytes are Algorithm 2's pool: a management round reserves
 //! pre-touched warm space while they are below `RSV_THR` and trims them
-//! while they are above `TRIM_THR`. A round takes the trimmed ranges out
-//! of the map ([`LargePool::detach`]), returns their pages to the kernel
-//! (`madvise(DONTNEED)`) with no lock held ([`Detached::decommit`]), and
-//! only then lists them cold ([`LargePool::publish`]), so reuse honestly
-//! pays (and counts) the mapping-construction faults again. A cold range
-//! that reaches the bump frontier is handed back to it: untouched address
-//! space either way. See DESIGN.md §2.
+//! while they are above the trim threshold it is given. The runtime's
+//! manager passes the peak `TRIM_THR` of the last
+//! [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds, not
+//! the last interval's, so warm ranges a churning store reuses are not
+//! decommitted at its first quiet round. A round takes the trimmed ranges
+//! out of the map (`LargePool::detach`), returns their pages to the
+//! kernel (`madvise(DONTNEED)`) with no lock held (`Detached::decommit`),
+//! and only then lists them cold (`LargePool::publish`), so reuse
+//! honestly pays (and counts) the mapping-construction faults again. A
+//! cold range that reaches the bump frontier is handed back to it:
+//! untouched address space either way. See DESIGN.md §2.
 //!
 //! Under the `#[global_allocator]` the map is edited with the shard's
 //! `large` lock held, so no edit may allocate on the large path. The map
 //! and its two size indices are B-trees: an edit allocates at most one
 //! node of a few hundred bytes, which the small path serves, however long
-//! the map grows, and a round's [`Detached`] ranges sit in a
+//! the map grows, and a round's detached ranges sit in a
 //! fixed-capacity buffer filled before the lock is taken (DESIGN.md §4,
 //! *Re-entrancy*).
 
@@ -552,10 +556,10 @@ impl LargePool {
     }
 
     /// Management round, mmap side (Algorithm 2), for a pool its caller
-    /// owns outright: [`LargePool::detach`], [`Detached::decommit`] and
-    /// [`LargePool::publish`] back to back. The runtime's manager runs
-    /// the same three steps itself, with the shard lock dropped around
-    /// the decommit.
+    /// owns outright: detach, decommit and publish back to back, trimming
+    /// against `trim_thr` as given. The runtime's manager runs the same
+    /// three steps itself, with the shard lock dropped around the
+    /// decommit, and trims against a windowed peak of `TRIM_THR`.
     ///
     /// Returns the number of chunks newly reserved.
     pub fn management_round(

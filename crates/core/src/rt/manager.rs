@@ -10,7 +10,11 @@
 //!   in `MEM_CHUNK`-sized steps, taking that shard's heap lock per step so
 //!   concurrent `malloc`s interleave (Figure 6(b)); trims above `TRIM_THR`;
 //! * **mmap side** (Algorithm 2) — refills the shard's warm free space to
-//!   `TGT_MEM`, releases above `TRIM_THR`. There is no delayed shrink:
+//!   `TGT_MEM`, releases above the peak `TRIM_THR` of the last
+//!   [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds
+//!   rather than the last interval's, so a store whose net demand reads
+//!   ≈ 0 between bursts keeps the warm ranges it reuses (DESIGN.md §2,
+//!   *Trim against a windowed peak*). There is no delayed shrink:
 //!   the large pool carves every block to exactly its size (DESIGN.md
 //!   §2). One hold of the shard's `large` lock reserves (populating each
 //!   reserved step) and takes the trimmed ranges out of the free map; the
@@ -155,12 +159,13 @@ fn large_round(shard: &Shard) {
     let mut detached = Detached::new();
     let mut g = lock(&shard.large);
     let th = g.tracker.roll_interval();
+    let trim_thr = g.trim_peak.push(th.trim_thr);
     let before = g.pool.pool_total();
     g.pool.detach(
         &mut detached,
         th.rsv_thr,
         th.tgt_mem,
-        th.trim_thr,
+        trim_thr,
         th.mem_chunk,
     );
     let after = g.pool.pool_total();

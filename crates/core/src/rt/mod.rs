@@ -72,7 +72,7 @@ use crate::config::{
     default_arena_count, default_heap_capacity, default_large_capacity, HermesConfig,
 };
 use crate::platform::platform;
-use crate::policy::thresholds::{per_shard_min_rsv, ThresholdTracker};
+use crate::policy::thresholds::{per_shard_min_rsv, PeakWindow, ThresholdTracker};
 use manager::ManagerHandle;
 use std::alloc::Layout;
 use std::cell::Cell;
@@ -174,6 +174,9 @@ pub(crate) struct HeapState {
 pub(crate) struct LargeState {
     pub pool: LargePool,
     pub tracker: ThresholdTracker,
+    /// The peak of `tracker`'s trim threshold over the last
+    /// `TRIM_WINDOW_ROUNDS` rounds: the one the pool is trimmed against.
+    pub trim_peak: PeakWindow,
 }
 
 /// One arena shard: a main heap and a large pool behind their own locks,
@@ -222,6 +225,7 @@ impl Shard {
             large: Mutex::new(LargeState {
                 pool: LargePool::new(large_arena, cfg.mmap_threshold, cfg.table_size),
                 tracker: large_tracker,
+                trim_peak: PeakWindow::new(),
             }),
             counters: Counters::new(),
             remote: remote::RemoteInbox::new(),
@@ -882,6 +886,37 @@ mod tests {
             // SAFETY: each pointer live exactly once.
             unsafe { h.deallocate(p, layout(2048)) };
         }
+    }
+
+    #[test]
+    fn a_freed_large_burst_stays_warm_for_the_window_then_trims() {
+        use crate::policy::TRIM_WINDOW_ROUNDS;
+        const BURST: usize = 8;
+        let big = layout(1 << 20);
+        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(1)).unwrap();
+        let ptrs: Vec<_> = (0..BURST).map(|_| h.allocate(big).unwrap()).collect();
+        // The round that sees the burst live books its peak.
+        h.run_management_round();
+        for p in ptrs {
+            // SAFETY: each pointer live exactly once.
+            unsafe { h.deallocate(p, big) };
+        }
+        let warm = h.large_stats();
+        assert!(warm.pool_bytes >= BURST << 20, "{warm:?}");
+        // Idle rounds until the burst's round is the window's oldest: the
+        // freed burst stays warm.
+        for _ in 1..TRIM_WINDOW_ROUNDS {
+            h.run_management_round();
+        }
+        let held = h.large_stats();
+        assert_eq!(h.counters().decommitted_bytes, 0, "{held:?}");
+        assert!(held.pool_bytes >= BURST << 20, "{held:?}");
+        // One more round forgets the peak and trims.
+        h.run_management_round();
+        let trimmed = h.large_stats();
+        assert!(h.counters().decommitted_bytes > 0, "{trimmed:?}");
+        assert!(trimmed.committed < held.committed, "{trimmed:?}");
+        h.check_integrity().unwrap();
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! thread-exit drain (a TLS destructor). Remote parties get one narrow,
 //! always-safe window instead: the gauge tallies (`blocks`/`bytes`/
 //! `hits` and the pending op counts) are atomics written only by the
-//! owner and read by anyone ([`tallies`]), so runtime statistics stay
+//! owner and read by anyone (`tallies`), so runtime statistics stay
 //! exact without stopping the owner. Nothing ever asks a cache to drain
 //! from outside; what a parked thread can hold is bounded by the
 //! magazine depth (DESIGN.md §5).
@@ -58,7 +58,7 @@ use std::sync::{Arc, Weak};
 
 /// Largest boundary-tag chunk (header included) a thread cache holds.
 pub const TCACHE_MAX_CHUNK: usize = 4096;
-/// Number of size classes (see [`class_chunk`]).
+/// Number of size classes (see `class_chunk`).
 pub const TCACHE_CLASSES: usize = 79;
 /// Per-class magazine depth (blocks).
 pub const TCACHE_DEPTH: usize = 32;

@@ -14,10 +14,14 @@
 //!
 //! The same stream also runs against a live management thread, whose
 //! decommits happen with the shard lock dropped while this thread
-//! allocates and frees: every value must read back intact. Both runs walk
-//! every arena's heap and free map (`check_integrity`) every 4 096
-//! queries.
+//! allocates and frees: every value must read back intact. The large
+//! pool is trimmed against the peak of the last `TRIM_WINDOW_ROUNDS`
+//! rounds, and the initial fill is that peak, so this run goes on until
+//! the manager has done two windows of rounds, however fast the queries
+//! go. Both runs walk every arena's heap and free map
+//! (`check_integrity`) every 4 096 queries.
 
+use hermes_core::policy::TRIM_WINDOW_ROUNDS;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
 use hermes_core::HermesConfig;
 use std::alloc::Layout;
@@ -137,9 +141,13 @@ fn kv_large_stream_under_a_live_manager_keeps_every_byte() {
     } else {
         200_000
     };
+    let rounds = 2 * TRIM_WINDOW_ROUNDS as u64;
     let mut rng = Rng(0x4845_524d_4553);
     let mut live: Vec<(NonNull<u8>, Layout, u8)> = Vec::with_capacity(LIVE + 1);
-    for q in 0..LIVE + queries {
+    for q in 0.. {
+        if q >= LIVE + queries && heap.counters().manager_rounds >= rounds {
+            break;
+        }
         let layout = Layout::from_size_align(rng.value_size(), 16).unwrap();
         let p = heap.allocate(layout).unwrap_or_else(|e| {
             panic!("query {q}: {e} with {:?}", heap.large_stats());

@@ -1,10 +1,10 @@
 //! Property tests for the pure policy layer: segregated-list accounting,
-//! Equation 1 guarantees, gradual-reservation arithmetic and threshold
-//! monotonicity.
+//! Equation 1 guarantees, gradual-reservation arithmetic, threshold
+//! monotonicity and the trim threshold's peak window.
 
 use hermes_core::policy::{
-    select_victims, FileCacheView, MmapChunk, PoolHit, ReclaimInputs, ReservationPlan,
-    SegregatedFreeList, ThresholdTracker,
+    select_victims, FileCacheView, MmapChunk, PeakWindow, PoolHit, ReclaimInputs, ReservationPlan,
+    SegregatedFreeList, ThresholdTracker, TRIM_WINDOW_ROUNDS,
 };
 use proptest::prelude::*;
 
@@ -89,6 +89,21 @@ proptest! {
         prop_assert!(th.trim_thr >= th.tgt_mem);
         prop_assert!(th.mem_chunk >= 4096 && th.mem_chunk <= 1 << 20);
         prop_assert_eq!(th.mem_chunk % 4096, 0);
+    }
+
+    #[test]
+    fn peak_window_is_the_max_of_the_last_window_of_pushes(
+        vals in prop::collection::vec(0usize..1_000, 1..3 * TRIM_WINDOW_ROUNDS),
+    ) {
+        let mut w = PeakWindow::new();
+        for n in 1..=vals.len() {
+            let naive = vals[n.saturating_sub(TRIM_WINDOW_ROUNDS)..n]
+                .iter()
+                .copied()
+                .max()
+                .unwrap();
+            prop_assert_eq!(w.push(vals[n - 1]), naive);
+        }
     }
 
     #[test]
