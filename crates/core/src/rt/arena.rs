@@ -262,23 +262,39 @@ impl Arena {
         let end = (offset + len).div_ceil(PAGE) * PAGE;
         // SAFETY: `[first, end)` is page aligned and inside the live
         // reservation.
-        let populated = unsafe {
-            let start = NonNull::new_unchecked(self.base.as_ptr().add(first));
-            platform().populate(start, end - first)
+        unsafe {
+            populate(
+                NonNull::new_unchecked(self.base.as_ptr().add(first)),
+                end - first,
+            )
         };
-        if populated {
-            return;
+    }
+}
+
+/// Builds the mappings of the page-aligned `[start, start+len)`: one
+/// [`Platform::populate`](crate::platform::Platform::populate), or, where
+/// the kernel refuses it, a write of each page back to itself. A page
+/// already present keeps its contents. Needs no [`Arena`], so a range
+/// taken out of a pool can be populated with no lock held.
+///
+/// # Safety
+///
+/// The range must lie inside a live reservation's exposed capacity and
+/// be page aligned, and no other thread may write to it meanwhile.
+pub(crate) unsafe fn populate(start: NonNull<u8>, len: usize) {
+    // SAFETY: forwarded caller contract.
+    if unsafe { platform().populate(start, len) } {
+        return;
+    }
+    let mut page = 0;
+    while page < len {
+        // SAFETY: the page is inside the range; volatile prevents the
+        // store from being elided, forcing a real fault.
+        unsafe {
+            let p = start.as_ptr().add(page);
+            std::ptr::write_volatile(p, std::ptr::read_volatile(p));
         }
-        let mut page = first;
-        while page < offset + len {
-            // SAFETY: page is within the arena; volatile prevents the
-            // store from being elided, forcing a real fault.
-            unsafe {
-                let p = self.base.as_ptr().add(page);
-                std::ptr::write_volatile(p, std::ptr::read_volatile(p));
-            }
-            page += PAGE;
-        }
+        page += PAGE;
     }
 }
 

@@ -17,19 +17,25 @@
 //!    Expand, which would run into the next block of the reservation;
 //! 3. else the best-fitting cold range or a bump carve, touched whole.
 //!
-//! The warm bytes are Algorithm 2's pool: a management round reserves
-//! pre-touched warm space while they are below `RSV_THR` and trims them
-//! while they are above the trim threshold it is given. The runtime's
-//! manager passes the peak `TRIM_THR` of the last
-//! [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds, not
-//! the last interval's, so warm ranges a churning store reuses are not
-//! decommitted at its first quiet round. A round takes the trimmed ranges
-//! out of the map (`LargePool::detach`), returns their pages to the
-//! kernel (`madvise(DONTNEED)`) with no lock held (`Detached::decommit`),
-//! and only then lists them cold (`LargePool::publish`), so reuse
-//! honestly pays (and counts) the mapping-construction faults again. A
-//! cold range that reaches the bump frontier is handed back to it:
-//! untouched address space either way. See DESIGN.md §2.
+//! The warm bytes are Algorithm 2's pool. A management round reserves
+//! pre-touched warm space for the largest request the pool recently
+//! missed, until `FIT_UNITS` (2) whole requests of that size, each capped
+//! at half of `TGT_MEM`, fit its warm ranges, and only while the arena has
+//! cold room for one more; it also reserves while the warm bytes are
+//! below `RSV_THR`, and trims them while they are above the trim
+//! threshold it is given. The
+//! runtime's manager passes the largest miss and the peak `TRIM_THR` of
+//! the last [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS)
+//! rounds, not the last interval's, so warm ranges a churning store
+//! reuses are not decommitted at its first quiet round. A round takes its
+//! ranges out of reach (`LargePool::detach`): the reserved ones carved
+//! from cold space, the trimmed ones cut from warm space. With no lock
+//! held it populates the first and returns the second's pages to the
+//! kernel (`Detached::apply`), and only then lists them warm and cold
+//! (`LargePool::publish`), so a trimmed range's reuse honestly pays (and
+//! counts) the mapping-construction faults again. A cold range that
+//! reaches the bump frontier is handed back to it: untouched address
+//! space either way. See DESIGN.md §2.
 //!
 //! Under the `#[global_allocator]` the map is edited with the shard's
 //! `large` lock held, so no edit may allocate on the large path. The map
@@ -39,7 +45,7 @@
 //! fixed-capacity buffer filled before the lock is taken (DESIGN.md §4,
 //! *Re-entrancy*).
 
-use super::arena::{Arena, PAGE};
+use super::arena::{populate, Arena, PAGE};
 use super::error::{IntegrityError, IntegrityViolation};
 use crate::platform::platform;
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,22 +62,28 @@ const FREED: u64 = 0x0046_5245_4544_u64; // "FREED"
 const GROW_CANDIDATES: usize = 8;
 
 /// Most ranges one management round detaches. A round that fills the
-/// buffer leaves its trim unfinished for the next round.
+/// buffer leaves its reserve or trim unfinished for the next round.
 const DETACH_CAP: usize = 256;
 
-/// A page range taken out of the pool's map, and whether the kernel took
-/// its pages back.
+/// Whole requests of the size the pool last missed that a round keeps
+/// room for in its warm ranges (see [`LargePool::detach`]).
+pub(crate) const FIT_UNITS: usize = 2;
+
+/// A page range taken out of the pool's map: a *fill* (cold space a round
+/// reserves, to be populated) or a trim (warm space to be decommitted),
+/// and whether its pages ended up cold.
 #[derive(Debug, Clone, Copy, Default)]
 struct Range {
     off: usize,
     size: usize,
+    fill: bool,
     cold: bool,
 }
 
-/// One management round's ranges on their way back to the kernel: the map
-/// does not hold them and no block lives in them, so no allocation can
-/// reach them until [`LargePool::publish`] lists them again. The buffer
-/// is inline and fixed, so filling it never allocates.
+/// One management round's ranges on their way to or from the kernel: the
+/// map does not hold them and no block lives in them, so no allocation
+/// can reach them until [`LargePool::publish`] lists them again. The
+/// buffer is inline and fixed, so filling it never allocates.
 pub(crate) struct Detached {
     /// Base of the arena the offsets are relative to.
     base: NonNull<u8>,
@@ -96,30 +108,46 @@ impl Detached {
         self.len == DETACH_CAP
     }
 
-    fn push(&mut self, off: usize, size: usize) {
+    fn push(&mut self, off: usize, size: usize, fill: bool) {
         self.ranges[self.len] = Range {
             off,
             size,
+            fill,
             cold: false,
         };
         self.len += 1;
     }
 
-    /// Sorts the ranges by offset, merges adjacent ones, and returns each
-    /// merged range's pages to the kernel with one `madvise(DONTNEED)`,
-    /// recording whether it took them. Meant to run with no lock held.
+    /// Bytes the round trimmed: the sum of its non-fill ranges.
+    pub(crate) fn trimmed(&self) -> usize {
+        self.ranges[..self.len]
+            .iter()
+            .filter(|r| !r.fill)
+            .map(|r| r.size)
+            .sum()
+    }
+
+    /// Sorts the ranges by offset, merges adjacent ones of the same kind,
+    /// and makes one page call per merged range: a fill is populated
+    /// (`MADV_POPULATE_WRITE`, or a write to each page where the kernel
+    /// refuses it), a trim's pages go back to the kernel
+    /// (`madvise(DONTNEED)`), recording whether it took them. Meant to run
+    /// with no lock held.
     ///
     /// # Safety
     ///
     /// The pool whose [`LargePool::detach`] filled `self` must still be
     /// alive, and must not have published these ranges yet.
-    pub(crate) unsafe fn decommit(&mut self) {
+    pub(crate) unsafe fn apply(&mut self) {
         let ranges = &mut self.ranges[..self.len];
         ranges.sort_unstable_by_key(|r| r.off);
         let mut merged = 0;
         for i in 0..ranges.len() {
             let r = ranges[i];
-            if merged > 0 && ranges[merged - 1].off + ranges[merged - 1].size == r.off {
+            if merged > 0
+                && ranges[merged - 1].fill == r.fill
+                && ranges[merged - 1].off + ranges[merged - 1].size == r.off
+            {
                 ranges[merged - 1].size += r.size;
             } else {
                 ranges[merged] = r;
@@ -131,14 +159,17 @@ impl Detached {
             // SAFETY: the pool's arena is alive per the caller's contract,
             // the range lies inside its capacity (it was carved, and
             // capacity only grows), and it is page aligned and holds no
-            // live data: it is trimmed warm space that the map no longer
-            // holds, so nothing can be handed out from it meanwhile.
-            r.cold = unsafe {
-                platform().decommit(
-                    NonNull::new_unchecked(self.base.as_ptr().add(r.off)),
-                    r.size,
-                )
-            };
+            // live data: the map no longer holds it and no block lives in
+            // it, so nothing can be handed out from it, or written to it,
+            // meanwhile.
+            unsafe {
+                let at = NonNull::new_unchecked(self.base.as_ptr().add(r.off));
+                if r.fill {
+                    populate(at, r.size);
+                } else {
+                    r.cold = platform().decommit(at, r.size);
+                }
+            }
         }
     }
 }
@@ -225,6 +256,9 @@ pub struct LargePool {
     warm_bytes: usize,
     /// Bytes a round detached and has not published yet.
     in_flight: usize,
+    /// Largest chunk an allocation touched pages for since the last
+    /// [`LargePool::take_peak_miss`].
+    peak_miss: usize,
     /// Committed-bytes gauge: touched minus decommitted.
     committed: usize,
     stats: LargeStats,
@@ -276,6 +310,7 @@ impl LargePool {
             cold: BTreeSet::new(),
             warm_bytes: 0,
             in_flight: 0,
+            peak_miss: 0,
             committed: 0,
             stats: LargeStats::default(),
             min_mmap,
@@ -301,6 +336,13 @@ impl LargePool {
     /// ([`LargeStats::cold_allocs`] without the snapshot).
     pub fn cold_allocs(&self) -> u64 {
         self.stats.cold_allocs
+    }
+
+    /// The largest chunk size (request, header page and alignment pad) of
+    /// any allocation that touched pages since the last call: the request
+    /// the pool last failed to serve warm, or 0.
+    pub(crate) fn take_peak_miss(&mut self) -> usize {
+        std::mem::take(&mut self.peak_miss)
     }
 
     /// `true` if `ptr` belongs to this pool's arena.
@@ -504,6 +546,7 @@ impl LargePool {
         } else {
             self.stats.cold_allocs += 1;
             self.stats.demand_touched_pages += (touch_len / PAGE) as u64;
+            self.peak_miss = self.peak_miss.max(need);
             self.arena.touch(touch_off, touch_len);
             self.committed += touch_len;
         }
@@ -556,10 +599,11 @@ impl LargePool {
     }
 
     /// Management round, mmap side (Algorithm 2), for a pool its caller
-    /// owns outright: detach, decommit and publish back to back, trimming
-    /// against `trim_thr` as given. The runtime's manager runs the same
-    /// three steps itself, with the shard lock dropped around the
-    /// decommit, and trims against a windowed peak of `TRIM_THR`.
+    /// owns outright: detach, apply and publish back to back, reserving
+    /// for a miss of `fit` bytes (0: none) and trimming against `trim_thr` as
+    /// given. The runtime's manager runs the same three steps itself,
+    /// with the shard lock dropped around the page calls, and passes
+    /// windowed peaks of the pool's misses and of `TRIM_THR`.
     ///
     /// Returns the number of chunks newly reserved.
     pub fn management_round(
@@ -568,23 +612,41 @@ impl LargePool {
         tgt_mem: usize,
         trim_thr: usize,
         mem_chunk: usize,
+        fit: usize,
     ) -> usize {
         let mut detached = Detached::new();
-        let reserved = self.detach(&mut detached, rsv_thr, tgt_mem, trim_thr, mem_chunk);
+        let reserved = self.detach(&mut detached, rsv_thr, tgt_mem, trim_thr, mem_chunk, fit);
         // SAFETY: `self` filled `detached` and is alive; nothing has
         // published it.
-        unsafe { detached.decommit() };
+        unsafe { detached.apply() };
         self.publish(&detached);
         reserved
     }
 
     /// The part of a management round that runs under the shard lock
-    /// before its page operations: reserves pre-touched warm space up to
-    /// `tgt_mem` in `mem_chunk`-sized steps when the warm bytes are below
-    /// `rsv_thr`, and trims them while they are above `trim_thr`,
-    /// smallest warm range first, cutting only the excess off a range
-    /// bigger than it. The trimmed ranges go into `out`, unlisted and
-    /// still committed.
+    /// before its page calls. It decides what to reserve and what to trim,
+    /// and takes those ranges out of reach into `out`:
+    ///
+    /// 1. *Reserve for the miss.* While fewer than [`FIT_UNITS`] requests
+    ///    of `fit` bytes (a chunk size; 0 reserves nothing) fit the warm
+    ///    ranges, counted largest first in whole `fit` units, it carves
+    ///    `fit` bytes of cold space. The warm bytes alone cannot say this:
+    ///    a pool of slivers reads as full to them. A unit is capped at
+    ///    `tgt_mem / FIT_UNITS`, so the rule keeps no more warm than
+    ///    Algorithm 2's own target, which the runtime's trim threshold is
+    ///    never below. It carves a unit only while one more would still
+    ///    find cold space, so a round never takes the last room a request
+    ///    of the same size needs.
+    /// 2. *Algorithm 2's byte reserve.* When the warm bytes, with step 1's
+    ///    carves, are below `rsv_thr`, it carves `mem_chunk`-sized steps
+    ///    until they reach `tgt_mem`.
+    /// 3. *Trim.* While the listed warm bytes are above `trim_thr`, it
+    ///    cuts warm ranges, smallest first, only the excess off a range
+    ///    bigger than it.
+    ///
+    /// The carves of steps 1 and 2 are fill ranges: still cold until
+    /// [`Detached::apply`] populates them. The trimmed ranges are still
+    /// committed until it decommits them.
     ///
     /// Returns the number of chunks newly reserved.
     pub(crate) fn detach(
@@ -594,18 +656,39 @@ impl LargePool {
         tgt_mem: usize,
         trim_thr: usize,
         mem_chunk: usize,
+        fit: usize,
     ) -> usize {
         out.base = self.arena.base();
         let mut reserved = 0;
-        if self.warm_bytes < rsv_thr {
+        let mut warm = self.warm_bytes;
+        let fit = round_up(fit, PAGE).min(tgt_mem / FIT_UNITS / PAGE * PAGE);
+        // Whole units past the frontier; `None` when there is no miss.
+        if let Some(past) = (self.arena.reserved() - self.bump_off).checked_div(fit) {
+            let units = |set: &BTreeSet<(usize, usize)>| -> usize {
+                set.iter()
+                    .rev()
+                    .take(FIT_UNITS + 1)
+                    .map_while(|&(size, _)| (size >= fit).then_some(size / fit))
+                    .sum()
+            };
+            let mut kept = units(&self.warm);
+            // Whole units of cold space a carve can still reach; each fill
+            // takes exactly one.
+            let mut room = units(&self.cold) + past;
+            while kept < FIT_UNITS && room > 1 && self.fill(out, fit) {
+                kept += 1;
+                room -= 1;
+                reserved += 1;
+                warm += fit;
+            }
+        }
+        if warm < rsv_thr {
             // `mem_chunk` is a request size; `alloc` adds the header page,
             // so a step without it would never serve a mean-sized request.
             let step = round_up(mem_chunk.max(self.min_mmap), PAGE) + PAGE;
-            while self.warm_bytes < tgt_mem {
-                if !self.reserve_chunk(step) {
-                    break;
-                }
+            while warm < tgt_mem && self.fill(out, step) {
                 reserved += 1;
+                warm += step;
             }
         }
         while self.warm_bytes > trim_thr && !out.is_full() {
@@ -619,41 +702,65 @@ impl LargePool {
             if cut < size {
                 self.insert(off, size - cut, true);
             }
-            out.push(off + size - cut, cut);
+            out.push(off + size - cut, cut, false);
             self.in_flight += cut;
         }
         reserved
     }
 
+    /// Carves `need` bytes of cold space into `out` as a fill range.
+    /// `false` when `out` is full or the arena is exhausted.
+    fn fill(&mut self, out: &mut Detached, need: usize) -> bool {
+        if out.is_full() {
+            return false;
+        }
+        let Some(off) = self.carve_cold(need) else {
+            return false;
+        };
+        out.push(off, need, true);
+        self.in_flight += need;
+        true
+    }
+
     /// The part of a management round that runs under the shard lock
-    /// after its page operations: lists each of `done`'s ranges cold, or
-    /// warm where the kernel refused the decommit, and books the bytes
-    /// returned. Returns those bytes.
-    pub(crate) fn publish(&mut self, done: &Detached) -> usize {
-        let mut freed = 0;
+    /// after its page calls: lists each of `done`'s fill ranges warm and
+    /// books its bytes committed, and lists each trimmed range cold, or
+    /// warm where the kernel refused the decommit, booking the bytes
+    /// returned. Ranges coalesce with their same-warmth neighbours.
+    /// Returns `(filled, decommitted)` bytes.
+    pub(crate) fn publish(&mut self, done: &Detached) -> (usize, usize) {
+        let (mut filled, mut freed) = (0, 0);
         for r in &done.ranges[..done.len] {
-            if r.cold {
+            if r.fill {
+                filled += r.size;
+            } else if r.cold {
                 freed += r.size;
             }
             self.in_flight -= r.size;
             self.list(r.off, r.size, !r.cold);
         }
-        self.committed = self.committed.saturating_sub(freed);
+        self.committed = (self.committed + filled).saturating_sub(freed);
         self.stats.decommitted += freed as u64;
-        freed
+        (filled, freed)
     }
 
     /// Carves `bytes` (rounded up to pages) from cold space, pre-touches
     /// them and lists them warm, so consecutive reservations coalesce.
     /// Returns `false` when the arena is exhausted.
+    ///
+    /// This is one fill of a management round, detached, populated and
+    /// published back to back, for a pool its caller owns outright; the
+    /// repo benchmark times it as the round's reserve step.
     pub fn reserve_chunk(&mut self, bytes: usize) -> bool {
-        let need = round_up(bytes, PAGE);
-        let Some(off) = self.carve_cold(need) else {
+        let mut detached = Detached::new();
+        detached.base = self.arena.base();
+        if !self.fill(&mut detached, round_up(bytes, PAGE)) {
             return false;
-        };
-        self.arena.touch(off, need);
-        self.committed += need;
-        self.list(off, need, true);
+        }
+        // SAFETY: `self` filled `detached` and is alive; nothing has
+        // published it.
+        unsafe { detached.apply() };
+        self.publish(&detached);
         true
     }
 
@@ -822,13 +929,13 @@ mod tests {
     #[test]
     fn management_round_reserves_to_target() {
         let mut p = pool(64);
-        let reserved = p.management_round(1 << 20, 2 << 20, 8 << 20, 256 * KB);
+        let reserved = p.management_round(1 << 20, 2 << 20, 8 << 20, 256 * KB, 0);
         assert!(reserved >= 8, "reserved {reserved} chunks");
         assert!(p.pool_total() >= 2 << 20);
         assert_eq!(listed(&p).len(), 1, "consecutive steps coalesce");
         // A second round with a one-chunk trim threshold releases the
         // rest (each chunk is 256 KiB plus its header page).
-        p.management_round(0, 0, 256 * KB + PAGE, 256 * KB);
+        p.management_round(0, 0, 256 * KB + PAGE, 256 * KB, 0);
         assert!(p.pool_total() <= 256 * KB + PAGE);
         assert!(p.stats().decommitted > 0);
         p.check_integrity().unwrap();
@@ -837,7 +944,7 @@ mod tests {
     #[test]
     fn reserved_chunk_serves_a_mean_sized_request() {
         let mut p = pool(16);
-        assert_eq!(p.management_round(1, 1, usize::MAX, 256 * KB), 1);
+        assert_eq!(p.management_round(1, 1, usize::MAX, 256 * KB, 0), 1);
         let a = p.alloc(256 * KB, PAGE).unwrap();
         let s = p.stats();
         assert_eq!((s.pool_hits, s.cold_allocs), (1, 0), "header page included");
@@ -855,7 +962,7 @@ mod tests {
         // SAFETY: a live.
         unsafe { p.free(a) };
         // Trim everything: a's range is listed cold.
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         let bump_before = p.bump_off;
         let b = p.alloc(256 * KB, PAGE).unwrap();
         assert_eq!(p.bump_off, bump_before, "served from the cold range");
@@ -874,7 +981,7 @@ mod tests {
         for (c, ranges_after) in [(c1, 1), (c3, 2), (c2, 1)] {
             // SAFETY: each chunk is live and freed once.
             unsafe { p.free(c) };
-            p.management_round(0, 0, 0, 256 * KB);
+            p.management_round(0, 0, 0, 256 * KB, 0);
             assert_eq!(p.free.len(), ranges_after);
             p.check_integrity().unwrap();
         }
@@ -924,7 +1031,7 @@ mod tests {
         let top = p.alloc(256 * KB, PAGE).unwrap(); // [776K, 1036K)
                                                     // SAFETY: c live, freed once.
         unsafe { p.free(c) };
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         // SAFETY: w live, freed once.
         unsafe { p.free(w) };
         assert_eq!(
@@ -973,7 +1080,7 @@ mod tests {
         let above = p.alloc(256 * KB, PAGE).unwrap();
         // SAFETY: c live, freed once.
         unsafe { p.free(c) };
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         // SAFETY: w live, freed once.
         unsafe { p.free(w) };
         let s = p.stats();
@@ -1006,7 +1113,7 @@ mod tests {
         unsafe { p.free(a) };
         // 1 284 KiB warm against 600 KiB: the 260 KiB range goes whole,
         // then 424 KiB off the top of the reserved one.
-        p.management_round(0, 0, 600 * KB, 256 * KB);
+        p.management_round(0, 0, 600 * KB, 256 * KB, 0);
         assert_eq!(p.pool_total(), 600 * KB);
         assert_eq!(
             listed(&p),
@@ -1032,7 +1139,7 @@ mod tests {
                                                       // SAFETY: c live, freed once.
         unsafe { p.free(c) };
         let mut detached = Detached::new();
-        p.detach(&mut detached, 0, 0, 0, 256 * KB);
+        p.detach(&mut detached, 0, 0, 0, 256 * KB, 0);
         // SAFETY: w live, freed once.
         unsafe { p.free(w) };
         assert_eq!(listed(&p), [(0, 260 * KB, true)], "c is in flight");
@@ -1042,7 +1149,7 @@ mod tests {
         let g = p.alloc(600 * KB, PAGE).unwrap();
         assert_eq!(chunk_off(&p, g), 1036 * KB);
         // SAFETY: p filled `detached` and has not published it.
-        unsafe { detached.decommit() };
+        unsafe { detached.apply() };
         p.publish(&detached);
         assert_eq!(
             listed(&p),
@@ -1064,7 +1171,7 @@ mod tests {
         let top = p.alloc(512 * KB, PAGE).unwrap();
         // SAFETY: top live.
         unsafe { p.free(top) };
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         p.check_integrity().unwrap();
         // Decommitted and touching the frontier: un-bumped, not listed.
         assert_eq!(p.bump_off, 260 * KB);
@@ -1072,7 +1179,7 @@ mod tests {
         // Freeing the chunk below cascades: the whole arena is fresh.
         // SAFETY: below live.
         unsafe { p.free(below) };
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         assert_eq!(p.bump_off, 0);
         assert!(p.free.is_empty());
         assert_eq!(p.stats().committed, 0);
@@ -1089,7 +1196,7 @@ mod tests {
             p.free(a);
             p.free(c);
         }
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         // SAFETY: b and d live, freed once.
         unsafe {
             p.free(b);
@@ -1142,7 +1249,7 @@ mod tests {
         assert!(committed_before > 0);
         // Trim everything: the pages go back to the kernel and the
         // committed gauge drops below reserved.
-        p.management_round(0, 0, 0, 256 * KB);
+        p.management_round(0, 0, 0, 256 * KB, 0);
         let s = p.stats();
         assert!(s.decommitted > 0, "trim performed a real decommit");
         assert!(s.committed < committed_before);
@@ -1247,7 +1354,7 @@ mod tests {
         let (committed, decommitted) = (p.stats().committed, p.stats().decommitted);
 
         let mut detached = Detached::new();
-        p.detach(&mut detached, 0, 0, 0, 256 * KB);
+        p.detach(&mut detached, 0, 0, 0, 256 * KB, 0);
         let taken = ranges(&detached);
         assert_eq!(taken.len(), 2, "two trimmed chunks");
         let bytes: usize = taken.iter().map(|(s, e)| e - s).sum();
@@ -1264,7 +1371,7 @@ mod tests {
         p.check_integrity().unwrap();
         assert_eq!(p.stats().committed, committed);
         // SAFETY: p filled `detached` and has not published it.
-        unsafe { detached.decommit() };
+        unsafe { detached.apply() };
         assert_eq!(p.stats().committed, committed);
 
         // Requests of the trimmed chunks' sizes, made while the ranges are
@@ -1279,7 +1386,7 @@ mod tests {
             assert!(taken.iter().all(|&(s, e)| end <= s || e <= start));
         }
         let committed = p.stats().committed;
-        assert_eq!(p.publish(&detached), bytes);
+        assert_eq!(p.publish(&detached), (0, bytes));
         p.check_integrity().unwrap();
         let s = p.stats();
         assert_eq!(s.decommitted, decommitted + bytes as u64);
@@ -1289,6 +1396,248 @@ mod tests {
             unsafe { p.free(ptr) };
         }
         p.check_integrity().unwrap();
+    }
+
+    fn fills(d: &Detached) -> Vec<(usize, usize)> {
+        d.ranges[..d.len]
+            .iter()
+            .filter(|r| r.fill)
+            .map(|r| (r.off, r.off + r.size))
+            .collect()
+    }
+
+    #[test]
+    fn a_fill_range_stays_out_of_reach_until_published() {
+        let mut p = pool(32);
+        // A cold 600 KiB request, kept live: the miss a round reserves for.
+        let missed = p.alloc(600 * KB, PAGE).unwrap();
+        let fit = p.take_peak_miss();
+        assert_eq!(fit, 604 * KB, "the chunk, header page included");
+        assert_eq!(p.take_peak_miss(), 0, "taken once");
+
+        let mut detached = Detached::new();
+        assert_eq!(
+            p.detach(&mut detached, 0, usize::MAX, usize::MAX, 256 * KB, fit),
+            FIT_UNITS
+        );
+        let taken = fills(&detached);
+        assert_eq!(taken, [(604 * KB, 1208 * KB), (1208 * KB, 1812 * KB)]);
+        assert_eq!(p.pool_total(), 0, "nothing listed warm yet");
+        p.check_integrity().unwrap();
+        // A request of the fill's size, made while it is in flight, is
+        // carved elsewhere.
+        let between = p.alloc(600 * KB, PAGE).unwrap();
+        let start = chunk_off(&p, between);
+        assert!(taken.iter().all(|&(s, e)| start + fit <= s || e <= start));
+        p.check_integrity().unwrap();
+
+        let committed = p.stats().committed;
+        // SAFETY: p filled `detached` and has not published it.
+        unsafe { detached.apply() };
+        assert_eq!(p.publish(&detached), (2 * fit, 0));
+        p.check_integrity().unwrap();
+        assert_eq!(
+            listed(&p),
+            [(604 * KB, 2 * fit, true)],
+            "warm, and the two fills coalesce"
+        );
+        assert_eq!(p.stats().committed, committed + 2 * fit);
+        let s = p.stats();
+        let hit = p.alloc(600 * KB, PAGE).unwrap();
+        let t = p.stats();
+        assert_eq!(t.cold_allocs, s.cold_allocs, "served warm");
+        assert_eq!(t.pool_hits, s.pool_hits + 1);
+        assert_eq!(t.committed, s.committed);
+        // SAFETY: each block is live and freed once.
+        unsafe {
+            p.free(missed);
+            p.free(between);
+            p.free(hit);
+        }
+        p.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn fit_units_count_whole_requests_largest_first() {
+        let fit = 512 * KB;
+        let round = |p: &mut LargePool| {
+            let mut detached = Detached::new();
+            p.detach(&mut detached, 0, usize::MAX, usize::MAX, 256 * KB, fit);
+            let filled = fills(&detached);
+            // SAFETY: p filled `detached` and has not published it.
+            unsafe { detached.apply() };
+            p.publish(&detached);
+            p.check_integrity().unwrap();
+            filled
+        };
+        // One warm range of two units.
+        let mut p = pool(16);
+        assert!(p.reserve_chunk(2 * fit));
+        assert!(round(&mut p).is_empty(), "two units already fit");
+
+        // Two warm ranges one page short of a unit each, kept apart by live
+        // blocks: many bytes, no unit.
+        let mut p = pool(16);
+        let [a, x, b, top] =
+            [fit - 2 * PAGE, 128 * KB, fit - 2 * PAGE, 128 * KB].map(|s| p.alloc(s, PAGE).unwrap());
+        // SAFETY: a and b live, freed once.
+        unsafe {
+            p.free(a);
+            p.free(b);
+        }
+        assert_eq!(p.pool_total(), 2 * (fit - PAGE));
+        assert_eq!(round(&mut p).len(), FIT_UNITS, "one fill per missing unit");
+        assert!(round(&mut p).is_empty(), "and none once they fit");
+        // SAFETY: x and top live, freed once.
+        unsafe {
+            p.free(x);
+            p.free(top);
+        }
+        p.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn no_miss_no_fill() {
+        let mut p = pool(16);
+        let a = p.alloc(256 * KB, PAGE).unwrap();
+        assert!(p.take_peak_miss() > 0);
+        // SAFETY: a live, freed once.
+        unsafe { p.free(a) };
+        let hit = p.alloc(256 * KB, PAGE).unwrap();
+        assert_eq!(p.take_peak_miss(), 0, "a pool hit is no miss");
+        let mut detached = Detached::new();
+        assert_eq!(p.detach(&mut detached, 0, 0, usize::MAX, 256 * KB, 0), 0);
+        assert!(fills(&detached).is_empty());
+        assert!(detached.is_empty());
+        // SAFETY: hit live, freed once.
+        unsafe { p.free(hit) };
+    }
+
+    #[test]
+    fn apply_merges_only_ranges_of_one_kind() {
+        let mut p = pool(16);
+        let fit = 300 * KB;
+        // Three warm slivers, none a unit, kept apart by live blocks; the
+        // smallest is at the frontier, so the trim cuts its top right
+        // below the fills carved there.
+        let [a, x, b, y, c] =
+            [256 * KB, 128 * KB, 256 * KB, 128 * KB, 200 * KB].map(|s| p.alloc(s, PAGE).unwrap());
+        // SAFETY: a, b and c live, freed once.
+        unsafe {
+            p.free(a);
+            p.free(b);
+            p.free(c);
+        }
+        let committed = p.stats().committed;
+        let mut detached = Detached::new();
+        // 724 KiB warm against a trim threshold of the two units.
+        p.detach(&mut detached, 0, 2 * fit, 2 * fit, 256 * KB, fit);
+        assert_eq!(
+            ranges(&detached),
+            [
+                (988 * KB, 1288 * KB),
+                (1288 * KB, 1588 * KB),
+                (864 * KB, 988 * KB)
+            ]
+        );
+        assert_eq!(detached.trimmed(), 124 * KB);
+        // SAFETY: p filled `detached` and has not published it.
+        unsafe { detached.apply() };
+        assert_eq!(
+            ranges(&detached),
+            [(864 * KB, 988 * KB), (988 * KB, 1588 * KB)]
+        );
+        assert_eq!(p.publish(&detached), (2 * fit, 124 * KB));
+        assert_eq!(
+            listed(&p)[2..],
+            [
+                (784 * KB, 80 * KB, true),
+                (864 * KB, 124 * KB, false),
+                (988 * KB, 600 * KB, true)
+            ]
+        );
+        assert_eq!(p.stats().committed, committed + 2 * fit - 124 * KB);
+        p.check_integrity().unwrap();
+        // SAFETY: x and y live, freed once.
+        unsafe {
+            p.free(x);
+            p.free(y);
+        }
+    }
+
+    #[test]
+    fn the_units_kept_for_a_miss_are_filled_once() {
+        let mut p = pool(16);
+        let fit = 512 * KB;
+        // Thresholds as the runtime derives them: the trim keeps twice
+        // the target, which holds the two units.
+        for _ in 0..3 {
+            p.management_round(0, 2 * fit, 4 * fit, 256 * KB, fit);
+            p.check_integrity().unwrap();
+        }
+        let s = p.stats();
+        assert_eq!((p.pool_total(), s.decommitted), (2 * fit, 0));
+        assert_eq!(s.committed, 2 * fit, "filled once");
+        // The miss leaves the window: the trim takes it all back.
+        p.management_round(0, 0, 0, 256 * KB, 0);
+        assert_eq!((p.pool_total(), p.stats().committed), (0, 0));
+        p.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_miss_is_reserved_for_within_the_target_and_the_arena() {
+        // A miss of half the arena, kept live: one more unit would leave
+        // no cold room for another request of its size, so none is carved.
+        let mut p = pool(8);
+        let half = p.alloc(4 * 1024 * KB - 2 * PAGE, PAGE).unwrap();
+        let fit = p.take_peak_miss();
+        assert_eq!(fit, 4 * 1024 * KB - PAGE);
+        let mut detached = Detached::new();
+        assert_eq!(
+            p.detach(&mut detached, 0, usize::MAX, usize::MAX, 256 * KB, fit),
+            0
+        );
+        assert!(detached.is_empty());
+        let other = p.alloc(4 * 1024 * KB - 2 * PAGE, PAGE);
+        assert!(other.is_some(), "the round left room for a second one");
+        p.check_integrity().unwrap();
+        // SAFETY: each block is live and freed once.
+        unsafe {
+            p.free(half);
+            p.free(other.unwrap());
+        }
+
+        // A 3 MiB miss against a 4 MiB target: the units are capped at
+        // half the target, not two of the miss.
+        let mut p = pool(64);
+        let missed = p.alloc(3 * 1024 * KB, PAGE).unwrap();
+        let fit = p.take_peak_miss();
+        let (tgt, unit) = (4 * 1024 * KB, 2 * 1024 * KB);
+        let mut detached = Detached::new();
+        assert_eq!(
+            p.detach(&mut detached, 0, tgt, usize::MAX, 256 * KB, fit),
+            FIT_UNITS
+        );
+        assert_eq!(
+            fills(&detached),
+            [(fit, fit + unit), (fit + unit, fit + tgt)]
+        );
+        // SAFETY: p filled `detached` and has not published it.
+        unsafe { detached.apply() };
+        assert_eq!(p.publish(&detached), (tgt, 0));
+        assert_eq!(p.stats().committed, fit + tgt);
+        // The coalesced units serve the missed size warm all the same.
+        let hit = p.alloc(3 * 1024 * KB, PAGE).unwrap();
+        assert_eq!(p.stats().cold_allocs, 1);
+        let mut detached = Detached::new();
+        p.detach(&mut detached, 0, 0, usize::MAX, 256 * KB, fit);
+        assert!(detached.is_empty(), "no target, no unit");
+        p.check_integrity().unwrap();
+        // SAFETY: each block is live and freed once.
+        unsafe {
+            p.free(missed);
+            p.free(hit);
+        }
     }
 
     #[test]
@@ -1301,12 +1650,12 @@ mod tests {
         unsafe { p.free(a) };
         let committed = p.stats().committed;
         let mut detached = Detached::new();
-        p.detach(&mut detached, 0, 0, 0, 256 * KB);
+        p.detach(&mut detached, 0, 0, 0, 256 * KB, 0);
         // SAFETY: p filled `detached` and has not published it.
-        unsafe { detached.decommit() };
+        unsafe { detached.apply() };
         // Stand in for a kernel that refused the `madvise`.
         detached.ranges[0].cold = false;
-        assert_eq!(p.publish(&detached), 0);
+        assert_eq!(p.publish(&detached), (0, 0));
         p.check_integrity().unwrap();
         let s = p.stats();
         assert_eq!((s.committed, s.decommitted), (committed, 0));
@@ -1334,10 +1683,10 @@ mod tests {
             // SAFETY: each block is live and freed once.
             unsafe { p.free(b) };
         }
-        p.management_round(0, 0, 0, 128 * KB);
+        p.management_round(0, 0, 0, 128 * KB, 0);
         assert_eq!(p.pool_total(), 132 * KB, "no room left for the last");
         p.check_integrity().unwrap();
-        p.management_round(0, 0, 0, 128 * KB);
+        p.management_round(0, 0, 0, 128 * KB, 0);
         assert_eq!(p.pool_total(), 0);
         p.check_integrity().unwrap();
         for &b in blocks.iter().skip(1).step_by(2) {

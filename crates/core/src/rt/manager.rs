@@ -9,18 +9,22 @@
 //!   reserve is below `RSV_THR`, *gradually* extends and touches the break
 //!   in `MEM_CHUNK`-sized steps, taking that shard's heap lock per step so
 //!   concurrent `malloc`s interleave (Figure 6(b)); trims above `TRIM_THR`;
-//! * **mmap side** (Algorithm 2) — refills the shard's warm free space to
-//!   `TGT_MEM`, releases above the peak `TRIM_THR` of the last
-//!   [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds
-//!   rather than the last interval's, so a store whose net demand reads
-//!   ≈ 0 between bursts keeps the warm ranges it reuses (DESIGN.md §2,
-//!   *Trim against a windowed peak*). There is no delayed shrink:
-//!   the large pool carves every block to exactly its size (DESIGN.md
-//!   §2). One hold of the shard's `large` lock reserves (populating each
-//!   reserved step) and takes the trimmed ranges out of the free map; the
-//!   lock is then dropped while those ranges are decommitted, and a
-//!   second, short hold lists them cold. An allocation or free therefore
-//!   never waits on a decommit.
+//! * **mmap side** (Algorithm 2) — reserves warm space for the largest
+//!   request the shard's pool missed in the last
+//!   [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds,
+//!   until two such requests fit its warm ranges (DESIGN.md §2, *Reserve
+//!   for the miss, populate off the lock*); refills the warm free space to
+//!   `TGT_MEM` when it is below `RSV_THR`; and releases above the peak
+//!   `TRIM_THR` of the same window rather than the last interval's, so a
+//!   store whose net demand reads ≈ 0 between bursts keeps the warm
+//!   ranges it reuses (*Trim against a windowed peak*). There is no
+//!   delayed shrink: the large pool carves every block to exactly its
+//!   size. One hold of the shard's `large` lock decides the round and
+//!   takes its ranges out of reach: the reserved ones carved from cold
+//!   space, the trimmed ones cut from the free map. The lock is then
+//!   dropped while the first are populated and the second decommitted,
+//!   and a second, short hold lists them warm and cold. An allocation or
+//!   free therefore never waits on a page call of the manager's.
 //!
 //! Reservation and trim byte counters are recorded on the shard they
 //! belong to; round bookkeeping lands on the runtime-wide counters.
@@ -160,27 +164,25 @@ fn large_round(shard: &Shard) {
     let mut g = lock(&shard.large);
     let th = g.tracker.roll_interval();
     let trim_thr = g.trim_peak.push(th.trim_thr);
-    let before = g.pool.pool_total();
+    let miss = g.pool.take_peak_miss();
+    let fit = g.miss_peak.push(miss);
     g.pool.detach(
         &mut detached,
         th.rsv_thr,
         th.tgt_mem,
         trim_thr,
         th.mem_chunk,
+        fit,
     );
-    let after = g.pool.pool_total();
     drop(g);
-    if after > before {
-        Counters::add(&shard.counters.reserved_bytes, (after - before) as u64);
-    } else {
-        Counters::add(&shard.counters.trimmed_bytes, (before - after) as u64);
-    }
     if detached.is_empty() {
         return;
     }
+    Counters::add(&shard.counters.trimmed_bytes, detached.trimmed() as u64);
     // SAFETY: the shard, and with it the pool that filled `detached`,
     // lives as long as `shard`; only this round publishes it.
-    unsafe { detached.decommit() };
-    let decommitted = lock(&shard.large).pool.publish(&detached);
+    unsafe { detached.apply() };
+    let (filled, decommitted) = lock(&shard.large).pool.publish(&detached);
+    Counters::add(&shard.counters.reserved_bytes, filled as u64);
     Counters::add(&shard.counters.decommitted_bytes, decommitted as u64);
 }

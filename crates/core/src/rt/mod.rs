@@ -177,6 +177,10 @@ pub(crate) struct LargeState {
     /// The peak of `tracker`'s trim threshold over the last
     /// `TRIM_WINDOW_ROUNDS` rounds: the one the pool is trimmed against.
     pub trim_peak: PeakWindow,
+    /// The largest chunk the pool missed (touched pages for) over the
+    /// last `TRIM_WINDOW_ROUNDS` rounds: the request the pool reserves
+    /// for.
+    pub miss_peak: PeakWindow,
 }
 
 /// One arena shard: a main heap and a large pool behind their own locks,
@@ -226,6 +230,7 @@ impl Shard {
                 pool: LargePool::new(large_arena, cfg.mmap_threshold, cfg.table_size),
                 tracker: large_tracker,
                 trim_peak: PeakWindow::new(),
+                miss_peak: PeakWindow::new(),
             }),
             counters: Counters::new(),
             remote: remote::RemoteInbox::new(),
@@ -916,6 +921,63 @@ mod tests {
         let trimmed = h.large_stats();
         assert!(h.counters().decommitted_bytes > 0, "{trimmed:?}");
         assert!(trimmed.committed < held.committed, "{trimmed:?}");
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn a_missed_large_request_is_reserved_for_by_the_next_round() {
+        use crate::policy::TRIM_WINDOW_ROUNDS;
+        use large::FIT_UNITS;
+        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(1)).unwrap();
+        // Warm slivers, each kept apart by a live block: bytes enough for
+        // Algorithm 2's byte rule to read the pool as full, and no range a
+        // 1 MiB request fits.
+        let (sliver, keep, big) = (layout(256 << 10), layout(128 << 10), layout(1 << 20));
+        let pairs: Vec<_> = (0..12)
+            .map(|_| (h.allocate(sliver).unwrap(), h.allocate(keep).unwrap()))
+            .collect();
+        for &(s, _) in &pairs {
+            // SAFETY: each sliver live, freed once.
+            unsafe { h.deallocate(s, sliver) };
+        }
+        h.run_management_round();
+        h.check_integrity().unwrap();
+        let (before, reserved) = (h.large_stats(), h.counters().reserved_bytes);
+        let missed = h.allocate(big).unwrap();
+        assert_eq!(h.large_stats().cold_allocs, before.cold_allocs + 1);
+        h.run_management_round();
+        h.check_integrity().unwrap();
+        let chunk = (1 << 20) + PAGE;
+        assert!(
+            h.counters().reserved_bytes >= reserved + (FIT_UNITS * chunk) as u64,
+            "{:?}",
+            h.large_stats()
+        );
+        let s = h.large_stats();
+        let hits: Vec<_> = (0..FIT_UNITS).map(|_| h.allocate(big).unwrap()).collect();
+        let t = h.large_stats();
+        assert_eq!(t.cold_allocs, s.cold_allocs, "{t:?}");
+        assert_eq!(t.pool_hits, s.pool_hits + FIT_UNITS as u64);
+        h.check_integrity().unwrap();
+        // Idle rounds: the miss leaves the window, and with it the reserve
+        // it drove.
+        for _ in 0..TRIM_WINDOW_ROUNDS {
+            h.run_management_round();
+        }
+        let settled = h.counters().reserved_bytes;
+        for _ in 0..TRIM_WINDOW_ROUNDS {
+            h.run_management_round();
+        }
+        assert_eq!(h.counters().reserved_bytes, settled);
+        h.check_integrity().unwrap();
+        for p in hits.into_iter().chain([missed]) {
+            // SAFETY: each pointer live, freed once.
+            unsafe { h.deallocate(p, big) };
+        }
+        for (_, k) in pairs {
+            // SAFETY: each keeper live, freed once.
+            unsafe { h.deallocate(k, keep) };
+        }
         h.check_integrity().unwrap();
     }
 

@@ -144,7 +144,11 @@ proptest! {
                              frees in prop::collection::vec(any::<usize>(), 0..40)) {
         let mut pool = LargePool::new(Arena::reserve(256 << 20).unwrap(), 128 * 1024, 8);
         let mut live = Vec::new();
+        // The periodic rounds reserve for the largest request so far, so
+        // their fill ranges run under the walk below too.
+        let mut largest = 0;
         for (i, &size) in sizes.iter().enumerate() {
+            largest = largest.max(size);
             if let Some(p) = pool.alloc(size, PAGE) {
                 prop_assert_eq!(p.as_ptr() as usize % PAGE, 0);
                 // SAFETY: fresh allocation.
@@ -156,7 +160,7 @@ proptest! {
             }
             pool.check_integrity().map_err(|e| TestCaseError::fail(format!("alloc {i}: {e}")))?;
             if i % 5 == 4 {
-                pool.management_round(1 << 20, 2 << 20, 16 << 20, 256 * 1024);
+                pool.management_round(1 << 20, 2 << 20, 16 << 20, 256 * 1024, largest);
                 pool.check_integrity().map_err(|e| TestCaseError::fail(format!("round {i}: {e}")))?;
             }
         }
@@ -177,7 +181,7 @@ proptest! {
             unsafe { pool.free(p) };
             pool.check_integrity().map_err(|e| TestCaseError::fail(format!("drain: {e}")))?;
         }
-        pool.management_round(0, 0, 0, 256 * 1024);
+        pool.management_round(0, 0, 0, 256 * 1024, 0);
         pool.check_integrity().map_err(|e| TestCaseError::fail(format!("final round: {e}")))?;
         // Everything freed merges into warm space, and the trim hands all
         // of it back: nothing stays committed.
