@@ -19,6 +19,7 @@
 use crate::costs::{GlibcCosts, HermesCosts};
 use crate::heap_model::{HeapModel, SmallAlloc};
 use crate::traits::SimAllocator;
+use hermes_core::policy::seglist::TABLE_SIZE;
 use hermes_core::policy::{
     DelayedShrinkSet, MmapChunk, PoolHit, ReservationPlan, SegregatedFreeList, ThresholdTracker,
 };
@@ -74,7 +75,7 @@ impl HermesSim {
             cfg.mmap_threshold,
             8 << 20,
         );
-        let pool = SegregatedFreeList::new(cfg.mmap_threshold, cfg.table_size);
+        let pool = SegregatedFreeList::new(cfg.mmap_threshold, TABLE_SIZE);
         let interval = SimDuration::from_nanos(cfg.interval.as_nanos() as u64);
         HermesSim {
             proc,

@@ -13,7 +13,6 @@
 
 pub mod stats;
 
-use hermes_sim::stats::Summary;
 use std::path::PathBuf;
 
 /// `true` when `HERMES_FULL=1`: run the paper's full workload volumes.
@@ -111,16 +110,6 @@ impl Checks {
 /// Formats a reduction percentage like the paper ("54.4%").
 pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
-}
-
-/// Reduction of `ours` vs `base` at the average, in percent.
-pub fn avg_reduction(ours: &Summary, base: &Summary) -> f64 {
-    ours.reduction_vs(base).avg
-}
-
-/// Reduction of `ours` vs `base` at p99, in percent.
-pub fn p99_reduction(ours: &Summary, base: &Summary) -> f64 {
-    ours.reduction_vs(base).p99
 }
 
 #[cfg(test)]

@@ -126,8 +126,9 @@ pub fn default_large_capacity() -> usize {
 /// Tuning knobs of the Hermes mechanism.
 ///
 /// The defaults reproduce the paper's implementation choices:
-/// a 2 ms management-thread interval, reservation factor 2, a 5 MB
-/// reservation floor and an 8-bucket segregated free list (1 MB / 128 KB).
+/// a 2 ms management-thread interval, reservation factor 2 and a 5 MB
+/// reservation floor. The segregated free list's bucket count is fixed
+/// at [`TABLE_SIZE`](crate::policy::seglist::TABLE_SIZE).
 #[derive(Debug, Clone)]
 pub struct HermesConfig {
     /// Wake-up interval `f` of the memory management thread.
@@ -140,10 +141,6 @@ pub struct HermesConfig {
     pub min_rsv: usize,
     /// Boundary between the heap (brk) path and the mmap path.
     pub mmap_threshold: usize,
-    /// Number of buckets in the segregated free list (`table_size`).
-    /// Read by the simulated allocator only: the runtime's large path
-    /// keeps one free map with no size-class table (DESIGN.md §2).
-    pub table_size: usize,
     /// `RSV_THR` as a fraction of `TGT_MEM`: reserve more when the free
     /// reserve drops below this fraction of the target.
     pub rsv_trigger_ratio: f64,
@@ -182,7 +179,6 @@ impl Default for HermesConfig {
             rsv_factor: 2.0,
             min_rsv: 5 * 1024 * 1024,
             mmap_threshold: DEFAULT_MMAP_THRESHOLD,
-            table_size: 8,
             rsv_trigger_ratio: 0.5,
             trim_ratio: 2.0,
             proactive_reclaim: true,
@@ -227,9 +223,6 @@ impl HermesConfig {
         if self.rsv_factor < 0.0 {
             return Err("rsv_factor must be non-negative".into());
         }
-        if self.table_size == 0 {
-            return Err("table_size must be at least 1".into());
-        }
         if self.mmap_threshold == 0 {
             return Err("mmap_threshold must be positive".into());
         }
@@ -257,7 +250,7 @@ mod tests {
         assert_eq!(c.rsv_factor, 2.0);
         assert_eq!(c.min_rsv, 5 * 1024 * 1024);
         assert_eq!(c.mmap_threshold, 128 * 1024);
-        assert_eq!(c.table_size, 8); // 1 MB / 128 KB
+        assert_eq!(crate::policy::seglist::TABLE_SIZE, 8); // 1 MB / 128 KB
         assert!(c.proactive_reclaim);
         assert!(c.gradual_reservation);
         assert!(c.delayed_shrink);
@@ -338,11 +331,6 @@ mod tests {
     fn validation_catches_bad_values() {
         let c = HermesConfig {
             rsv_factor: -1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = HermesConfig {
-            table_size: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -16,6 +16,10 @@
 use std::cmp::Reverse;
 use std::collections::{btree_map, BTreeMap};
 
+/// The paper's `table_size`: buckets of the segregated free list the
+/// simulated allocator builds (1 MB / 128 KB).
+pub const TABLE_SIZE: usize = 8;
+
 /// A pre-mapped chunk tracked by the pool. `id` is owned by the embedding
 /// allocator (an address, an offset, or a synthetic handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

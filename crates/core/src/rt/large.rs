@@ -11,11 +11,7 @@
 //! in order:
 //!
 //! 1. the best-fitting warm range, cut from the front: no page touched;
-//! 2. else one of the `GROW_CANDIDATES` largest warm ranges, grown into
-//!    its cold neighbour or the bump frontier, right or left; only the
-//!    cold part is touched. This stands in for the paper's `mremap`
-//!    Expand, which would run into the next block of the reservation;
-//! 3. else the best-fitting cold range or a bump carve, touched whole.
+//! 2. else the best-fitting cold range or a bump carve, touched whole.
 //!
 //! The warm bytes are Algorithm 2's pool. A management round reserves
 //! pre-touched warm space for the largest request the pool recently
@@ -56,10 +52,6 @@ const MAGIC: u64 = 0x4845_524d_4553_u64; // "HERMES"
 /// Replaces [`MAGIC`] when a block is freed, so a second free of it
 /// aborts instead of listing its range twice.
 const FREED: u64 = 0x0046_5245_4544_u64; // "FREED"
-
-/// Warm ranges, largest first, that a request no warm range fits tries
-/// to grow into the cold space beside them.
-const GROW_CANDIDATES: usize = 8;
 
 /// Most ranges one management round detaches. A round that fills the
 /// buffer leaves its reserve or trim unfinished for the next round.
@@ -284,17 +276,6 @@ fn round_up(v: usize, q: usize) -> usize {
     v.div_ceil(q) * q
 }
 
-/// Where a warm range grows to serve a request it is too small for.
-#[derive(Clone, Copy)]
-enum Growth {
-    /// Up past the bump frontier, which it touches.
-    Frontier,
-    /// Into the front of its cold successor.
-    Right,
-    /// Into the back of its cold predecessor, at this offset.
-    Left(usize),
-}
-
 impl LargePool {
     /// Creates a pool over `arena` with the given mmap threshold. The
     /// third parameter, the segregated-table size, is ignored: the map
@@ -453,61 +434,6 @@ impl LargePool {
         Some(off)
     }
 
-    /// Where the warm range `[off, off+size)` can grow by `extra` bytes
-    /// of cold space: past the frontier or into its cold successor, else
-    /// into its cold predecessor. A range in flight is in no list and is
-    /// not the frontier, so no warm range grows into it.
-    fn growth(&self, off: usize, size: usize, extra: usize) -> Option<Growth> {
-        let end = off + size;
-        if end == self.bump_off {
-            if end + extra <= self.arena.reserved() {
-                return Some(Growth::Frontier);
-            }
-        } else if self
-            .free
-            .get(&end)
-            .is_some_and(|e| !e.warm && e.size >= extra)
-        {
-            return Some(Growth::Right);
-        }
-        let (&p, e) = self.free.range(..off).next_back()?;
-        (!e.warm && p + e.size == off && e.size >= extra).then_some(Growth::Left(p))
-    }
-
-    /// Grows one of the [`GROW_CANDIDATES`] largest warm ranges, all
-    /// smaller than `need`, by the cold space it lacks. Returns the
-    /// block's offset and the cold part `(offset, len)` to touch.
-    fn grow_warm(&mut self, need: usize) -> Option<(usize, usize, usize)> {
-        let (off, size, growth) = self
-            .warm
-            .iter()
-            .rev()
-            .take(GROW_CANDIDATES)
-            .find_map(|&(size, off)| Some((off, size, self.growth(off, size, need - size)?)))?;
-        let (extra, end) = (need - size, off + size);
-        if matches!(growth, Growth::Frontier) && !self.reach(end + extra) {
-            return None;
-        }
-        self.remove(off);
-        match growth {
-            Growth::Frontier => {
-                self.bump_off += extra;
-                Some((off, end, extra))
-            }
-            Growth::Right => {
-                self.cut_front(end, extra);
-                Some((off, end, extra))
-            }
-            Growth::Left(p) => {
-                let e = self.remove(p);
-                if e.size > extra {
-                    self.insert(p, e.size - extra, false);
-                }
-                Some((off - extra, off - extra, extra))
-            }
-        }
-    }
-
     fn write_header(&mut self, payload_off: usize, chunk_off: usize, chunk_size: usize) {
         debug_assert!(payload_off >= chunk_off + PAGE);
         let hdr = LargeHeader {
@@ -527,29 +453,21 @@ impl LargePool {
     pub fn alloc(&mut self, size: usize, align: usize) -> Option<NonNull<u8>> {
         let pad = if align > PAGE { align } else { 0 };
         let need = round_up(size + PAGE + pad, PAGE);
-        let warm = self.warm.range((need, 0)..).next().copied();
-        let (chunk_off, touch_off, touch_len) = match warm {
-            Some((_, off)) => {
-                self.cut_front(off, need);
-                (off, off, 0)
+        let chunk_off = match self.warm.range((need, 0)..).next() {
+            Some(&(_, off)) => {
+                self.stats.pool_hits += 1;
+                self.cut_front(off, need)
             }
-            None => match self.grow_warm(need) {
-                Some(grown) => grown,
-                None => {
-                    let off = self.carve_cold(need)?;
-                    (off, off, need)
-                }
-            },
+            None => {
+                let off = self.carve_cold(need)?;
+                self.stats.cold_allocs += 1;
+                self.stats.demand_touched_pages += (need / PAGE) as u64;
+                self.peak_miss = self.peak_miss.max(need);
+                self.arena.touch(off, need);
+                self.committed += need;
+                off
+            }
         };
-        if touch_len == 0 {
-            self.stats.pool_hits += 1;
-        } else {
-            self.stats.cold_allocs += 1;
-            self.stats.demand_touched_pages += (touch_len / PAGE) as u64;
-            self.peak_miss = self.peak_miss.max(need);
-            self.arena.touch(touch_off, touch_len);
-            self.committed += touch_len;
-        }
         let base = self.arena.base().as_ptr() as usize;
         let payload_off = if pad == 0 {
             chunk_off + PAGE
@@ -1024,83 +942,125 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_range_grows_into_its_cold_successor_or_the_frontier() {
+    fn a_miss_beside_a_warm_range_is_carved_whole_from_cold_space() {
         let mut p = pool(16);
         let w = p.alloc(256 * KB, PAGE).unwrap(); // [0, 260K)
         let c = p.alloc(512 * KB, PAGE).unwrap(); // [260K, 776K)
-        let top = p.alloc(256 * KB, PAGE).unwrap(); // [776K, 1036K)
-                                                    // SAFETY: c live, freed once.
-        unsafe { p.free(c) };
+        let _sep = p.alloc(256 * KB, PAGE).unwrap(); // [776K, 1036K)
+        let d = p.alloc(700 * KB, PAGE).unwrap(); // [1036K, 1740K)
+        let top = p.alloc(256 * KB, PAGE).unwrap(); // [1740K, 2000K)
+
+        // SAFETY: c and d live, freed once.
+        unsafe {
+            p.free(c);
+            p.free(d);
+        }
         p.management_round(0, 0, 0, 256 * KB, 0);
         // SAFETY: w live, freed once.
         unsafe { p.free(w) };
-        assert_eq!(
-            listed(&p),
-            [(0, 260 * KB, true), (260 * KB, 516 * KB, false)]
-        );
-        // 604 KiB: no warm range fits, so the warm one grows rightwards.
+        // 604 KiB: no warm range fits. The cold range right of the warm
+        // one is too small to serve it whole, so d's range does.
         let s = p.stats();
         let g = p.alloc(600 * KB, PAGE).unwrap();
         let t = p.stats();
-        assert_eq!(g, w, "grown in place");
+        assert_eq!(chunk_off(&p, g), 1036 * KB, "the best-fitting cold range");
         assert_eq!(t.cold_allocs, s.cold_allocs + 1);
         assert_eq!(
             t.demand_touched_pages - s.demand_touched_pages,
-            (344 * KB / PAGE) as u64,
-            "only the cold part is touched"
+            (604 * KB / PAGE) as u64,
+            "the whole block is touched"
         );
-        assert_eq!(t.committed - s.committed, 344 * KB);
-        assert_eq!(listed(&p), [(604 * KB, 172 * KB, false)]);
+        assert_eq!(t.committed - s.committed, 604 * KB);
+        assert_eq!(
+            listed(&p),
+            [
+                (0, 260 * KB, true),
+                (260 * KB, 516 * KB, false),
+                (1640 * KB, 100 * KB, false)
+            ]
+        );
         p.check_integrity().unwrap();
 
-        // The top block, freed, is warm at the frontier: a request it is
-        // too small for grows it past the frontier.
+        // The top block, freed, is warm at the frontier. A request it is
+        // too small for takes the cold range beside the other warm one.
         // SAFETY: top live, freed once.
         unsafe { p.free(top) };
         let s = p.stats();
         let h = p.alloc(400 * KB, PAGE).unwrap();
         let t = p.stats();
-        assert_eq!(chunk_off(&p, h), 776 * KB);
-        assert_eq!(p.bump_off, 776 * KB + 404 * KB);
-        assert_eq!(t.committed - s.committed, 144 * KB);
+        assert_eq!(chunk_off(&p, h), 260 * KB);
+        assert_eq!(p.bump_off, 2000 * KB, "the frontier stays put");
+        assert_eq!(
+            t.demand_touched_pages - s.demand_touched_pages,
+            (404 * KB / PAGE) as u64
+        );
+        assert_eq!(t.committed - s.committed, 404 * KB);
+        // No cold range fits 304 KiB: a bump carve above the warm top.
+        let i = p.alloc(300 * KB, PAGE).unwrap();
+        assert_eq!(chunk_off(&p, i), 2000 * KB);
+        assert_eq!(p.bump_off, 2304 * KB);
+        assert_eq!(
+            listed(&p),
+            [
+                (0, 260 * KB, true),
+                (664 * KB, 112 * KB, false),
+                (1640 * KB, 100 * KB, false),
+                (1740 * KB, 260 * KB, true)
+            ]
+        );
         p.check_integrity().unwrap();
-        // SAFETY: g and h live, freed once.
+        // SAFETY: g, h and i live, freed once.
         unsafe {
             p.free(g);
             p.free(h);
+            p.free(i);
         }
         p.check_integrity().unwrap();
     }
 
     #[test]
-    fn a_warm_range_grows_into_its_cold_predecessor() {
+    fn a_miss_takes_the_best_fitting_cold_range_not_the_one_below_a_warm_range() {
         let mut p = pool(16);
         let c = p.alloc(512 * KB, PAGE).unwrap(); // [0, 516K)
         let w = p.alloc(256 * KB, PAGE).unwrap(); // [516K, 776K)
-        let above = p.alloc(256 * KB, PAGE).unwrap();
-        // SAFETY: c live, freed once.
-        unsafe { p.free(c) };
+        let _s1 = p.alloc(256 * KB, PAGE).unwrap(); // [776K, 1036K)
+        let d = p.alloc(700 * KB, PAGE).unwrap(); // [1036K, 1740K)
+        let _s2 = p.alloc(256 * KB, PAGE).unwrap(); // [1740K, 2000K)
+        let e = p.alloc(620 * KB, PAGE).unwrap(); // [2000K, 2624K)
+        let _top = p.alloc(256 * KB, PAGE).unwrap(); // [2624K, 2884K)
+
+        // SAFETY: c, d and e live, freed once.
+        unsafe {
+            p.free(c);
+            p.free(d);
+            p.free(e);
+        }
         p.management_round(0, 0, 0, 256 * KB, 0);
         // SAFETY: w live, freed once.
         unsafe { p.free(w) };
         let s = p.stats();
         let g = p.alloc(600 * KB, PAGE).unwrap();
         let t = p.stats();
-        // The live block above blocks the right side; 344 KiB come off
-        // the cold range's top.
-        assert_eq!(chunk_off(&p, g), 172 * KB);
+        // 604 KiB: of the cold ranges that fit it, e's is the tightest.
+        assert_eq!(chunk_off(&p, g), 2000 * KB);
         assert_eq!(
             t.demand_touched_pages - s.demand_touched_pages,
-            (344 * KB / PAGE) as u64
+            (604 * KB / PAGE) as u64
         );
-        assert_eq!(t.committed - s.committed, 344 * KB);
-        assert_eq!(listed(&p), [(0, 172 * KB, false)]);
+        assert_eq!(t.committed - s.committed, 604 * KB);
+        assert_eq!(
+            listed(&p),
+            [
+                (0, 516 * KB, false),
+                (516 * KB, 260 * KB, true),
+                (1036 * KB, 704 * KB, false),
+                (2604 * KB, 20 * KB, false)
+            ]
+        );
         p.check_integrity().unwrap();
-        // SAFETY: g and above live, freed once.
-        unsafe {
-            p.free(g);
-            p.free(above);
-        }
+        // SAFETY: g live, freed once.
+        unsafe { p.free(g) };
+        p.check_integrity().unwrap();
     }
 
     #[test]
@@ -1131,12 +1091,13 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_range_never_grows_into_an_in_flight_neighbour() {
+    fn a_miss_never_takes_an_in_flight_range() {
         let mut p = pool(16);
         let w = p.alloc(256 * KB, PAGE).unwrap(); // [0, 260K)
         let c = p.alloc(512 * KB, PAGE).unwrap(); // [260K, 776K)
         let above = p.alloc(256 * KB, PAGE).unwrap(); // [776K, 1036K)
-                                                      // SAFETY: c live, freed once.
+
+        // SAFETY: c live, freed once.
         unsafe { p.free(c) };
         let mut detached = Detached::new();
         p.detach(&mut detached, 0, 0, 0, 256 * KB, 0);
@@ -1144,8 +1105,8 @@ mod tests {
         unsafe { p.free(w) };
         assert_eq!(listed(&p), [(0, 260 * KB, true)], "c is in flight");
         p.check_integrity().unwrap();
-        // Too big for the warm range, whose successor is in flight: a
-        // fresh carve above everything.
+        // Too big for the warm range, and c is in flight: a fresh carve
+        // above everything.
         let g = p.alloc(600 * KB, PAGE).unwrap();
         assert_eq!(chunk_off(&p, g), 1036 * KB);
         // SAFETY: p filled `detached` and has not published it.

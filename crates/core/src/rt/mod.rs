@@ -227,7 +227,7 @@ impl Shard {
                 tracker: heap_tracker,
             }),
             large: Mutex::new(LargeState {
-                pool: LargePool::new(large_arena, cfg.mmap_threshold, cfg.table_size),
+                pool: LargePool::new(large_arena, cfg.mmap_threshold, 0),
                 tracker: large_tracker,
                 trim_peak: PeakWindow::new(),
                 miss_peak: PeakWindow::new(),
@@ -643,116 +643,76 @@ impl HermesHeap {
                 limit: self.shared.max_request,
             });
         }
-        if size < self.shared.cfg.mmap_threshold {
-            // Fast path: serve cacheable requests from the thread cache,
-            // no shard lock. Falls through when the cache is unavailable
-            // or the home shard cannot refill.
-            if layout.align() <= heap::ALIGN {
-                if let Some(cls) = tcache::request_class(size) {
-                    if let Some(p) = tcache::allocate(&self.shared, cls) {
-                        return Ok(p);
-                    }
+        let large = size >= self.shared.cfg.mmap_threshold;
+        // Fast path: serve cacheable requests from the thread cache, no
+        // shard lock. Falls through when the cache is unavailable or the
+        // home shard cannot refill.
+        if !large && layout.align() <= heap::ALIGN {
+            if let Some(cls) = tcache::request_class(size) {
+                if let Some(p) = tcache::allocate(&self.shared, cls) {
+                    return Ok(p);
                 }
             }
-            self.allocate_small(self.home_arena(), layout, size)
-                .ok_or(AllocError::Exhausted)
-        } else {
-            self.allocate_large(self.home_arena(), layout, size)
-                .ok_or(AllocError::Exhausted)
         }
-    }
-
-    /// One allocation attempt against `shard`'s main heap: records the
-    /// demand, allocates, and — on success — books the fast/slow counters
-    /// on that shard (the lock is released before the counter updates).
-    fn small_attempt(
-        shard: &Shard,
-        mut g: MutexGuard<'_, HeapState>,
-        layout: Layout,
-        size: usize,
-    ) -> Option<NonNull<u8>> {
-        g.tracker.on_request(size);
-        let before = g.raw.stats().demand_touched_pages;
-        let p = g.raw.memalign(layout.align(), size);
-        let faulted = g.raw.stats().demand_touched_pages > before;
-        drop(g);
-        let p = p?;
-        Counters::add(&shard.counters.alloc_count, 1);
-        Counters::add(
-            if faulted {
-                &shard.counters.slow_small
-            } else {
-                &shard.counters.fast_small
-            },
-            1,
-        );
-        Some(p)
-    }
-
-    /// The large-path twin of [`HermesHeap::small_attempt`].
-    fn large_attempt(
-        shard: &Shard,
-        mut g: MutexGuard<'_, LargeState>,
-        layout: Layout,
-        size: usize,
-    ) -> Option<NonNull<u8>> {
-        g.tracker.on_request(size);
-        let before = g.pool.cold_allocs();
-        let p = g.pool.alloc(size, layout.align());
-        let cold = g.pool.cold_allocs() > before;
-        drop(g);
-        let p = p?;
-        Counters::add(&shard.counters.alloc_count, 1);
-        Counters::add(
-            if cold {
-                &shard.counters.slow_large
-            } else {
-                &shard.counters.fast_large
-            },
-            1,
-        );
-        Some(p)
-    }
-
-    fn allocate_small(&self, home: usize, layout: Layout, size: usize) -> Option<NonNull<u8>> {
         let shards = &self.shared.shards;
-        // Opportunistic inbox drain: this is already a slow path (the
-        // thread cache missed), so spend a bounded amount of it
-        // returning remotely freed blocks before carving new memory.
-        remote::drain(&self.shared, home, remote::OPPORTUNISTIC_GROUPS);
-        let shard = &shards[home];
-        if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
-            return Some(p);
+        let home = self.home_arena();
+        if !large {
+            // Opportunistic inbox drain: this is already a slow path (the
+            // thread cache missed), so spend a bounded amount of it
+            // returning remotely freed blocks before carving new memory.
+            remote::drain(&self.shared, home, remote::OPPORTUNISTIC_GROUPS);
+            if let Some(p) = Self::attempt(&shards[home], false, layout, size) {
+                return Ok(p);
+            }
         }
-        // Before declaring the home shard exhausted, pull back
-        // everything parked in its inbox and retry — even when this
-        // drain found nothing, since a concurrent one may have returned
-        // the blocks after the attempt above. Then sweep the remaining
-        // shards the same way, so the runtime only fails once *all*
-        // arenas are full.
+        // Sweep every shard from home, so the runtime only fails once
+        // *all* arenas are full. On the heap path each shard's inbox is
+        // first pulled back whole — the home shard's too, even when the
+        // drain above found nothing, since a concurrent one may have
+        // returned the blocks after the attempt above.
         for k in 0..shards.len() {
             let j = (home + k) % shards.len();
-            remote::drain(&self.shared, j, usize::MAX);
-            let shard = &shards[j];
-            if let Some(p) = Self::small_attempt(shard, lock(&shard.heap), layout, size) {
-                return Some(p);
+            if !large {
+                remote::drain(&self.shared, j, usize::MAX);
+            }
+            if let Some(p) = Self::attempt(&shards[j], large, layout, size) {
+                return Ok(p);
             }
         }
         // Count the failed request on the home shard so demand is visible.
         Counters::add(&shards[home].counters.alloc_count, 1);
-        None
+        Err(AllocError::Exhausted)
     }
 
-    fn allocate_large(&self, home: usize, layout: Layout, size: usize) -> Option<NonNull<u8>> {
-        let shards = &self.shared.shards;
-        for k in 0..shards.len() {
-            let shard = &shards[(home + k) % shards.len()];
-            if let Some(p) = Self::large_attempt(shard, lock(&shard.large), layout, size) {
-                return Some(p);
-            }
-        }
-        Counters::add(&shards[home].counters.alloc_count, 1);
-        None
+    /// One allocation attempt against `shard`'s large pool (`large`) or
+    /// main heap: records the demand, allocates, and — on success — books
+    /// the fast/slow counters on that shard (the lock is released before
+    /// the counter updates).
+    fn attempt(shard: &Shard, large: bool, layout: Layout, size: usize) -> Option<NonNull<u8>> {
+        let (p, touched) = if large {
+            let mut g = lock(&shard.large);
+            g.tracker.on_request(size);
+            let before = g.pool.cold_allocs();
+            let p = g.pool.alloc(size, layout.align());
+            (p, g.pool.cold_allocs() > before)
+        } else {
+            let mut g = lock(&shard.heap);
+            g.tracker.on_request(size);
+            let before = g.raw.stats().demand_touched_pages;
+            let p = g.raw.memalign(layout.align(), size);
+            (p, g.raw.stats().demand_touched_pages > before)
+        };
+        let p = p?;
+        let c = &shard.counters;
+        Counters::add(&c.alloc_count, 1);
+        let path = match (large, touched) {
+            (false, false) => &c.fast_small,
+            (false, true) => &c.slow_small,
+            (true, false) => &c.fast_large,
+            (true, true) => &c.slow_large,
+        };
+        Counters::add(path, 1);
+        Some(p)
     }
 
     /// Frees an allocation made by [`HermesHeap::allocate`], routing the
