@@ -150,8 +150,9 @@ fn cross_thread_free_under_remote_queue_stays_lock_free() {
     ] {
         let cfg = base.with_arena_count(4);
         let mut b = RealHermesBackend::with_heap_config(cfg).expect("arena reservation");
-        // The live manager drains every inbox each round: stopped, it
-        // cannot empty them between the frees and the check below.
+        // With no live manager every cross-shard free queues, and no
+        // round can empty the inboxes between the frees and the check
+        // below.
         b.heap().stop_manager();
         let label = b.kind().label();
         let main_home = b.heap().home_arena();

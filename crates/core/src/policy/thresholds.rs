@@ -113,9 +113,10 @@ impl ThresholdTracker {
     }
 
     /// Records the return of `count` blocks totalling `bytes` — the
-    /// remote-free drain path, where chunk sizes vary within one batch
-    /// so the per-size form of [`ThresholdTracker::on_return`] does not
-    /// apply. Queued blocks stay booked as demand until drained, which
+    /// cross-shard free path, where chunk sizes vary within one drain
+    /// batch so the per-size form of [`ThresholdTracker::on_return`] does
+    /// not apply. A block returned straight to the heap is un-booked at
+    /// once; a queued one stays booked as demand until drained, which
     /// keeps reservation sizing honest about memory the inbox is still
     /// holding away from the heap.
     pub fn on_return_bytes(&mut self, bytes: usize, count: u64) {

@@ -31,7 +31,7 @@
 //! with the number of free chunks.
 
 use super::arena::{Arena, PAGE};
-use super::error::{IntegrityError, IntegrityViolation};
+use super::error::{misuse_abort, IntegrityError, IntegrityViolation};
 use std::fmt;
 use std::ptr::NonNull;
 
@@ -848,14 +848,22 @@ impl RawHeap {
     /// # Safety
     ///
     /// `ptr` must have been returned by this heap's `malloc`/`memalign`
-    /// and not freed since.
+    /// and not freed since. A second free of a block whose header no
+    /// later allocation has reused aborts the process.
     pub unsafe fn free(&mut self, ptr: NonNull<u8>) {
         let base = self.arena.base().as_ptr() as usize;
         let mut off = ptr.as_ptr() as usize - base - HDR;
         // SAFETY: per contract `off` heads a live chunk.
         unsafe {
-            debug_assert!(self.chunk_in_use(off), "double free at {off:#x}");
-            let mut size = self.chunk_size(off);
+            let word = self.read_word(off + 8);
+            if word & 1 == 0 {
+                misuse_abort("hermes: double free of a heap block\n");
+            }
+            // Clear the bit at the block's own header, wherever the
+            // coalescing below leaves it (mid-chunk or under the top), so
+            // a second free of this block finds it clear.
+            self.write_word(off + 8, word & !1);
+            let mut size = word & !1;
             self.stats.in_use -= size;
             self.stats.live -= 1;
             // Coalesce with the physically previous chunk.

@@ -29,11 +29,14 @@
 //! Reservation and trim byte counters are recorded on the shard they
 //! belong to; round bookkeeping lands on the runtime-wide counters.
 //!
-//! Every round starts by **draining every shard's remote-free inbox** —
-//! the SpeedMalloc-style dedicated-core model: application threads push
-//! cross-shard frees lock-free and this thread retires them, so a pure
-//! producer/consumer service sees its memory recycled every `f` even if
-//! the owning shard never allocates again. `HERMES_MANAGER_CORE` (or
+//! Every round starts by **draining every shard's remote-free inbox**.
+//! While this thread runs, a cross-shard free returns its block to the
+//! owner's heap itself when the owner's lock is free and its inbox
+//! empty; only the other frees are queued, and this thread retires
+//! them, so a pure producer/consumer service sees even its contended
+//! frees recycled every `f` when the owning shard never allocates
+//! again. (With no live thread every cross-shard free queues:
+//! `rt/remote.rs`.) `HERMES_MANAGER_CORE` (or
 //! `HermesConfig::manager_core`) pins the thread to a CPU so those
 //! drains and the reservation work stay off the application's cores.
 

@@ -22,8 +22,9 @@
 //! * [`tcache`] — per-thread magazine caches in front of the shards:
 //!   small allocations and same-shard frees are served with no shard lock
 //!   at all, refilling/flushing in batches so the lock is amortised over
-//!   dozens of blocks; cross-shard frees push onto the owning shard's
-//!   lock-free inbox instead of taking its lock.
+//!   dozens of blocks; a cross-shard free returns its block straight to
+//!   the owning shard's heap when a manager runs and that shard's lock
+//!   is free, and pushes it onto the shard's lock-free inbox otherwise.
 //! * [`global::Hermes`] — a zero-sized `#[global_allocator]` facade that
 //!   lazily boots a [`HermesHeap`] through [`HermesHeap::new`], like any
 //!   other heap: lazily *mapped* per-shard arenas sized by the
@@ -78,7 +79,7 @@ use std::alloc::Layout;
 use std::cell::Cell;
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError, Weak};
 
 /// Sizing of a [`HermesHeap`].
@@ -266,6 +267,12 @@ pub(crate) struct Shared {
     /// NUMA nodes discovered at construction (>= 1). More than one
     /// switches home-shard selection to node-local placement.
     pub numa_nodes: usize,
+    /// `true` while the management thread runs: cross-shard frees may
+    /// then return their blocks straight to the owner's heap
+    /// (`remote::free`); without it every one queues.
+    /// Relaxed throughout: it publishes no data, and either route is
+    /// correct whatever value a free reads.
+    pub manager_live: AtomicBool,
 }
 
 impl Shared {
@@ -443,6 +450,7 @@ impl HermesHeap {
             tcaches: Mutex::new(Vec::new()),
             max_request,
             numa_nodes,
+            manager_live: AtomicBool::new(false),
         });
         Ok(HermesHeap {
             shared,
@@ -467,17 +475,22 @@ impl HermesHeap {
         self.shared.shard_of(ptr.as_ptr() as usize).map(|(i, _)| i)
     }
 
-    /// Starts the memory management thread (idempotent).
+    /// Starts the memory management thread (idempotent). While it runs,
+    /// a cross-shard free whose owner's heap lock is free returns its
+    /// block to that heap at once; with no live thread every cross-shard
+    /// free queues for a drain (DESIGN.md §9).
     pub fn start_manager(&self) {
         let mut guard = lock(&self.manager);
         if guard.is_none() {
             *guard = Some(ManagerHandle::spawn(Arc::clone(&self.shared)));
+            self.shared.manager_live.store(true, Ordering::Relaxed);
         }
     }
 
     /// Stops the management thread, joining it.
     pub fn stop_manager(&self) {
         if let Some(h) = lock(&self.manager).take() {
+            self.shared.manager_live.store(false, Ordering::Relaxed);
             h.stop();
         }
     }
@@ -1294,6 +1307,124 @@ mod tests {
             }
         }
         panic!("no worker landed on a foreign home shard");
+    }
+
+    /// A heap whose management thread is live but never wakes (its
+    /// interval is an hour): cross-shard frees take the direct route
+    /// when they can, and no round or drain tick races the test.
+    pub(super) fn idle_manager_heap(arenas: usize) -> Arc<HermesHeap> {
+        let mut cfg = HermesHeapConfig::small().with_arena_count(arenas);
+        cfg.hermes.interval = Duration::from_secs(3600);
+        let h = Arc::new(HermesHeap::new(cfg).unwrap());
+        h.start_manager();
+        h
+    }
+
+    /// Runs `f` on the calling thread while a helper thread holds `m`
+    /// (the shape of `allocate_under_held_home_lock`), and returns once
+    /// the helper has let go. A cross-shard free inside `f` meets its
+    /// owner's heap lock held and queues; one that waited would hang.
+    fn while_held<T: Send, R>(m: &Mutex<T>, f: impl FnOnce() -> R) -> R {
+        let (held_tx, held_rx) = std::sync::mpsc::sync_channel(0);
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _held = lock(m);
+                held_tx.send(()).unwrap();
+                let _ = done_rx.recv();
+            });
+            held_rx.recv().unwrap();
+            let r = f();
+            drop(done_tx);
+            r
+        })
+    }
+
+    /// Cross-shard frees of `addrs` (layout `lay`) from the calling
+    /// thread, each through `deallocate`.
+    fn free_each(h: &HermesHeap, addrs: &[usize], lay: Layout) {
+        for &addr in addrs {
+            // SAFETY: live, freed once, layout as allocated.
+            unsafe { h.deallocate(NonNull::new(addr as *mut u8).unwrap(), lay) };
+        }
+    }
+
+    #[test]
+    fn uncontended_cross_shard_free_returns_to_the_owner_heap_at_once() {
+        // Every heap-path shape: a magazine class, a chunk above the
+        // largest class, and an over-aligned block no magazine takes.
+        for lay in [
+            layout(256),
+            layout(PAGE * 2),
+            Layout::from_size_align(256, 64).unwrap(),
+        ] {
+            let h = idle_manager_heap(4);
+            let n = remote::REMOTE_BATCH + 4;
+            let (addrs, owner) = alloc_on_foreign_home(&h, lay, n);
+            assert_ne!(owner, h.home_arena());
+            for (i, &addr) in addrs.iter().enumerate() {
+                let in_use = h.arena_stats(owner).heap.in_use;
+                // SAFETY: `addr` heads a live heap-path allocation.
+                let chunk = unsafe { RawHeap::live_chunk_size(addr) };
+                let demand = lock(&h.shared.shards[owner].heap).tracker.pending();
+                free_each(&h, &[addr], lay);
+                // Back in the owner's heap before `deallocate` returned:
+                // nothing queued, nothing left to drain.
+                let c = h.counters();
+                assert_eq!(c.remote_frees, (i + 1) as u64, "{lay:?}");
+                assert_eq!(c.free_count, (i + 1) as u64, "{lay:?}");
+                assert_eq!(c.remote_lock_falls, 0, "{lay:?}");
+                assert_eq!(c.remote_drained, 0, "{lay:?}");
+                assert_eq!(c.remote_queued_blocks, 0, "{lay:?}");
+                assert_eq!(c.remote_queued_bytes, 0, "{lay:?}");
+                assert_eq!(h.arena_stats(owner).heap.in_use, in_use - chunk, "{lay:?}");
+                let after = lock(&h.shared.shards[owner].heap).tracker.pending();
+                // Saturating like the tracker: requests book their size,
+                // returns un-book the whole chunk.
+                let bytes = demand.bytes.saturating_sub(chunk);
+                assert_eq!(after.bytes, bytes, "{lay:?}: un-booked");
+                assert_eq!(after.count, demand.count - 1, "{lay:?}: un-booked");
+            }
+            assert_eq!(h.heap_stats().live, 0, "{lay:?}");
+            assert_eq!(h.heap_stats().in_use, 0, "{lay:?}");
+            h.check_integrity().unwrap();
+        }
+    }
+
+    #[test]
+    fn cross_shard_free_under_held_owner_lock_queues_until_drained() {
+        let h = idle_manager_heap(4);
+        let lay = layout(256);
+        let (addrs, owner) = alloc_on_foreign_home(&h, lay, 5);
+        let demand = lock(&h.shared.shards[owner].heap).tracker.pending();
+        while_held(&h.shared.shards[owner].heap, || {
+            free_each(&h, &addrs[..3], lay)
+        });
+        // Queued, booked in the gauges, still booked as demand.
+        let c = h.counters();
+        assert_eq!(c.remote_frees, 3);
+        assert_eq!(c.remote_lock_falls, 0);
+        assert_eq!(c.remote_queued_blocks, 3);
+        assert!(c.remote_queued_bytes >= 3 * 256);
+        assert_eq!(c.remote_drained, 0);
+        assert_eq!(lock(&h.shared.shards[owner].heap).tracker.pending(), demand);
+        assert_eq!(h.heap_stats().live, 2, "in transit, not user-held");
+        // The lock is free again, but the inbox is not: the next free
+        // queues behind the others.
+        free_each(&h, &addrs[3..4], lay);
+        assert_eq!(h.counters().remote_queued_blocks, 4);
+        h.drain_remote_inboxes();
+        let c = h.counters();
+        assert_eq!(c.remote_drained, 4);
+        assert_eq!((c.remote_queued_blocks, c.remote_queued_bytes), (0, 0));
+        let after = lock(&h.shared.shards[owner].heap).tracker.pending();
+        assert_eq!(after.count, demand.count - 4, "the drain un-booked them");
+        // Drained empty, the inbox lets the direct route back in.
+        free_each(&h, &addrs[4..], lay);
+        let c = h.counters();
+        assert_eq!((c.remote_drained, c.remote_queued_blocks), (4, 0));
+        assert_eq!(h.heap_stats().in_use, 0);
+        h.check_integrity().unwrap();
     }
 
     #[test]

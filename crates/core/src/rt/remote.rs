@@ -1,26 +1,47 @@
-//! Lock-free remote-free inboxes: cross-shard frees without the owner's
-//! lock.
+//! Cross-shard frees: straight back to the owner's heap when its lock is
+//! free, onto a lock-free inbox when it is not.
 //!
 //! Sharding routes every free back to the arena that served it, so a
 //! producer/consumer service — allocate on thread A, free on thread B —
-//! pays a shard-lock acquisition per free exactly where the runtime is
-//! most contended. This module gives every shard an **inbox**: an
-//! intrusive singly-linked list of dead blocks that any thread may
-//! push onto without touching the owner's lock, and that the owner
+//! frees into a shard it does not call home. Every shard has an
+//! **inbox**: an intrusive singly-linked list of dead blocks that any
+//! thread may push onto without the owner's lock, and that the owner
 //! takes whole and returns to its heap in batches. The blocks carry the
-//! list themselves, so no operation here allocates, and a block in
-//! transit has exactly one state: queued.
+//! list themselves, so no operation here allocates, and a queued block
+//! has exactly one state. [`free`] picks one of two routes per free:
+//!
+//! * **direct** — while the management thread runs and the owner's inbox
+//!   is empty, it *tries* the owner's heap lock. If it gets it, the block
+//!   goes straight back into the owner's heap, and the freeing thread
+//!   pays about one uncontended lock and one boundary-tag free.
+//! * **queued** — otherwise, onto the owner's inbox. A free never waits
+//!   for the lock; once one has met it held, the frees after it queue
+//!   behind it until a drain empties the inbox, instead of contending
+//!   for a lock the owner is using.
+//!
+//! Why not queue every cross-shard free: the owner would pay the inbox
+//! back in bursts on its allocation slow paths, draining whole groups
+//! under its heap lock or waiting for the manager's drain of the same
+//! inbox. Handing the block back at free time spreads that cost evenly
+//! over the freeing thread's frees (DESIGN.md §9 has the measurement).
+//! Why queue every one without a live manager: that is the mode
+//! `HermesHeap::run_management_round` serves, for tests and
+//! deterministic benchmarks. There a free's route never depends on
+//! another thread's lock timing: a batch freed across shards stays
+//! staged until an explicit drain, an owner slow path or the exhaustion
+//! sweep returns it.
 //!
 //! The flow (see DESIGN.md §9 for the full protocol):
 //!
-//! * **free** — the freeing thread ([`free`]) books the owner's counters
-//!   and the inbox gauges, then pushes the dead block onto the head of
-//!   the owner's list with one CAS, threading the next pointer through
-//!   the block's first payload word (dead payloads are at least one
-//!   word: see the `MIN_CHUNK` assert in `heap.rs`). Everything is
-//!   booked at free time, so statistics never wait for a drain, and the
-//!   block is on the owner's list — within reach of every drain — before
-//!   `free` returns.
+//! * **free** — the freeing thread books the owner's counters. On the
+//!   direct route it frees the block and un-books its demand at once.
+//!   Otherwise it books the inbox gauges and pushes the dead block onto
+//!   the head of the owner's list with one CAS, threading the next
+//!   pointer through the block's first payload word (dead payloads are at
+//!   least one word: see the `MIN_CHUNK` assert in `heap.rs`). Everything
+//!   is booked at free time, so statistics never wait for a drain, and a
+//!   queued block is on the owner's list — within reach of every drain —
+//!   before `free` returns.
 //! * **drain** — the owner takes the whole list with one swap,
 //!   opportunistically on its allocation slow path, and the management
 //!   thread drains every inbox each round. The walk re-reads each
@@ -37,7 +58,8 @@
 
 use super::heap::RawHeap;
 use super::stats::Counters;
-use super::{lock, try_lock, Shared};
+use super::{lock, try_lock, Shard, Shared};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -120,9 +142,11 @@ impl RemoteInbox {
     }
 }
 
-/// The whole of a cross-shard free: books shard `owner`'s counters and
-/// inbox gauges, then queues the block on its inbox. Callable from any
-/// thread; takes no lock.
+/// The whole of a cross-shard free: books shard `owner`'s counters, then
+/// returns the block straight to the owner's heap if the management
+/// thread runs, the owner's inbox is empty and its heap lock is free,
+/// and queues it on the owner's inbox otherwise. Callable from any
+/// thread; never waits for a lock.
 ///
 /// # Safety
 ///
@@ -133,6 +157,35 @@ pub(crate) unsafe fn free(shared: &Shared, owner: usize, chunk: usize, addr: usi
     let shard = &shared.shards[owner];
     Counters::add(&shard.counters.free_count, 1);
     Counters::add(&shard.counters.remote_frees, 1);
+    // A non-empty inbox means the owner's lock was recently held against
+    // a free: keep queueing behind it until a drain empties it, rather
+    // than trying a lock the owner is likely to want back.
+    if shared.manager_live.load(Ordering::Relaxed)
+        && shard.remote.queued_blocks.load(Ordering::Relaxed) == 0
+    {
+        if let Some(mut g) = try_lock(&shard.heap) {
+            // SAFETY: per the caller's contract `addr` heads a live
+            // allocation of this shard's heap, freed once, here.
+            unsafe { g.raw.free(NonNull::new_unchecked(addr as *mut u8)) };
+            // What the drain would have un-booked, only earlier.
+            g.tracker.on_return_bytes(chunk, 1);
+            return;
+        }
+    }
+    // SAFETY: as above; the block is dead and handed to nobody else.
+    unsafe { queue(shard, chunk, addr) };
+}
+
+/// Queues a cross-shard free on `shard`'s inbox: books the gauges, then
+/// pushes the block. The push-only body of [`free`], for frees that do
+/// not return their block at once.
+///
+/// # Safety
+///
+/// `addr` must head a live `chunk`-byte boundary-tag allocation of
+/// `shard`'s heap, dead from the user's view and handed to nobody else.
+#[inline]
+unsafe fn queue(shard: &Shard, chunk: usize, addr: usize) {
     // Gauges before the push, so a drain that sees the block also sees
     // its gauge: the early-out reads `queued_blocks`, and the un-booking
     // never runs ahead of the booking.
@@ -141,8 +194,7 @@ pub(crate) unsafe fn free(shared: &Shared, owner: usize, chunk: usize, addr: usi
     inbox
         .queued_bytes
         .fetch_add(chunk as u64, Ordering::Relaxed);
-    // SAFETY: the block is dead from the user's view per the caller's
-    // contract, booked just above, and handed to nobody else.
+    // SAFETY: per the caller's contract, and booked just above.
     unsafe { inbox.push(addr) };
 }
 
@@ -220,14 +272,36 @@ mod tests {
     use crate::rt::{HermesHeap, HermesHeapConfig};
     use std::alloc::Layout;
 
-    /// Remote-frees every block of `blocks` to shard `owner`, one push
-    /// each, the way a foreign thread's `deallocate` does.
-    fn free_all(h: &HermesHeap, owner: usize, blocks: &[usize]) {
+    /// Queues every block of `blocks` on shard `owner`'s inbox, one push
+    /// each, the way a cross-shard free that meets the owner's heap lock
+    /// held does.
+    fn queue_all(h: &HermesHeap, owner: usize, blocks: &[usize]) {
         for &addr in blocks {
             // SAFETY: `addr` heads a live allocation of shard `owner`
             // that the test owns and frees exactly once.
-            unsafe { free(&h.shared, owner, RawHeap::live_chunk_size(addr), addr) };
+            unsafe {
+                queue(
+                    &h.shared.shards[owner],
+                    RawHeap::live_chunk_size(addr),
+                    addr,
+                )
+            };
         }
+    }
+
+    /// `count` blocks of mixed sizes allocated on the caller's home
+    /// shard: magazine classes, a chunk above the largest class, and
+    /// sizes that differ within one drain batch.
+    fn home_blocks(h: &HermesHeap, count: usize) -> Vec<usize> {
+        let sizes = [24, 200, 1000, 3000, 6000];
+        (0..count)
+            .map(|i| {
+                let lay = Layout::from_size_align(sizes[i % sizes.len()], 16).unwrap();
+                let p = h.allocate(lay).unwrap();
+                assert_eq!(h.arena_of(p), Some(h.home_arena()));
+                p.as_ptr() as usize
+            })
+            .collect()
     }
 
     #[test]
@@ -237,24 +311,14 @@ mod tests {
         let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(2)).unwrap();
         let owner = h.home_arena();
         let inbox = &h.shared.shards[owner].remote;
-        // Magazine classes, a chunk above the largest class, and sizes
-        // that differ within one drain batch.
-        let sizes = [24, 200, 1000, 3000, 6000];
-        let mut blocks: Vec<usize> = (0..PRODUCERS * PER_PRODUCER + 40)
-            .map(|i| {
-                let lay = Layout::from_size_align(sizes[i % sizes.len()], 16).unwrap();
-                let p = h.allocate(lay).unwrap();
-                assert_eq!(h.arena_of(p), Some(owner));
-                p.as_ptr() as usize
-            })
-            .collect();
+        let mut blocks = home_blocks(&h, PRODUCERS * PER_PRODUCER + 40);
         let last = blocks.split_off(PRODUCERS * PER_PRODUCER);
 
         let mut drained = 0;
         std::thread::scope(|s| {
             let producers: Vec<_> = blocks
                 .chunks(PER_PRODUCER)
-                .map(|share| s.spawn(|| free_all(&h, owner, share)))
+                .map(|share| s.spawn(|| queue_all(&h, owner, share)))
                 .collect();
             let mut bounded = true;
             while !producers.iter().all(|p| p.is_finished()) {
@@ -268,7 +332,7 @@ mod tests {
 
         // A bounded drain takes the whole list, frees its quota, and
         // parks the rest for the next drain.
-        free_all(&h, owner, &last);
+        queue_all(&h, owner, &last);
         assert_eq!(drain(&h.shared, owner, 1), REMOTE_BATCH as u64);
         assert_ne!(*lock(&inbox.pending), 0);
         assert_eq!(inbox.gauges().0, (last.len() - REMOTE_BATCH) as u64);
@@ -283,6 +347,67 @@ mod tests {
             h.counters().remote_drained,
             (blocks.len() + last.len()) as u64
         );
+        h.drain_thread_cache();
+        assert_eq!(h.heap_stats().live, 0);
+        assert_eq!(h.heap_stats().in_use, 0);
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn routed_frees_race_lock_holders_and_drains_and_return_every_block_once() {
+        const PRODUCERS: usize = 3;
+        const PER_PRODUCER: usize = 400;
+        // Blocks the lock holder waits to see queued before it lets go.
+        const QUEUED_FIRST: u64 = REMOTE_BATCH as u64;
+        let h = crate::rt::tests::idle_manager_heap(2);
+        let owner = h.home_arena();
+        let shard = &h.shared.shards[owner];
+        let blocks = home_blocks(&h, PRODUCERS * PER_PRODUCER);
+        let before = h.counters();
+
+        let producers_done = std::sync::atomic::AtomicUsize::new(0);
+        let mut drained = 0;
+        std::thread::scope(|s| {
+            // The owner's heap lock is held before any free starts, and
+            // released only once frees have queued: a free that waited
+            // for the lock would hang the test here.
+            let g = lock(&shard.heap);
+            for share in blocks.chunks(PER_PRODUCER) {
+                let done = &producers_done;
+                let h = &h;
+                s.spawn(move || {
+                    for &addr in share {
+                        // SAFETY: `addr` heads a live allocation of
+                        // shard `owner`, freed exactly once, here.
+                        unsafe { free(&h.shared, owner, RawHeap::live_chunk_size(addr), addr) };
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            while shard.remote.gauges().0 < QUEUED_FIRST
+                && producers_done.load(Ordering::Acquire) < PRODUCERS
+            {
+                std::thread::yield_now();
+            }
+            drop(g);
+            // Then short holds and mixed drains race the rest of the
+            // frees' try-locks.
+            let mut bounded = true;
+            while producers_done.load(Ordering::Acquire) < PRODUCERS {
+                drop(lock(&shard.heap));
+                drained += drain(&h.shared, owner, if bounded { 1 } else { usize::MAX });
+                bounded = !bounded;
+            }
+        });
+        drained += drain(&h.shared, owner, usize::MAX);
+        assert!(drained >= QUEUED_FIRST, "the held lock queued {drained}");
+        assert!(drained <= blocks.len() as u64);
+        assert_eq!(shard.remote.gauges(), (0, 0));
+        let c = h.counters();
+        assert_eq!(c.remote_frees - before.remote_frees, blocks.len() as u64);
+        assert_eq!(c.remote_drained - before.remote_drained, drained);
+        // Every block came back exactly once, by one route or the other:
+        // a lost one stays live, a second return aborts.
         h.drain_thread_cache();
         assert_eq!(h.heap_stats().live, 0);
         assert_eq!(h.heap_stats().in_use, 0);

@@ -104,12 +104,13 @@ counter_fields! {
         /// Thread-cache flush events (batch returns on overflow, thread
         /// exit and explicit drains).
         tcache_flushes,
-        /// Cross-shard frees routed through this arena's lock-free remote
-        /// inbox (counted at free time, when the freeing thread pushes the
-        /// block — not when it is drained).
+        /// Cross-shard frees of this arena's blocks, by either route:
+        /// returned straight to the heap or queued on the remote inbox
+        /// (`rt/remote.rs` has the rule). Counted at free time.
         remote_frees,
         /// Blocks this arena has drained out of its remote inbox and
-        /// returned to the heap (owner slow path + manager rounds).
+        /// returned to the heap (owner slow path + manager rounds): the
+        /// cross-shard frees that were queued.
         remote_drained,
         /// Cross-shard frees that fell back to the locked path because the
         /// freeing thread had no usable cache slot (TLS teardown in

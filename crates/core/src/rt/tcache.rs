@@ -43,9 +43,10 @@
 //!
 //! Only same-shard frees are cached: `deallocate` routes a pointer to
 //! its owning shard through the range table first, and a pointer owned
-//! by a *different* shard goes straight onto that shard's remote inbox
-//! (`rt/remote.rs`), so boundary-tag coalescing stays shard-local and
-//! a magazine never mixes shards.
+//! by a *different* shard goes back to that shard (`rt/remote.rs`) —
+//! straight into its heap when its lock is free (and a manager runs),
+//! onto its remote inbox otherwise — so boundary-tag coalescing stays
+//! shard-local and a magazine never mixes shards.
 
 use super::heap::{RawHeap, ALIGN, HDR, MIN_CHUNK};
 use super::remote;
@@ -500,10 +501,10 @@ pub(crate) fn allocate(shared: &Arc<Shared>, cls: usize) -> Option<NonNull<u8>> 
 /// Frees `addr` — a live `chunk`-byte heap-path block of shard `owner`,
 /// allocated with alignment `align` — through the calling thread's cache
 /// in one TLS lookup: a foreign shard's block (any chunk size: every
-/// heap-path pointer heads a real boundary-tag chunk) goes onto the
-/// owner's inbox; a home block whose chunk is exactly a class size parks
-/// in its magazine. See [`Freed`] for the outcomes that send the caller
-/// to the owner's lock.
+/// heap-path pointer heads a real boundary-tag chunk) goes back to the
+/// owner through `remote::free`; a home block whose chunk is exactly a
+/// class size parks in its magazine. See [`Freed`] for the outcomes that
+/// send the caller to the owner's lock.
 pub(crate) fn free(
     shared: &Arc<Shared>,
     owner: usize,

@@ -111,8 +111,9 @@ fn realloc_paths_via_vec_growth() {
 }
 
 /// A producer thread allocates, this thread frees: every such free is
-/// cross-shard when the two homes differ, and must ride the remote inbox
-/// rather than fall back to the owner's lock.
+/// cross-shard when the two homes differ, and must take the remote path
+/// (the owner's heap if its lock is free and its inbox empty, the inbox
+/// if not) rather than fall back to waiting for the owner's lock.
 ///
 /// `remote_lock_falls` is process-wide here, and the other tests of this
 /// binary start and end threads at arbitrary moments — a thread's cache

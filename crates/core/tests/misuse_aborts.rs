@@ -1,6 +1,7 @@
 //! Caller misuse the allocator cannot survive ends in a loud abort, never
 //! a silent return: a free of memory no arena owns, a large-path free
-//! whose header page holds no header, and a second free of a large block.
+//! whose header page holds no header, and a second free of a large or a
+//! heap block, on the owning thread or a foreign one.
 //!
 //! A passing case kills its own process, so each case re-runs this test
 //! binary on itself (`--exact <case>`, with [`CHILD`] set) and asserts
@@ -14,6 +15,8 @@ use std::alloc::Layout;
 use std::os::unix::process::ExitStatusExt;
 use std::process::Command;
 use std::ptr::NonNull;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Set in the child process: the case commits the misuse instead of
 /// spawning a child of its own.
@@ -87,4 +90,91 @@ fn double_free_of_a_large_block_aborts() {
     // SAFETY: none — the misuse under test; the call must not return.
     unsafe { h.deallocate(p, layout) };
     unreachable!("a second free of a large block returned");
+}
+
+/// 8 KiB is no thread-cache class, so no magazine parks the first free
+/// and hides the second from the heap.
+fn heap_block() -> Layout {
+    Layout::from_size_align(8192, 16).unwrap()
+}
+
+#[test]
+fn double_free_of_a_heap_block_aborts() {
+    if !in_child(
+        "double_free_of_a_heap_block_aborts",
+        "double free of a heap block",
+    ) {
+        return;
+    }
+    let h = HermesHeap::new(HermesHeapConfig::small()).unwrap();
+    let p = h.allocate(heap_block()).unwrap();
+    // SAFETY: `p` is live; the first free is correct use.
+    unsafe { h.deallocate(p, heap_block()) };
+    // SAFETY: none — the misuse under test; the call must not return.
+    unsafe { h.deallocate(p, heap_block()) };
+    unreachable!("a second free of a heap block returned");
+}
+
+/// An 8 KiB block of the other shard of `h`: allocated on a worker whose
+/// home differs from this thread's, so a free of it here is cross-shard.
+fn foreign_heap_block(h: &Arc<HermesHeap>) -> NonNull<u8> {
+    let mine = h.home_arena();
+    let addr = (0..8)
+        .find_map(|_| {
+            let hh = Arc::clone(h);
+            std::thread::spawn(move || {
+                (hh.home_arena() != mine)
+                    .then(|| hh.allocate(heap_block()).unwrap().as_ptr() as usize)
+            })
+            .join()
+            .unwrap()
+        })
+        .expect("a worker landed on a foreign home shard");
+    NonNull::new(addr as *mut u8).unwrap()
+}
+
+#[test]
+fn foreign_double_free_of_a_heap_block_aborts() {
+    if !in_child(
+        "foreign_double_free_of_a_heap_block_aborts",
+        "double free of a heap block",
+    ) {
+        return;
+    }
+    // No live manager: both cross-shard frees queue, and the drain that
+    // returns them finds the block freed twice.
+    let h = Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(2)).unwrap());
+    let p = foreign_heap_block(&h);
+    // SAFETY: `p` is live; the first free is correct use.
+    unsafe { h.deallocate(p, heap_block()) };
+    // SAFETY: none — the misuse under test.
+    unsafe { h.deallocate(p, heap_block()) };
+    assert_eq!(h.counters().remote_queued_blocks, 2, "both frees queued");
+    h.drain_remote_inboxes();
+    unreachable!("a drain of a queued second free returned");
+}
+
+#[test]
+fn direct_foreign_double_free_of_a_heap_block_aborts() {
+    if !in_child(
+        "direct_foreign_double_free_of_a_heap_block_aborts",
+        "double free of a heap block",
+    ) {
+        return;
+    }
+    // A live manager that never wakes: each uncontended cross-shard free
+    // returns its block to the owner's heap at once, so the second one
+    // aborts before it returns, with no drain.
+    let mut cfg = HermesHeapConfig::small().with_arena_count(2);
+    cfg.hermes.interval = Duration::from_secs(3600);
+    let h = Arc::new(HermesHeap::new(cfg).unwrap());
+    h.start_manager();
+    let p = foreign_heap_block(&h);
+    // SAFETY: `p` is live; the first free is correct use.
+    unsafe { h.deallocate(p, heap_block()) };
+    let c = h.counters();
+    assert_eq!((c.remote_frees, c.remote_queued_blocks), (1, 0), "direct");
+    // SAFETY: none — the misuse under test; the call must not return.
+    unsafe { h.deallocate(p, heap_block()) };
+    unreachable!("a second direct cross-shard free of a heap block returned");
 }

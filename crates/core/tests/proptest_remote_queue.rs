@@ -1,7 +1,8 @@
 //! Conservation property of the remote-free queue: for *any*
 //! interleaving of owner-local allocations, foreign-thread allocations,
 //! frees (which queue on the owner's inbox whenever the block's owner is
-//! not the freeing thread's home shard), management rounds (which drain
+//! not the freeing thread's home shard: the heap has no live manager, so
+//! no cross-shard free takes the direct route), management rounds (which drain
 //! every inbox), explicit inbox drains and thread-cache drains (which
 //! empty the magazines and leave the inboxes alone), block accounting
 //! balances —

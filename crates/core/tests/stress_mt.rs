@@ -5,9 +5,11 @@
 //! statistics balance out — `in_use` returns to 0 once every thread has
 //! joined and every pointer is freed. Run once through the ring topology,
 //! once as a producer/consumer pipeline, and once as a *pure*
-//! producer/consumer pipeline — in all three, cross-shard frees ride the
-//! lock-free remote inboxes and the `remote_lock_falls` counter proves no
-//! free fell back to the owner's lock.
+//! producer/consumer pipeline — in all three, under a live manager,
+//! cross-shard frees go back to the owner's heap or, when its lock is
+//! held or its inbox already holds frees, onto its lock-free remote
+//! inbox, and the `remote_lock_falls` counter proves no free fell back
+//! to waiting for the owner's lock.
 
 use hermes_core::config::HermesConfig;
 use hermes_core::rt::{HermesHeap, HermesHeapConfig};
@@ -238,9 +240,9 @@ fn producer_consumer_cross_thread_frees_with_caches() {
     assert_eq!(c.alloc_count, (PAIRS * PC_ROUNDS) as u64);
     assert_eq!(c.free_count, c.alloc_count, "every alloc freed once");
     assert!(c.tcache_refills > 0, "cache path exercised");
-    // Consumer frees crossed shards on the lock-free inboxes; the
-    // uncacheable trickle (above the cacheable payload bound) rode them
-    // too instead of falling back to the owner's lock.
+    // Consumer frees crossed shards by the remote path (try-lock, else
+    // inbox); the uncacheable trickle (above the cacheable payload
+    // bound) took it too instead of falling back to the owner's lock.
     assert!(c.remote_frees > 0, "cross-shard frees staged remotely");
     assert_eq!(c.remote_lock_falls, 0, "no remote free fell to the lock");
     assert_eq!(c.remote_queued_blocks, 0, "inboxes fully drained");
