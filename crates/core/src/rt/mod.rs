@@ -660,8 +660,8 @@ impl HermesHeap {
         // Fast path: serve cacheable requests from the thread cache, no
         // shard lock. Falls through when the cache is unavailable or the
         // home shard cannot refill.
-        if !large && layout.align() <= heap::ALIGN {
-            if let Some(cls) = tcache::request_class(size) {
+        if !large {
+            if let Some(cls) = tcache::layout_class(layout) {
                 if let Some(p) = tcache::allocate(&self.shared, cls) {
                     return Ok(p);
                 }
@@ -701,6 +701,10 @@ impl HermesHeap {
     /// main heap: records the demand, allocates, and — on success — books
     /// the fast/slow counters on that shard (the lock is released before
     /// the counter updates).
+    ///
+    /// A class-sized heap request gets exactly its class chunk, as a
+    /// thread-cache refill would carve it: the sized free parks it by its
+    /// layout alone.
     fn attempt(shard: &Shard, large: bool, layout: Layout, size: usize) -> Option<NonNull<u8>> {
         let (p, touched) = if large {
             let mut g = lock(&shard.large);
@@ -712,7 +716,16 @@ impl HermesHeap {
             let mut g = lock(&shard.heap);
             g.tracker.on_request(size);
             let before = g.raw.stats().demand_touched_pages;
-            let p = g.raw.memalign(layout.align(), size);
+            let p = match tcache::layout_class(layout) {
+                Some(cls) => {
+                    let mut slot = [0];
+                    let n = g
+                        .raw
+                        .malloc_batch(tcache::class_chunk(cls) - heap::HDR, &mut slot);
+                    NonNull::new(slot[0] as *mut u8).filter(|_| n == 1)
+                }
+                None => g.raw.memalign(layout.align(), size),
+            };
             (p, g.raw.stats().demand_touched_pages > before)
         };
         let p = p?;
@@ -732,12 +745,19 @@ impl HermesHeap {
     /// pointer back to its owning shard by address range (cross-thread
     /// frees land on the allocating shard, not the caller's home shard).
     ///
+    /// A free on the block's home shard whose layout names a thread-cache
+    /// class (at most 16-byte aligned, at most a 4 KiB chunk) is *sized*:
+    /// it parks the block by the class its layout names and never reads
+    /// the block.
+    ///
     /// # Safety
     ///
     /// `ptr` must come from this heap's `allocate` with the same `layout`
     /// and must not have been freed already. A pointer no arena owns, a
     /// large block freed twice, or one whose header is not intact,
-    /// aborts the process.
+    /// aborts the process. A home free with another class's layout
+    /// aborts when its magazine flushes or drains; if the block is handed
+    /// out again before that, the behaviour is undefined.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
         let addr = ptr.as_ptr() as usize;
         let Some((idx, is_large)) = self.shared.shard_of(addr) else {
@@ -755,11 +775,8 @@ impl HermesHeap {
             g.tracker.on_return_bytes(chunk, 1);
             return;
         }
-        // Classify by the *actual* chunk size from the boundary tag.
-        // SAFETY: per the caller's contract `ptr` heads a live heap-path
-        // allocation.
-        let chunk = unsafe { RawHeap::live_chunk_size(addr) };
-        match tcache::free(&self.shared, idx, chunk, layout.align(), addr) {
+        // Sized free: the layout names the class, as it did at `allocate`.
+        match tcache::free(&self.shared, idx, tcache::layout_class(layout), addr) {
             tcache::Freed::Done => return,
             // The caller's own shard, a shape no magazine takes: the
             // lock below is uncontended by construction.
@@ -1237,6 +1254,64 @@ mod tests {
         assert_eq!(h.heap_stats().live, 0);
         h.drain_thread_cache();
         assert_eq!(h.counters().cached_blocks, 0);
+        h.check_integrity().unwrap();
+    }
+
+    /// A class-sized request the locked fallback serves occupies exactly
+    /// its class chunk, as a refill would carve it, so a sized free on
+    /// its shard's own thread parks it by the layout alone.
+    #[test]
+    fn a_class_sized_fallback_block_is_its_class_chunk_and_parks_at_home() {
+        let cfg = HermesHeapConfig {
+            heap_capacity: PAGE * 64 * 2,
+            large_capacity: PAGE * 64 * 2,
+            arenas: 2,
+            reserve_factor: 1,
+            hermes: HermesConfig::default(),
+        };
+        let h = Arc::new(HermesHeap::new(cfg).unwrap());
+        let size = 4000;
+        let chunk = tcache::cache_chunk_for(size).unwrap();
+        assert_ne!(chunk, RawHeap::request_chunk_size(size), "class rounds up");
+        // Fill the home shard until it cannot refill: the next request
+        // spills to the other shard through `attempt`.
+        let home = h.home_arena();
+        let mut kept = Vec::new();
+        let spilled = loop {
+            let p = h.allocate(layout(size)).unwrap();
+            if h.arena_of(p) != Some(home) {
+                break p;
+            }
+            kept.push(p);
+        };
+        let other = h.arena_of(spilled).unwrap();
+        assert_eq!(h.arena_stats(other).heap.in_use, chunk, "exact class chunk");
+        // Freed on a thread homed on the block's shard, it parks.
+        let addr = spilled.as_ptr() as usize;
+        let parked = (0..8).find_map(|_| {
+            let hh = Arc::clone(&h);
+            std::thread::spawn(move || {
+                (hh.home_arena() == other).then(|| {
+                    let before = hh.counters().cached_blocks;
+                    let p = NonNull::new(addr as *mut u8).unwrap();
+                    // SAFETY: live, freed once, layout as allocated.
+                    unsafe { hh.deallocate(p, layout(size)) };
+                    let after = hh.counters().cached_blocks;
+                    hh.check_integrity().unwrap();
+                    after - before
+                })
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(parked, Some(1), "the sized free parked the fallback block");
+        for p in kept {
+            // SAFETY: live, freed once.
+            unsafe { h.deallocate(p, layout(size)) };
+        }
+        h.drain_thread_cache();
+        assert_eq!(h.heap_stats().live, 0);
+        assert_eq!(h.heap_stats().in_use, 0);
         h.check_integrity().unwrap();
     }
 

@@ -47,11 +47,27 @@
 //! straight into its heap when its lock is free (and a manager runs),
 //! onto its remote inbox otherwise — so boundary-tag coalescing stays
 //! shard-local and a magazine never mixes shards.
+//!
+//! # Sized free
+//!
+//! A home free takes its class from the caller's `Layout`, the way
+//! `sdallocx` and C++14 sized `delete` do, and parks the block without
+//! reading it: the boundary tag of a random victim is a dependent cache
+//! miss that cost more than the rest of the free (DESIGN.md §5). That is
+//! sound because every class-sized, at most 16-byte-aligned allocation
+//! occupies exactly its class chunk, whichever path serves it — a
+//! refill here or the runtime's locked fallback. The tag is read only
+//! where the block is touched anyway: on the foreign route, in the
+//! locked free, and at the flush, which aborts through
+//! `misuse_abort` when a magazine block's chunk is not its class
+//! chunk (a free with another class's layout).
 
+use super::error::misuse_abort;
 use super::heap::{RawHeap, ALIGN, HDR, MIN_CHUNK};
 use super::remote;
 use super::stats::Counters;
 use super::{lock, Shared};
+use std::alloc::Layout;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,7 +99,7 @@ pub const TCACHE_BATCH: usize = TCACHE_DEPTH / 2;
 ///
 /// Chunk size (bytes, header included) of class `cls`.
 #[inline]
-fn class_chunk(cls: usize) -> usize {
+pub(crate) fn class_chunk(cls: usize) -> usize {
     match cls {
         0..=30 => MIN_CHUNK + cls * 16,
         31..=46 => 512 + (cls - 30) * 32,
@@ -114,29 +130,27 @@ fn class_for_chunk(chunk: usize) -> Option<usize> {
 /// occupies the *class* chunk ([`cache_chunk_for`]), which may exceed
 /// the tight boundary-tag chunk by the tier's rounding.
 #[inline]
-pub(crate) fn request_class(size: usize) -> Option<usize> {
+fn request_class(size: usize) -> Option<usize> {
     class_for_chunk(RawHeap::request_chunk_size(size))
 }
 
-/// Chunk size a *cache-served* allocation of `size` bytes occupies:
-/// the tight chunk rounded up to its size class. Public so accounting
-/// tests can predict `in_use` exactly.
-pub fn cache_chunk_for(size: usize) -> Option<usize> {
-    request_class(size).map(class_chunk)
+/// Class of a heap-path allocation with `layout`, or `None` when it is
+/// too big or over-aligned for a magazine. The one rule that `allocate`,
+/// the locked fallback's carve and the sized free all follow, so the
+/// layout alone names the chunk of every class-sized block.
+#[inline]
+pub(crate) fn layout_class(layout: Layout) -> Option<usize> {
+    (layout.align() <= ALIGN)
+        .then(|| request_class(layout.size()))
+        .flatten()
 }
 
-/// Cache class holding blocks of exactly `chunk` bytes, or `None` when
-/// that chunk size is not a class size. Frees classify by the *actual*
-/// chunk size read from the boundary tag: cache-carved blocks match a
-/// class exactly; blocks carved by the locking path usually do not and
-/// take the bypass, which keeps magazine accounting exact.
-#[inline]
-fn chunk_class(chunk: usize) -> Option<usize> {
-    if !(MIN_CHUNK..=TCACHE_MAX_CHUNK).contains(&chunk) || chunk % ALIGN != 0 {
-        return None;
-    }
-    let cls = class_for_chunk(chunk)?;
-    (class_chunk(cls) == chunk).then_some(cls)
+/// Chunk size a class-sized allocation of `size` bytes (at most 16-byte
+/// aligned) occupies, whether the thread cache or the locked fallback
+/// serves it: the tight chunk rounded up to its size class. Public so
+/// accounting tests can predict `in_use` exactly.
+pub fn cache_chunk_for(size: usize) -> Option<usize> {
+    request_class(size).map(class_chunk)
 }
 
 /// The per-class block stacks of one thread cache. Owner-only (see the
@@ -158,12 +172,12 @@ impl Magazines {
 
 /// Outcome of routing a heap-path free through the thread cache.
 pub(crate) enum Freed {
-    /// Parked in a magazine or queued on the owner's inbox; the free is
-    /// complete.
+    /// Parked in a magazine or returned to a foreign owner (its heap or
+    /// its inbox); the free is complete.
     Done,
-    /// The block belongs to the caller's own home shard but no magazine
-    /// holds its shape (non-class chunk or over-aligned) — the home
-    /// shard's lock, uncontended by construction, is the right path.
+    /// The block belongs to the caller's own home shard but its layout
+    /// names no class (too big or over-aligned) — the home shard's lock,
+    /// uncontended by construction, is the right path.
     Home,
     /// No cache slot is usable (TLS teardown or mid-registration
     /// re-entry); the caller must take the locked fallback.
@@ -323,9 +337,10 @@ impl ThreadCache {
     /// Caches a freed block of class `cls`, flushing the oldest half of
     /// a full magazine first.
     ///
-    /// The caller guarantees `addr` heads a live allocation of exactly
-    /// `class_chunk(cls)` bytes owned by this cache's home shard, and
-    /// that it is the owner thread.
+    /// The caller guarantees that `addr` heads a live allocation of this
+    /// cache's home shard whose layout names class `cls`, and that it is
+    /// the owner thread. The block is not read: a wrong class is caught
+    /// at the flush.
     fn push(&self, shared: &Shared, cls: usize, addr: usize) {
         // SAFETY: owner-only access per the module's ownership discipline.
         let m = unsafe { &mut *self.mags.get() };
@@ -342,6 +357,10 @@ impl ThreadCache {
 
     /// Returns the `k` oldest blocks of class `cls` to the home shard
     /// under one heap-lock acquisition, un-booking their demand.
+    ///
+    /// Aborts when a block's chunk is not the class chunk: it was freed
+    /// with another class's layout. The tags are read before the lock,
+    /// so the free under it finds them cached.
     fn flush(&self, shared: &Shared, m: &mut Magazines, cls: usize, k: usize) {
         let count = m.counts[cls] as usize;
         let k = k.min(count);
@@ -349,6 +368,13 @@ impl ThreadCache {
             return;
         }
         let chunk = class_chunk(cls);
+        for &addr in &m.slots[cls][..k] {
+            // SAFETY: magazine blocks are live allocations of the home
+            // shard's heap.
+            if unsafe { RawHeap::live_chunk_size(addr) } != chunk {
+                misuse_abort("hermes: heap block freed with another size class's layout\n");
+            }
+        }
         let shard = &shared.shards[self.home];
         {
             let mut g = lock(&shard.heap);
@@ -498,33 +524,27 @@ pub(crate) fn allocate(shared: &Arc<Shared>, cls: usize) -> Option<NonNull<u8>> 
     with_cache(shared, |cache| cache.allocate(shared, cls)).flatten()
 }
 
-/// Frees `addr` — a live `chunk`-byte heap-path block of shard `owner`,
-/// allocated with alignment `align` — through the calling thread's cache
-/// in one TLS lookup: a foreign shard's block (any chunk size: every
-/// heap-path pointer heads a real boundary-tag chunk) goes back to the
-/// owner through `remote::free`; a home block whose chunk is exactly a
-/// class size parks in its magazine. See [`Freed`] for the outcomes that
+/// Frees `addr` — a live heap-path block of shard `owner` whose layout
+/// names class `cls` (`None`: too big or over-aligned) — through the
+/// calling thread's cache in one TLS lookup: a foreign shard's block
+/// (any chunk size: its boundary tag gives the size) goes back to the
+/// owner through `remote::free`; a home block of a class parks in its
+/// magazine without being read. See [`Freed`] for the outcomes that
 /// send the caller to the owner's lock.
-pub(crate) fn free(
-    shared: &Arc<Shared>,
-    owner: usize,
-    chunk: usize,
-    align: usize,
-    addr: usize,
-) -> Freed {
+pub(crate) fn free(shared: &Arc<Shared>, owner: usize, cls: Option<usize>, addr: usize) -> Freed {
     with_cache(shared, |cache| {
         if cache.home != owner {
             // SAFETY: per this function's contract `addr` heads a live
-            // `chunk`-byte block of shard `owner`, freed by this call.
-            unsafe { remote::free(shared, owner, chunk, addr) };
+            // block of shard `owner`, freed by this call.
+            unsafe { remote::free(shared, owner, RawHeap::live_chunk_size(addr), addr) };
             return Freed::Done;
         }
-        match chunk_class(chunk) {
-            Some(cls) if align <= ALIGN => {
+        match cls {
+            Some(cls) => {
                 cache.push(shared, cls, addr);
                 Freed::Done
             }
-            _ => Freed::Home,
+            None => Freed::Home,
         }
     })
     .unwrap_or(Freed::Unavailable)
@@ -592,7 +612,7 @@ mod tests {
         for cls in 0..TCACHE_CLASSES {
             let chunk = class_chunk(cls);
             // A class-sized chunk classifies back to its own class...
-            assert_eq!(chunk_class(chunk), Some(cls));
+            assert_eq!(class_for_chunk(chunk), Some(cls));
             // ...and the largest payload fitting the class lands in it.
             assert_eq!(request_class(chunk - HDR), Some(cls));
             assert_eq!(cache_chunk_for(chunk - HDR), Some(chunk));
@@ -605,10 +625,8 @@ mod tests {
         assert_eq!(request_class(TCACHE_MAX_CHUNK - HDR + 1), None);
         // Rounding up crosses into the next class exactly at class+1 byte.
         assert_eq!(cache_chunk_for(512 - HDR + 1), Some(544));
-        // Non-class chunk sizes never classify (the free-path bypass).
-        assert_eq!(chunk_class(TCACHE_MAX_CHUNK + 128), None);
-        assert_eq!(chunk_class(MIN_CHUNK - ALIGN), None);
-        assert_eq!(chunk_class(528), None, "16-granule between 32-classes");
-        assert_eq!(chunk_class(100), None, "unaligned sizes never classify");
+        // Chunks between classes round up; above the bound none serves.
+        assert_eq!(class_for_chunk(528), Some(31), "16-granule rounds up");
+        assert_eq!(class_for_chunk(TCACHE_MAX_CHUNK + 128), None);
     }
 }

@@ -1,7 +1,8 @@
 //! Caller misuse the allocator cannot survive ends in a loud abort, never
 //! a silent return: a free of memory no arena owns, a large-path free
-//! whose header page holds no header, and a second free of a large or a
-//! heap block, on the owning thread or a foreign one.
+//! whose header page holds no header, a second free of a large or a
+//! heap block, on the owning thread or a foreign one, and a home free
+//! with another size class's layout, caught when its magazine flushes.
 //!
 //! A passing case kills its own process, so each case re-runs this test
 //! binary on itself (`--exact <case>`, with [`CHILD`] set) and asserts
@@ -177,4 +178,26 @@ fn direct_foreign_double_free_of_a_heap_block_aborts() {
     // SAFETY: none — the misuse under test; the call must not return.
     unsafe { h.deallocate(p, heap_block()) };
     unreachable!("a second direct cross-shard free of a heap block returned");
+}
+
+/// A home free is sized: it parks the block in the magazine its layout
+/// names without reading the block, so a wrong layout is caught where
+/// the block is next touched — the flush or drain of that magazine.
+#[test]
+fn home_free_with_another_class_layout_aborts() {
+    if !in_child(
+        "home_free_with_another_class_layout_aborts",
+        "freed with another size class's layout",
+    ) {
+        return;
+    }
+    let h = HermesHeap::new(HermesHeapConfig::small()).unwrap();
+    let class_a = Layout::from_size_align(256, 16).unwrap();
+    let class_b = Layout::from_size_align(512, 16).unwrap();
+    let p = h.allocate(class_a).unwrap();
+    // SAFETY: none — the misuse under test: `p` is live but was
+    // allocated with `class_a`.
+    unsafe { h.deallocate(p, class_b) };
+    h.drain_thread_cache();
+    unreachable!("a drain of a block freed with another class's layout returned");
 }

@@ -2,7 +2,7 @@
 //! alloc/free interleavings never corrupt structure, never hand out
 //! overlapping memory, always respect alignment — and, for the sharded
 //! front end, always route a free back to the arena that served the
-//! allocation.
+//! allocation, and keep sized frees whole wherever they run.
 
 use hermes_core::rt::{Arena, HermesHeap, HermesHeapConfig, LargePool, RawHeap, PAGE};
 use proptest::prelude::*;
@@ -270,5 +270,149 @@ proptest! {
         }
         prop_assert_eq!(heap.heap_stats().in_use, 0);
         heap.check_integrity().map_err(|e| TestCaseError::fail(format!("integrity: {e}")))?;
+    }
+}
+
+/// One step of [`sized_frees_keep_the_heap_whole`].
+#[derive(Debug, Clone)]
+enum SizedOp {
+    /// Allocate on the test thread; class-sized below a 4 KiB chunk,
+    /// non-class above it, at 16- or 64-byte alignment.
+    Alloc { size: usize, align64: u8 },
+    /// Free on the test thread.
+    FreeHere { victim: usize },
+    /// Free on a long-lived worker thread.
+    FreeOnWorker { victim: usize },
+    /// A short-lived thread allocates `n` blocks, frees the even ones
+    /// itself (parked in its magazines, drained at its exit) and hands
+    /// the odd ones to the test thread's live set.
+    ThreadLife { size: usize, n: usize },
+}
+
+fn sized_op_strategy() -> impl Strategy<Value = SizedOp> {
+    prop_oneof![
+        5 => (1usize..6_000, 0u8..2).prop_map(|(size, align64)| SizedOp::Alloc { size, align64 }),
+        3 => any::<usize>().prop_map(|victim| SizedOp::FreeHere { victim }),
+        2 => any::<usize>().prop_map(|victim| SizedOp::FreeOnWorker { victim }),
+        1 => (1usize..6_000, 1usize..40).prop_map(|(size, n)| SizedOp::ThreadLife { size, n }),
+    ]
+}
+
+/// A live block of the ledger: its address, layout and fill byte.
+type Block = (usize, Layout, u8);
+
+/// Fills a fresh block with `tag`, so a block handed out twice, or one
+/// smaller than its layout, shows as a clobbered pattern.
+fn fill(b: Block) -> Block {
+    // SAFETY: a fresh allocation of `b.1.size()` bytes.
+    unsafe { std::ptr::write_bytes(b.0 as *mut u8, b.2, b.1.size()) };
+    b
+}
+
+/// Checks `b`'s fill and frees it through `heap`.
+fn check_and_free(heap: &HermesHeap, b: Block) -> Result<(), TestCaseError> {
+    // SAFETY: `b` is live and `b.1.size()` bytes long.
+    let bytes = unsafe { std::slice::from_raw_parts(b.0 as *const u8, b.1.size()) };
+    prop_assert!(
+        bytes.iter().all(|&x| x == b.2),
+        "block {:#x} clobbered",
+        b.0
+    );
+    // SAFETY: removed from the ledger; freed exactly once, with its layout.
+    unsafe { heap.deallocate(NonNull::new(b.0 as *mut u8).unwrap(), b.1) };
+    Ok(())
+}
+
+fn integrity(heap: &HermesHeap) -> Result<(), TestCaseError> {
+    heap.check_integrity()
+        .map_err(|e| TestCaseError::fail(format!("integrity: {e}")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sized frees — a home free of a class-sized block parks it by its
+    /// layout without reading it — keep the heap whole whoever frees:
+    /// the allocating thread, a worker (its home or a foreign shard), or
+    /// a thread's exit drain. Class-sized and non-class blocks at 16- and
+    /// 64-byte alignment, with a manager-less heap (cross-shard frees
+    /// queue) or an idle live manager (they go straight back when they
+    /// can). `check_integrity` is clean after every step, and nothing is
+    /// live once every cache and inbox is drained.
+    #[test]
+    fn sized_frees_keep_the_heap_whole(
+        live_manager in 0u8..2,
+        ops in prop::collection::vec(sized_op_strategy(), 1..120),
+    ) {
+        let mut cfg = HermesHeapConfig::small().with_arena_count(2);
+        cfg.hermes.interval = std::time::Duration::from_secs(3600);
+        let heap = Arc::new(HermesHeap::new(cfg).unwrap());
+        if live_manager == 1 {
+            heap.start_manager();
+        }
+        let (tx, rx) = std::sync::mpsc::channel::<Option<Block>>();
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel::<Result<(), TestCaseError>>();
+        let h = Arc::clone(&heap);
+        let worker = std::thread::spawn(move || {
+            while let Ok(Some(b)) = rx.recv() {
+                ack_tx.send(check_and_free(&h, b)).unwrap();
+            }
+            h.drain_thread_cache();
+        });
+        let mut live: Vec<Block> = Vec::new();
+        let mut tag = 0u8;
+        for op in ops {
+            match op {
+                SizedOp::Alloc { size, align64 } => {
+                    let layout = Layout::from_size_align(size, if align64 == 1 { 64 } else { 16 }).unwrap();
+                    let p = heap.allocate(layout).unwrap();
+                    prop_assert_eq!(p.as_ptr() as usize % layout.align(), 0);
+                    tag = tag.wrapping_add(1);
+                    live.push(fill((p.as_ptr() as usize, layout, tag)));
+                }
+                SizedOp::FreeHere { victim } if !live.is_empty() => {
+                    check_and_free(&heap, live.swap_remove(victim % live.len()))?;
+                }
+                SizedOp::FreeOnWorker { victim } if !live.is_empty() => {
+                    tx.send(Some(live.swap_remove(victim % live.len()))).unwrap();
+                    ack_rx.recv().unwrap()?;
+                }
+                SizedOp::ThreadLife { size, n } => {
+                    let h = Arc::clone(&heap);
+                    let first = tag;
+                    let handed = std::thread::spawn(move || {
+                        let layout = Layout::from_size_align(size, 16).unwrap();
+                        let mut handed = Vec::new();
+                        for i in 0..n {
+                            let p = h.allocate(layout).unwrap();
+                            let b = fill((p.as_ptr() as usize, layout, first.wrapping_add(i as u8)));
+                            if i % 2 == 0 {
+                                check_and_free(&h, b)?;
+                            } else {
+                                handed.push(b);
+                            }
+                        }
+                        Ok::<_, TestCaseError>(handed)
+                    })
+                    .join()
+                    .unwrap()?;
+                    tag = first.wrapping_add(n as u8);
+                    live.extend(handed);
+                }
+                _ => {}
+            }
+            integrity(&heap)?;
+        }
+        for b in live {
+            check_and_free(&heap, b)?;
+        }
+        tx.send(None).unwrap();
+        worker.join().unwrap();
+        heap.drain_thread_cache();
+        heap.drain_remote_inboxes();
+        integrity(&heap)?;
+        prop_assert_eq!(heap.heap_stats().live, 0);
+        prop_assert_eq!(heap.heap_stats().in_use, 0);
+        prop_assert_eq!(heap.cached_bytes(), 0);
     }
 }
