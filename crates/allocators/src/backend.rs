@@ -28,7 +28,7 @@
 //! the wall domain), so the identical driver loop runs in both domains.
 
 use crate::glibc::GlibcSim;
-use crate::hermes::HermesSim;
+use crate::hermes::{HermesAblation, HermesSim};
 use crate::jemalloc::JemallocSim;
 use crate::tcmalloc::TcmallocSim;
 use crate::traits::{AllocHandle, AllocatorKind, SimAllocator};
@@ -289,12 +289,24 @@ impl SimBackend {
     /// Builds the `kind` model over `env`, registering a new
     /// latency-critical process with the simulated OS.
     pub fn new(kind: AllocatorKind, env: &SimEnv, seed: u64, cfg: &HermesConfig) -> Self {
+        Self::with_ablation(kind, env, seed, cfg, HermesAblation::default())
+    }
+
+    /// [`SimBackend::new`] with the Hermes model's mechanisms switched
+    /// as `ablation` says (the baselines ignore it).
+    pub fn with_ablation(
+        kind: AllocatorKind,
+        env: &SimEnv,
+        seed: u64,
+        cfg: &HermesConfig,
+        ablation: HermesAblation,
+    ) -> Self {
         let proc = env.os().register_process(ProcKind::LatencyCritical);
         let model: Box<dyn SimAllocator> = match kind {
             AllocatorKind::Glibc => Box::new(GlibcSim::new(proc, seed)),
             AllocatorKind::Jemalloc => Box::new(JemallocSim::new(proc, seed)),
             AllocatorKind::Tcmalloc => Box::new(TcmallocSim::new(proc, seed)),
-            AllocatorKind::Hermes => Box::new(HermesSim::new(proc, seed, cfg.clone())),
+            AllocatorKind::Hermes => Box::new(HermesSim::new(proc, seed, cfg.clone(), ablation)),
         };
         SimBackend {
             kind,

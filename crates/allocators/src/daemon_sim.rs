@@ -1,21 +1,18 @@
 //! The memory monitor daemon wired to the simulated OS (§3.3).
 //!
 //! Periodically scans the node (the paper uses `lsof` + `/proc`); when
-//! memory usage exceeds `adv_thr` it advises the kernel to drop batch-job
-//! file cache, largest file first, via `posix_fadvise(DONTNEED)`. The scan
-//! and advising cost is charged to the daemon (its own CPU), never to the
-//! latency-critical services.
+//! memory usage exceeds [`ADV_THR`] it advises the kernel to drop batch-job
+//! file cache, largest file first, via `posix_fadvise(DONTNEED)`, down to
+//! [`CACHE_TARGET`]. The scan and advising cost is charged to the daemon
+//! (its own CPU), never to the latency-critical services.
 
-use hermes_core::policy::{select_victims, FileCacheView, ReclaimInputs};
-use hermes_core::HermesConfig;
+use hermes_core::policy::{select_victims, FileCacheView, ReclaimInputs, ADV_THR, CACHE_TARGET};
 use hermes_os::prelude::*;
 use hermes_sim::time::{SimDuration, SimTime};
 
 /// Simulated monitor daemon.
 #[derive(Debug)]
 pub struct MonitorDaemonSim {
-    adv_thr: f64,
-    cache_target: f64,
     enabled: bool,
     check_interval: SimDuration,
     next_check: SimTime,
@@ -30,13 +27,12 @@ pub struct MonitorDaemonSim {
 }
 
 impl MonitorDaemonSim {
-    /// Creates the daemon with the config's `adv_thr`/`cache_target`;
-    /// `enabled = false` gives the "Hermes w/o rec" variant.
-    pub fn new(cfg: &HermesConfig) -> Self {
+    /// Creates the daemon. `enabled = false` scans but never advises:
+    /// the daemon of the baseline allocators and of the "Hermes w/o rec"
+    /// series.
+    pub fn new(enabled: bool) -> Self {
         MonitorDaemonSim {
-            adv_thr: cfg.adv_thr,
-            cache_target: cfg.cache_target,
-            enabled: cfg.proactive_reclaim,
+            enabled,
             check_interval: SimDuration::from_millis(100),
             next_check: SimDuration::from_millis(100).into_time(),
             advise_cooldown: SimDuration::from_secs(5),
@@ -45,13 +41,6 @@ impl MonitorDaemonSim {
             fadvised_pages: 0,
             advise_calls: 0,
         }
-    }
-
-    /// A disabled daemon (used with the baseline allocators).
-    pub fn disabled() -> Self {
-        let mut d = Self::new(&HermesConfig::default());
-        d.enabled = false;
-        d
     }
 
     /// `true` when proactive reclamation is active.
@@ -85,7 +74,7 @@ impl MonitorDaemonSim {
                 continue;
             }
             let used = os.used_fraction();
-            if used <= self.adv_thr {
+            if used <= ADV_THR {
                 continue;
             }
             if self.last_advise > SimTime::ZERO
@@ -109,8 +98,8 @@ impl MonitorDaemonSim {
                     total_bytes: total,
                     file_cache_bytes: os.file_cached_pages() as usize * PAGE_SIZE,
                 },
-                self.adv_thr,
-                self.cache_target,
+                ADV_THR,
+                CACHE_TARGET,
             );
             if !decision.victims.is_empty() {
                 self.last_advise = t;
@@ -159,7 +148,7 @@ mod tests {
     #[test]
     fn advises_batch_files_under_pressure() {
         let (mut os, _) = pressured_node();
-        let mut d = MonitorDaemonSim::new(&HermesConfig::default());
+        let mut d = MonitorDaemonSim::new(true);
         assert!(os.used_fraction() > 0.9);
         let cached_before = os.file_cached_pages();
         d.advance_to(SimTime::from_secs(1), &mut os);
@@ -171,7 +160,7 @@ mod tests {
     #[test]
     fn disabled_daemon_never_advises() {
         let (mut os, _) = pressured_node();
-        let mut d = MonitorDaemonSim::disabled();
+        let mut d = MonitorDaemonSim::new(false);
         d.advance_to(SimTime::from_secs(1), &mut os);
         assert_eq!(d.fadvised_pages(), 0);
         assert!(!d.is_enabled());
@@ -183,9 +172,9 @@ mod tests {
         let batch = os.register_process(ProcKind::Batch);
         let f = os.create_file(batch, 50 << 20).unwrap();
         os.read_file(f, 50 << 20, SimTime::ZERO).unwrap();
-        let mut d = MonitorDaemonSim::new(&HermesConfig::default());
+        let mut d = MonitorDaemonSim::new(true);
         d.advance_to(SimTime::from_secs(1), &mut os);
-        assert_eq!(d.fadvised_pages(), 0, "usage below adv_thr");
+        assert_eq!(d.fadvised_pages(), 0, "usage below ADV_THR");
     }
 
     #[test]
@@ -200,7 +189,7 @@ mod tests {
         let burn = (os.free_pages() as f64 * 0.95) as u64;
         os.alloc_anon(batch, burn, FaultPath::HeapTouch, SimTime::from_millis(1))
             .unwrap();
-        let mut d = MonitorDaemonSim::new(&HermesConfig::default());
+        let mut d = MonitorDaemonSim::new(true);
         d.advance_to(SimTime::from_secs(1), &mut os);
         assert!(os.file(lc_file).unwrap().cached_pages > 0, "LC file kept");
         assert_eq!(

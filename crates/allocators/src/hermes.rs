@@ -18,11 +18,10 @@
 
 use crate::costs::{GlibcCosts, HermesCosts};
 use crate::heap_model::{HeapModel, SmallAlloc};
+use crate::policy::seglist::TABLE_SIZE;
+use crate::policy::{DelayedShrinkSet, MmapChunk, PoolHit, SegregatedFreeList};
 use crate::traits::SimAllocator;
-use hermes_core::policy::seglist::TABLE_SIZE;
-use hermes_core::policy::{
-    DelayedShrinkSet, MmapChunk, PoolHit, ReservationPlan, SegregatedFreeList, ThresholdTracker,
-};
+use hermes_core::policy::{ReservationPlan, ThresholdTracker};
 use hermes_core::HermesConfig;
 use hermes_os::config::PAGE_SIZE;
 use hermes_os::prelude::*;
@@ -30,11 +29,36 @@ use hermes_sim::rng::DetRng;
 use hermes_sim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, HashSet, VecDeque};
 
+/// The simulated Hermes model's ablation switches: the two §3.2
+/// mechanisms the `ablation_gradual` and `ablation_shrink` benches turn
+/// off. Both default to on. The runtime has neither switch: it always
+/// reserves gradually, and its large pool carves exact-size blocks, so it
+/// has nothing to shrink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HermesAblation {
+    /// Gradual reservation (§3.2.1). `false` reverts to the naive
+    /// one-shot expansion of Figure 6(a).
+    pub gradual_reservation: bool,
+    /// Delayed shrink of over-sized mmap hand-outs (§3.2.2). `false`
+    /// shrinks synchronously on the allocation path.
+    pub delayed_shrink: bool,
+}
+
+impl Default for HermesAblation {
+    fn default() -> Self {
+        HermesAblation {
+            gradual_reservation: true,
+            delayed_shrink: true,
+        }
+    }
+}
+
 /// Simulated Hermes allocator bound to one latency-critical process.
 #[derive(Debug)]
 pub(crate) struct HermesSim {
     proc: ProcId,
     cfg: HermesConfig,
+    ablation: HermesAblation,
     costs: HermesCosts,
     glibc_costs: GlibcCosts,
     heap: HeapModel,
@@ -58,7 +82,12 @@ pub(crate) struct HermesSim {
 
 impl HermesSim {
     /// Creates the model for the latency-critical process `proc`.
-    pub(crate) fn new(proc: ProcId, seed: u64, cfg: HermesConfig) -> Self {
+    pub(crate) fn new(
+        proc: ProcId,
+        seed: u64,
+        cfg: HermesConfig,
+        ablation: HermesAblation,
+    ) -> Self {
         let small_tracker = ThresholdTracker::new(
             cfg.rsv_factor,
             cfg.min_rsv,
@@ -95,6 +124,7 @@ impl HermesSim {
             reserve_consumed: 0,
             rng: DetRng::new(seed, "hermes"),
             cfg,
+            ablation,
         }
     }
 
@@ -133,7 +163,7 @@ impl HermesSim {
         let ready = self.heap.reserve_ready();
         if ready < th.rsv_thr {
             let deficit = th.tgt_mem - ready;
-            let plan = if self.cfg.gradual_reservation {
+            let plan = if self.ablation.gradual_reservation {
                 ReservationPlan::new(deficit, th.mem_chunk)
             } else {
                 ReservationPlan::bulk(deficit)
@@ -275,7 +305,7 @@ impl HermesSim {
                     lat += os.touch_resident(self.proc, pages_for(c.size), now);
                 }
                 if c.size > need {
-                    if self.cfg.delayed_shrink {
+                    if self.ablation.delayed_shrink {
                         self.shrink.push(c.id, c.size, need);
                         Ok((lat, (c.id, c.size)))
                     } else {
@@ -382,6 +412,7 @@ mod tests {
             os.register_process(ProcKind::LatencyCritical),
             4,
             HermesConfig::default(),
+            HermesAblation::default(),
         );
         (os, a)
     }
@@ -528,5 +559,12 @@ mod tests {
             now += lat;
         }
         assert!(slow < 50, "burst after idle: {slow}/500 slow");
+    }
+
+    #[test]
+    fn ablation_switches_default_on() {
+        let a = HermesAblation::default();
+        assert!(a.gradual_reservation);
+        assert!(a.delayed_shrink);
     }
 }

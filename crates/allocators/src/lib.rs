@@ -12,11 +12,13 @@
 //! * Hermes — the paper's mechanism, executing the same
 //!   `hermes_core::policy` thresholds and reservation plans as the real
 //!   allocator: gradual reservation with per-step lock windows, plus the
-//!   paper's segregated mmap pool with delayed shrink (the real runtime
-//!   carves its large blocks from a free map instead), and
-//!   `mlock`-constructed mappings.
+//!   paper's segregated mmap pool with delayed shrink ([`policy`]; the
+//!   real runtime carves its large blocks from a free map instead), and
+//!   `mlock`-constructed mappings. [`HermesAblation`] turns the two §3.2
+//!   mechanisms off for the ablation benches.
 //!
-//! Plus [`MonitorDaemonSim`], the proactive-reclamation daemon.
+//! Plus [`MonitorDaemonSim`], the proactive-reclamation daemon, on the
+//! `hermes_core::policy::reclaim` thresholds.
 //!
 //! The models are handle-free policies: each decides what an allocation
 //! of a given size costs and what it does to the simulated OS, and
@@ -43,6 +45,7 @@ mod glibc;
 pub mod heap_model;
 mod hermes;
 mod jemalloc;
+pub mod policy;
 pub mod real;
 mod tcmalloc;
 pub mod traits;
@@ -51,5 +54,6 @@ pub use backend::{
     AllocError, AllocatorBackend, BackendKind, BackendStats, SharedOs, SimBackend, SimEnv,
 };
 pub use daemon_sim::MonitorDaemonSim;
+pub use hermes::HermesAblation;
 pub use real::{RealHermesBackend, RealSystemBackend};
 pub use traits::{AllocHandle, AllocatorKind};

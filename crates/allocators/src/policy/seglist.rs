@@ -7,11 +7,11 @@
 //! requested size, and only if the pool is empty does allocation fall back
 //! to a fresh `mmap`.
 //!
-//! The simulated allocator (`HermesSim`) runs Algorithm 2 on these lists
-//! exactly as the paper writes it. The runtime's large path does not use
-//! them: it carves exact-size blocks from one coalescing free map
-//! (`rt::large`, DESIGN.md §2), so it never hands out an over-sized chunk
-//! and has nothing to shrink.
+//! The simulated Hermes model runs Algorithm 2 on these lists exactly as
+//! the paper writes it. The runtime's large path does not use them: it
+//! carves exact-size blocks from one coalescing free map
+//! (`hermes_core::rt::large`, DESIGN.md §2), so it never hands out an
+//! over-sized chunk and has nothing to shrink.
 
 use std::cmp::Reverse;
 use std::collections::{btree_map, BTreeMap};
@@ -252,6 +252,12 @@ mod tests {
 
     fn pool() -> SegregatedFreeList {
         SegregatedFreeList::new(128 * KB, 8)
+    }
+
+    #[test]
+    fn table_size_matches_paper() {
+        // 1 MB / 128 KB: the paper's buckets over the default threshold.
+        assert_eq!(TABLE_SIZE, (1 << 20) / hermes_core::DEFAULT_MMAP_THRESHOLD);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! Largest-first frees the same memory with far fewer advising calls.
 
 use hermes_bench::{header, Checks};
-use hermes_core::policy::{select_victims, FileCacheView, ReclaimInputs};
+use hermes_core::policy::{select_victims, FileCacheView, ReclaimInputs, ADV_THR, CACHE_TARGET};
 use hermes_sim::report::Table;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         total_bytes: 128 * GB,
         file_cache_bytes: cache,
     };
-    let largest = select_victims(&files, inputs, 0.9, 0.03);
+    let largest = select_victims(&files, inputs, ADV_THR, CACHE_TARGET);
 
     // Smallest-first comparison: simulate by reversing the candidate
     // order and greedily taking until reaching the same release target.

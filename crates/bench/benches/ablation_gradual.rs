@@ -5,7 +5,6 @@
 
 use hermes_allocators::AllocatorKind;
 use hermes_bench::{header, micro_small_total, Checks};
-use hermes_core::HermesConfig;
 use hermes_sim::report::{summary_row_us, Table};
 use hermes_workloads::{run_micro, MicroConfig, Scenario};
 
@@ -17,10 +16,7 @@ fn main() {
     let run = |gradual: bool| {
         let mut cfg =
             MicroConfig::paper(AllocatorKind::Hermes, Scenario::AnonPressure, 1024).scaled(total);
-        cfg.hermes = HermesConfig {
-            gradual_reservation: gradual,
-            ..HermesConfig::default()
-        };
+        cfg.ablation.gradual_reservation = gradual;
         let mut r = run_micro(&cfg);
         let p999 = r.latencies.percentile(0.999);
         (r.latencies.summary(), p999)

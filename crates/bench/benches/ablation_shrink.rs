@@ -3,7 +3,6 @@
 
 use hermes_allocators::AllocatorKind;
 use hermes_bench::{header, Checks};
-use hermes_core::HermesConfig;
 use hermes_sim::report::{summary_row_us, Table};
 use hermes_workloads::{run_micro, MicroConfig, Scenario};
 
@@ -15,10 +14,7 @@ fn main() {
     let run = |delayed: bool, size: usize| {
         let mut cfg =
             MicroConfig::paper(AllocatorKind::Hermes, Scenario::Dedicated, size).scaled(512 << 20);
-        cfg.hermes = HermesConfig {
-            delayed_shrink: delayed,
-            ..HermesConfig::default()
-        };
+        cfg.ablation.delayed_shrink = delayed;
         let mut r = run_micro(&cfg);
         r.latencies.summary()
     };

@@ -123,12 +123,15 @@ pub fn default_large_capacity() -> usize {
     DEFAULT_LARGE_CAPACITY
 }
 
-/// Tuning knobs of the Hermes mechanism.
+/// Tuning knobs of the Hermes runtime ([`crate::rt`]), every one read by
+/// it.
 ///
 /// The defaults reproduce the paper's implementation choices:
 /// a 2 ms management-thread interval, reservation factor 2 and a 5 MB
-/// reservation floor. The segregated free list's bucket count is fixed
-/// at [`TABLE_SIZE`](crate::policy::seglist::TABLE_SIZE).
+/// reservation floor. The monitor daemon's thresholds are the constants
+/// [`ADV_THR`](crate::policy::ADV_THR) and
+/// [`CACHE_TARGET`](crate::policy::CACHE_TARGET); the simulated
+/// allocator's ablation switches live with it, in `hermes-allocators`.
 #[derive(Debug, Clone)]
 pub struct HermesConfig {
     /// Wake-up interval `f` of the memory management thread.
@@ -149,23 +152,6 @@ pub struct HermesConfig {
     /// [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds on
     /// the large path.
     pub trim_ratio: f64,
-    /// Enable the monitor daemon's proactive file-cache reclamation. Read
-    /// by the simulated allocator only.
-    pub proactive_reclaim: bool,
-    /// Daemon trigger: advise reclaim when node memory usage exceeds this
-    /// fraction (`adv_thr`). Read by the simulated allocator only.
-    pub adv_thr: f64,
-    /// Daemon target: release batch file cache until it is below this
-    /// fraction of total memory. Read by the simulated allocator only.
-    pub cache_target: f64,
-    /// Gradual reservation (§3.2.1). `false` reverts to the naive
-    /// one-shot expansion of Figure 6(a); ablation knob, read by the
-    /// simulated allocator only (the runtime always reserves gradually).
-    pub gradual_reservation: bool,
-    /// Delayed shrink of over-sized mmap hand-outs (§3.2.2). `false`
-    /// shrinks synchronously on the allocation path; ablation knob, read
-    /// by the simulated allocator only.
-    pub delayed_shrink: bool,
     /// Pin the management thread to this CPU (SpeedMalloc's dedicated
     /// management-core model); `None` leaves scheduling to the kernel.
     /// Default from `HERMES_MANAGER_CORE` (unset = unpinned).
@@ -181,11 +167,6 @@ impl Default for HermesConfig {
             mmap_threshold: DEFAULT_MMAP_THRESHOLD,
             rsv_trigger_ratio: 0.5,
             trim_ratio: 2.0,
-            proactive_reclaim: true,
-            adv_thr: 0.90,
-            cache_target: 0.03,
-            gradual_reservation: true,
-            delayed_shrink: true,
             manager_core: default_manager_core(),
         }
     }
@@ -196,13 +177,6 @@ impl HermesConfig {
     /// swept in Figures 15 and 16).
     pub fn with_rsv_factor(mut self, factor: f64) -> Self {
         self.rsv_factor = factor;
-        self
-    }
-
-    /// Returns a copy with proactive reclamation disabled ("Hermes w/o
-    /// rec" in Figures 7c and 8c).
-    pub fn without_proactive_reclaim(mut self) -> Self {
-        self.proactive_reclaim = false;
         self
     }
 
@@ -232,9 +206,6 @@ impl HermesConfig {
         if self.trim_ratio < 1.0 {
             return Err("trim_ratio must be >= 1 or reserves thrash".into());
         }
-        if !(0.0..=1.0).contains(&self.adv_thr) || !(0.0..=1.0).contains(&self.cache_target) {
-            return Err("adv_thr and cache_target are fractions in [0, 1]".into());
-        }
         Ok(())
     }
 }
@@ -250,10 +221,6 @@ mod tests {
         assert_eq!(c.rsv_factor, 2.0);
         assert_eq!(c.min_rsv, 5 * 1024 * 1024);
         assert_eq!(c.mmap_threshold, 128 * 1024);
-        assert_eq!(crate::policy::seglist::TABLE_SIZE, 8); // 1 MB / 128 KB
-        assert!(c.proactive_reclaim);
-        assert!(c.gradual_reservation);
-        assert!(c.delayed_shrink);
         assert!(c.validate().is_ok());
     }
 
@@ -319,8 +286,6 @@ mod tests {
     fn builders_adjust_single_knobs() {
         let c = HermesConfig::default().with_rsv_factor(0.5);
         assert_eq!(c.rsv_factor, 0.5);
-        let c = HermesConfig::default().without_proactive_reclaim();
-        assert!(!c.proactive_reclaim);
         let c = HermesConfig::default().with_manager_core(Some(3));
         assert_eq!(c.manager_core, Some(3));
         let c = HermesConfig::default().with_manager_core(None);
@@ -336,11 +301,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = HermesConfig {
             trim_ratio: 0.5,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = HermesConfig {
-            adv_thr: 1.5,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -10,12 +10,12 @@
 //! Two layers:
 //!
 //! * [`policy`] — the algorithms as pure logic: adaptive thresholds
-//!   (Algorithms 1–2), gradual reservation (§3.2.1), the segregated free
-//!   list with Equation 1 bucketing and delayed shrink (§3.2.2), and the
-//!   monitor daemon's largest-file-first reclamation (§3.3). The
-//!   thresholds and gradual reservation are shared by both the real
-//!   allocator and the simulation stack; the segregated list and delayed
-//!   shrink are the simulation's.
+//!   (Algorithms 1–2), gradual reservation (§3.2.1), and the monitor
+//!   daemon's largest-file-first reclamation (§3.3). The thresholds and
+//!   gradual reservation are shared by both the real allocator and the
+//!   simulation stack. The paper's segregated free list with Equation 1
+//!   bucketing and delayed shrink (§3.2.2) is the simulation's alone and
+//!   lives in `hermes-allocators`.
 //! * [`rt`] — a real user-space allocator built on that policy,
 //!   implementing [`std::alloc::GlobalAlloc`]: boundary-tag main heap
 //!   with an emulated program break, a large pool carving exact-size

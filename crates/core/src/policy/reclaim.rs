@@ -6,6 +6,14 @@
 //! file cache remains. Largest-first frees big contiguous amounts with the
 //! fewest advising calls.
 
+/// The daemon's trigger (`adv_thr`): advise reclaim when node memory
+/// usage exceeds this fraction.
+pub const ADV_THR: f64 = 0.90;
+
+/// The daemon's target: release batch file cache until it is below this
+/// fraction of total memory.
+pub const CACHE_TARGET: f64 = 0.03;
+
 /// The daemon's view of one open file (from its `lsof`-style scan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileCacheView {
@@ -127,6 +135,12 @@ mod tests {
                 batch_owned: true,
             }, // nothing cached
         ]
+    }
+
+    #[test]
+    fn daemon_thresholds_match_paper() {
+        assert_eq!(ADV_THR, 0.90);
+        assert_eq!(CACHE_TARGET, 0.03);
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! Every round starts by **draining every shard's remote-free inbox**.
 //! While this thread runs, a cross-shard free returns its block to the
 //! owner's heap itself when the owner's lock is free and its inbox
-//! empty; only the other frees are queued, and this thread retires
-//! them, so a pure producer/consumer service sees even its contended
-//! frees recycled every `f` when the owning shard never allocates
-//! again. (With no live thread every cross-shard free queues:
-//! `rt/remote.rs`.) `HERMES_MANAGER_CORE` (or
-//! `HermesConfig::manager_core`) pins the thread to a CPU so those
-//! drains and the reservation work stay off the application's cores.
+//! empty; only the other frees are queued. The owner's own slow paths
+//! drain most of those; the round retires the rest, so a pure
+//! producer/consumer service sees even its contended frees recycled
+//! within one `f` when the owning shard never allocates again. (With no
+//! live thread every cross-shard free queues: `rt/remote.rs`.)
+//! `HERMES_MANAGER_CORE` (or `HermesConfig::manager_core`) pins the
+//! thread to a CPU so the round's work stays off the application's
+//! cores.
 
 use super::large::Detached;
 use super::stats::Counters;
@@ -71,43 +72,15 @@ impl ManagerHandle {
     }
 }
 
-/// Finest drain cadence, as a fraction of the management interval: while
-/// cross-shard frees are flowing the manager retires them on this tick,
-/// so the backlog an application thread could ever meet on its own slow
-/// path stays a few drain groups deep — the drain work lands on this
-/// (pinnable) thread, not on the allocating cores.
-const DRAIN_TICKS_PER_ROUND: u32 = 16;
-
 fn manager_loop(shared: Arc<Shared>, stop_rx: Receiver<()>) {
     if let Some(core) = shared.cfg.manager_core {
         // Best effort: pinning is a perf hint, not a correctness need.
         let _ = platform().pin_thread_to_cpu(core);
     }
-    let interval = shared.cfg.interval;
-    let fine = interval / DRAIN_TICKS_PER_ROUND;
-    // Adaptive cadence: a tick that drains something resets to `fine`;
-    // an empty tick backs off exponentially toward the full interval, so
-    // a heap with no cross-shard traffic pays no extra wakeups (which
-    // matters when the manager shares a core with the application).
-    let mut tick = interval;
-    let mut last_round = Instant::now();
     loop {
-        match stop_rx.recv_timeout(tick) {
+        match stop_rx.recv_timeout(shared.cfg.interval) {
             Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        let mut drained = 0u64;
-        for i in 0..shared.shards.len() {
-            drained += remote::drain(&shared, i, usize::MAX);
-        }
-        tick = if drained > 0 {
-            fine
-        } else {
-            (tick * 2).min(interval)
-        };
-        if last_round.elapsed() >= interval {
-            run_round(&shared);
-            last_round = Instant::now();
+            Err(RecvTimeoutError::Timeout) => run_round(&shared),
         }
     }
 }

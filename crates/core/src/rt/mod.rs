@@ -1386,7 +1386,7 @@ mod tests {
 
     /// A heap whose management thread is live but never wakes (its
     /// interval is an hour): cross-shard frees take the direct route
-    /// when they can, and no round or drain tick races the test.
+    /// when they can, and no round races the test.
     pub(super) fn idle_manager_heap(arenas: usize) -> Arc<HermesHeap> {
         let mut cfg = HermesHeapConfig::small().with_arena_count(arenas);
         cfg.hermes.interval = Duration::from_secs(3600);
@@ -1588,6 +1588,37 @@ mod tests {
         assert_eq!(c.remote_drained, n as u64, "manager drained the inbox");
         assert_eq!(c.remote_queued_blocks, 0);
         assert_eq!(h.heap_stats().live, 0);
+        h.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn live_manager_alone_retires_queued_frees() {
+        // A producer/consumer service whose owning shard never allocates
+        // again: the manager's round is the only automatic way back.
+        let mut cfg = HermesHeapConfig::small().with_arena_count(4);
+        cfg.hermes.interval = Duration::from_millis(1);
+        let h = Arc::new(HermesHeap::new(cfg).unwrap());
+        h.start_manager();
+        let lay = layout(256);
+        let n = remote::REMOTE_BATCH + 4;
+        let (addrs, owner) = alloc_on_foreign_home(&h, lay, n);
+        assert_ne!(owner, h.home_arena());
+        // Held owner lock: every free queues (none waits for it).
+        while_held(&h.shared.shards[owner].heap, || free_each(&h, &addrs, lay));
+        assert_eq!(h.counters().remote_frees, n as u64);
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while h.counters().remote_drained < n as u64 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "manager left {} of {n} queued frees",
+                n as u64 - h.counters().remote_drained
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let c = h.counters();
+        assert_eq!(c.remote_drained, n as u64);
+        assert_eq!((c.remote_queued_blocks, c.remote_queued_bytes), (0, 0));
+        assert_eq!(h.heap_stats().in_use, 0);
         h.check_integrity().unwrap();
     }
 

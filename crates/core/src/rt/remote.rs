@@ -44,7 +44,8 @@
 //!   before `free` returns.
 //! * **drain** — the owner takes the whole list with one swap,
 //!   opportunistically on its allocation slow path, and the management
-//!   thread drains every inbox each round. The walk re-reads each
+//!   thread drains every inbox at the start of each round (once every
+//!   `interval`), the way back for an owner that never allocates again. The walk re-reads each
 //!   block's chunk size from its boundary tag (intact until the heap
 //!   frees it) and returns the blocks [`REMOTE_BATCH`] at a time under
 //!   the shard lock.

@@ -97,12 +97,7 @@ pub fn run_colocation(cfg: &ColocationConfig) -> ColocationResult {
         cfg.seed,
     )
     .expect("batch set-up");
-    let daemon_on = cfg.allocator == AllocatorKind::Hermes && cfg.hermes.proactive_reclaim;
-    let mut daemon = if daemon_on {
-        MonitorDaemonSim::new(&cfg.hermes)
-    } else {
-        MonitorDaemonSim::disabled()
-    };
+    let mut daemon = MonitorDaemonSim::new(cfg.allocator == AllocatorKind::Hermes);
 
     // Warm-up: let the batch jobs ramp to their working sets.
     let warmup = SimTime::from_secs(90);

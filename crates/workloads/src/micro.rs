@@ -6,7 +6,9 @@
 //! [`SimBackend`] in virtual time, on the simulated OS whose hogs create
 //! the pressure scenarios.
 
-use hermes_allocators::{AllocatorBackend, AllocatorKind, MonitorDaemonSim, SimBackend, SimEnv};
+use hermes_allocators::{
+    AllocatorBackend, AllocatorKind, HermesAblation, MonitorDaemonSim, SimBackend, SimEnv,
+};
 use hermes_batch::{AnonHog, FileHog};
 use hermes_core::HermesConfig;
 use hermes_os::prelude::*;
@@ -63,6 +65,8 @@ pub struct MicroConfig {
     pub seed: u64,
     /// Hermes knobs (ignored by the baselines).
     pub hermes: HermesConfig,
+    /// The Hermes model's ablation switches (ignored by the baselines).
+    pub ablation: HermesAblation,
     /// Run the proactive-reclamation daemon (set `false` together with a
     /// Hermes allocator for the "Hermes w/o rec" series).
     pub daemon: bool,
@@ -81,6 +85,7 @@ impl MicroConfig {
             total_bytes: 1 << 30,
             seed: 42,
             hermes: HermesConfig::default(),
+            ablation: HermesAblation::default(),
             daemon: allocator == AllocatorKind::Hermes,
             free_floor: None,
         }
@@ -127,12 +132,9 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
         seed: cfg.seed,
         ..OsConfig::paper_node()
     });
-    let mut backend = SimBackend::new(cfg.allocator, &env, cfg.seed, &cfg.hermes);
-    let mut daemon = if cfg.daemon {
-        MonitorDaemonSim::new(&cfg.hermes)
-    } else {
-        MonitorDaemonSim::disabled()
-    };
+    let mut backend =
+        SimBackend::with_ablation(cfg.allocator, &env, cfg.seed, &cfg.hermes, cfg.ablation);
+    let mut daemon = MonitorDaemonSim::new(cfg.daemon);
 
     // Scenario set-up; the measured phase starts when it completes.
     let floor = cfg.free_floor.unwrap_or(300 << 20);

@@ -96,9 +96,14 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputResult {
         ThroughputScenario::Killing => (AllocatorKind::Glibc, BatchPolicy::Killing, 3),
         ThroughputScenario::Dedicated => (AllocatorKind::Glibc, BatchPolicy::Default, 0),
     };
-    let hermes_cfg = HermesConfig::default();
-    let mut service = build_service_on(cfg.service, alloc_kind, &env, cfg.seed, &hermes_cfg)
-        .expect("service set-up");
+    let mut service = build_service_on(
+        cfg.service,
+        alloc_kind,
+        &env,
+        cfg.seed,
+        &HermesConfig::default(),
+    )
+    .expect("service set-up");
     // Each KMeans job requests ~40 GB over 8 containers; three concurrent
     // jobs give the paper's 100 % pressure level together with the
     // service's 20-40 GB working set.
@@ -112,11 +117,7 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputResult {
         cfg.seed,
     )
     .expect("batch set-up");
-    let mut daemon = if cfg.scenario == ThroughputScenario::Hermes {
-        MonitorDaemonSim::new(&hermes_cfg)
-    } else {
-        MonitorDaemonSim::disabled()
-    };
+    let mut daemon = MonitorDaemonSim::new(cfg.scenario == ThroughputScenario::Hermes);
 
     // Service preload: ~20 GB working set, grown with large records.
     let preload_target: usize = 20 << 30;
