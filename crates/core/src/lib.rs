@@ -24,7 +24,7 @@
 //!
 //! Underneath [`rt`] sits [`platform`], the OS page-management seam:
 //! mmap-backed lazy reservations, real `madvise` decommit, huge-page
-//! hints and `getcpu`-based NUMA discovery, issued as raw Linux syscalls.
+//! hints and thread pinning, issued as raw Linux syscalls.
 //! The crate builds for Linux on x86_64 and aarch64 only.
 //!
 //! # Examples

@@ -6,18 +6,18 @@
 //! seam between that policy code and the operating system.
 //!
 //! The one implementation, [`LinuxPlatform`], issues raw `mmap`,
-//! `munmap`, `madvise`, `mbind`, `getcpu` and `sched_setaffinity`
-//! syscalls via inline assembly — the workspace vendors no `libc`, and
-//! the global allocator cannot call anything that allocates. The crate
-//! therefore builds for Linux on x86_64 and aarch64 only. The trait keeps
-//! the unsafe syscalls behind one interface, which a fault-injecting test
-//! platform can implement too.
+//! `munmap`, `madvise` and `sched_setaffinity` syscalls via inline
+//! assembly — the workspace vendors no `libc`, and the global allocator
+//! cannot call anything that allocates. The crate therefore builds for
+//! Linux on x86_64 and aarch64 only. The trait keeps the unsafe syscalls
+//! behind one interface, which a fault-injecting test platform can
+//! implement too.
 //!
 //! All hint-style operations ([`Platform::commit`],
 //! [`Platform::populate`], [`Platform::decommit`],
-//! [`Platform::huge_page_hint`], [`Platform::bind_to_node`]) are
-//! best-effort: failure is reported via the return value, never panics,
-//! and callers must stay correct when a hint is refused.
+//! [`Platform::huge_page_hint`]) are best-effort: failure is reported
+//! via the return value, never panics, and callers must stay correct
+//! when a hint is refused.
 
 #[cfg(not(all(
     target_os = "linux",
@@ -29,7 +29,6 @@ compile_error!(
 
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::OnceLock;
 
 /// Small-page size assumed by the allocator (4 KiB).
 pub const PAGE_SIZE: usize = 4096;
@@ -128,24 +127,6 @@ pub trait Platform: Send + Sync {
     /// The range must lie inside a live reservation.
     unsafe fn huge_page_hint(&self, base: NonNull<u8>, len: usize) -> bool;
 
-    /// The calling thread's current `(cpu, numa_node)` via `getcpu(2)`;
-    /// `(0, 0)` when undiscoverable.
-    fn current_cpu_node(&self) -> (usize, usize);
-
-    /// Number of NUMA nodes on this host (≥ 1). A host whose node list
-    /// cannot be read reports 1, which disables node-aware placement.
-    fn numa_nodes(&self) -> usize;
-
-    /// Prefers allocating the physical pages of `[base, base+len)` from
-    /// `node` (`mbind(MPOL_PREFERRED)`). Best-effort: returns `false`
-    /// when refused, and the kernel still falls back to other nodes
-    /// under pressure even on success.
-    ///
-    /// # Safety
-    ///
-    /// The range must lie inside a live reservation.
-    unsafe fn bind_to_node(&self, base: NonNull<u8>, len: usize, node: usize) -> bool;
-
     /// Pins the calling thread to `cpu` (`sched_setaffinity(2)`), the
     /// SpeedMalloc dedicated-management-core model. Best-effort: returns
     /// `false` when refused (offline cpu, cgroup cpuset exclusion) and
@@ -166,39 +147,6 @@ pub fn platform() -> &'static dyn Platform {
     &P
 }
 
-/// Parses the kernel's node list syntax (`"0"`, `"0-3"`, `"0,2-3"`) into
-/// a node count (`max id + 1`), so shard→node assignment can stay a
-/// simple modulus. Returns `None` on anything unparseable.
-fn parse_node_list(s: &str) -> Option<usize> {
-    let mut max_id = None::<usize>;
-    for part in s.trim().split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return None;
-        }
-        let hi = match part.split_once('-') {
-            Some((lo, hi)) => {
-                lo.parse::<usize>().ok()?;
-                hi.parse::<usize>().ok()?
-            }
-            None => part.parse::<usize>().ok()?,
-        };
-        max_id = Some(max_id.map_or(hi, |m| m.max(hi)));
-    }
-    max_id.map(|m| m + 1)
-}
-
-fn discover_numa_nodes() -> usize {
-    static NODES: OnceLock<usize> = OnceLock::new();
-    *NODES.get_or_init(|| {
-        std::fs::read_to_string("/sys/devices/system/node/online")
-            .ok()
-            .and_then(|s| parse_node_list(&s))
-            .unwrap_or(1)
-            .max(1)
-    })
-}
-
 /// Linux implementation over raw syscalls (no libc).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinuxPlatform;
@@ -212,8 +160,6 @@ mod linux {
         pub const MMAP: usize = 9;
         pub const MUNMAP: usize = 11;
         pub const MADVISE: usize = 28;
-        pub const MBIND: usize = 237;
-        pub const GETCPU: usize = 309;
         pub const SCHED_SETAFFINITY: usize = 203;
     }
 
@@ -222,8 +168,6 @@ mod linux {
         pub const MMAP: usize = 222;
         pub const MUNMAP: usize = 215;
         pub const MADVISE: usize = 233;
-        pub const MBIND: usize = 235;
-        pub const GETCPU: usize = 168;
         pub const SCHED_SETAFFINITY: usize = 122;
     }
 
@@ -236,7 +180,6 @@ mod linux {
     pub const MADV_DONTNEED: usize = 4;
     pub const MADV_HUGEPAGE: usize = 14;
     pub const MADV_POPULATE_WRITE: usize = 23;
-    pub const MPOL_PREFERRED: usize = 1;
     pub const EINVAL: isize = 22;
 
     /// Set once `MADV_POPULATE_WRITE` has been answered `EINVAL`: the
@@ -446,54 +389,6 @@ impl Platform for LinuxPlatform {
         unsafe { self.madvise(base, len, linux::MADV_HUGEPAGE) }.is_ok()
     }
 
-    fn current_cpu_node(&self) -> (usize, usize) {
-        let mut cpu: u32 = 0;
-        let mut node: u32 = 0;
-        // SAFETY: getcpu writes two u32s through the provided pointers;
-        // the third (cache) argument is unused since Linux 2.6.24.
-        let ret = unsafe {
-            linux::syscall6(
-                linux::nr::GETCPU,
-                &mut cpu as *mut u32 as usize,
-                &mut node as *mut u32 as usize,
-                0,
-                0,
-                0,
-                0,
-            )
-        };
-        if linux::is_err(ret) {
-            (0, 0)
-        } else {
-            (cpu as usize, node as usize)
-        }
-    }
-
-    fn numa_nodes(&self) -> usize {
-        discover_numa_nodes()
-    }
-
-    unsafe fn bind_to_node(&self, base: NonNull<u8>, len: usize, node: usize) -> bool {
-        if node >= 64 || len == 0 {
-            return false;
-        }
-        let mask: u64 = 1 << node;
-        // SAFETY: the range is a live mapping (caller contract) and the
-        // nodemask pointer is valid for the duration of the call.
-        let ret = unsafe {
-            linux::syscall6(
-                linux::nr::MBIND,
-                base.as_ptr() as usize,
-                len,
-                linux::MPOL_PREFERRED,
-                &mask as *const u64 as usize,
-                64,
-                0,
-            )
-        };
-        !linux::is_err(ret)
-    }
-
     fn pin_thread_to_cpu(&self, cpu: usize) -> bool {
         // A fixed 1024-cpu mask (128 bytes) covers every mainstream host;
         // refusing larger indices keeps the mask on the stack.
@@ -587,31 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn numa_discovery_is_consistent() {
-        let p = platform();
-        let nodes = p.numa_nodes();
-        assert!(nodes >= 1);
-        let (_cpu, node) = p.current_cpu_node();
-        assert!(node < nodes, "current node {node} outside {nodes} nodes");
-    }
-
-    #[test]
-    fn bind_to_node_is_best_effort() {
-        let p = platform();
-        let len = 4 * PAGE_SIZE;
-        let base = p.reserve(len, PAGE_SIZE).expect("reserve");
-        unsafe {
-            // Node 0 always exists; the call may still be refused (e.g.
-            // kernels without CONFIG_NUMA) and that must be survivable.
-            let _ = p.bind_to_node(base, len, 0);
-            // An absurd node id must be refused, not crash.
-            assert!(!p.bind_to_node(base, len, 64));
-            std::ptr::write_volatile(base.as_ptr(), 9);
-            p.release(base, len, PAGE_SIZE);
-        }
-    }
-
-    #[test]
     fn commit_hint_is_harmless() {
         let p = platform();
         let len = 2 * PAGE_SIZE;
@@ -657,15 +527,5 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn node_list_parsing() {
-        assert_eq!(parse_node_list("0\n"), Some(1));
-        assert_eq!(parse_node_list("0-3"), Some(4));
-        assert_eq!(parse_node_list("0,2-3"), Some(4));
-        assert_eq!(parse_node_list("1"), Some(2));
-        assert_eq!(parse_node_list(""), None);
-        assert_eq!(parse_node_list("x-y"), None);
     }
 }

@@ -7,9 +7,8 @@
 //! arena reserves a large address range up front and exposes only a
 //! prefix as `capacity`, which [`Arena::grow`] extends on demand without
 //! moving the base. Cold ranges can be returned to the kernel with
-//! [`Arena::decommit`] (`MADV_DONTNEED`), and the whole region can be
-//! pinned to a NUMA node. The platform layer never calls back into the
-//! Rust allocator, so arenas are safe to build under
+//! [`Arena::decommit`] (`MADV_DONTNEED`). The platform layer never
+//! calls back into the Rust allocator, so arenas are safe to build under
 //! `#[global_allocator]`.
 //!
 //! "Constructing the virtual-physical mapping" is [`Arena::touch`]. The
@@ -211,13 +210,6 @@ impl Arena {
         } else {
             0
         }
-    }
-
-    /// Prefers allocating this arena's physical pages from the given NUMA
-    /// node (best-effort; `false` when the platform refuses).
-    pub fn bind_to_node(&self, node: usize) -> bool {
-        // SAFETY: the whole reservation is a live mapping we own.
-        unsafe { platform().bind_to_node(self.base, self.reserved, node) }
     }
 
     /// `true` if `ptr` lies inside the region's reserved range.
@@ -450,12 +442,5 @@ mod tests {
             assert_eq!(a.decommit(PAGE * 2, PAGE), 0);
             assert_eq!(a.decommit(0, usize::MAX), 0);
         }
-    }
-
-    #[test]
-    fn bind_to_node_never_panics() {
-        let a = Arena::map(PAGE * 4, PAGE * 4, false).unwrap();
-        let _ = a.bind_to_node(0);
-        a.touch(0, PAGE * 4);
     }
 }

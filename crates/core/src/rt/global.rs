@@ -44,8 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 /// DESIGN.md §4.
 const GLOBAL_MIN_SLICE: usize = 32 << 20;
 /// Bootstrap arena capacity. Serves the heap's construction-time
-/// allocations (shard and routing tables, environment and NUMA node-list
-/// reads), and any other thread's, while `STATE == INITING`.
+/// allocations (shard and routing tables, environment reads), and any
+/// other thread's, while `STATE == INITING`.
 const BOOT_CAPACITY: usize = 4 << 20;
 
 #[repr(align(4096))]

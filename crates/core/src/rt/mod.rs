@@ -12,13 +12,13 @@
 //!   (pre-touched) bytes are Algorithm 2's pool.
 //! * [`HermesHeap`] — the synchronised front end over **N arena shards**,
 //!   each holding its own `RawHeap` + `LargePool` pair behind per-shard
-//!   locks. Each thread allocates from one home shard (round-robin
-//!   affinity), so a multi-threaded service no longer serialises on one
-//!   heap lock, and each shard's demand tracker sees only the threads
-//!   homed on it; another shard serves a request only once the home
-//!   shard is full. It also spawns the **memory management
-//!   thread**, which wakes every `f` ms and runs Algorithm 1/2 *per arena*
-//!   against per-arena demand trackers.
+//!   locks. Each thread allocates from one home shard (its process-wide
+//!   ticket modulo the shard count), so a multi-threaded service no
+//!   longer serialises on one heap lock, and each shard's demand tracker
+//!   sees only the threads homed on it; another shard serves a request
+//!   only once the home shard is full. It also spawns the **memory
+//!   management thread**, which wakes every `f` ms and runs Algorithm 1/2
+//!   *per arena* against per-arena demand trackers.
 //! * [`tcache`] — per-thread magazine caches in front of the shards:
 //!   small allocations and same-shard frees are served with no shard lock
 //!   at all, refilling/flushing in batches so the lock is amortised over
@@ -30,11 +30,6 @@
 //!   other heap: lazily *mapped* per-shard arenas sized by the
 //!   `HERMES_HEAP_MB`/`HERMES_LARGE_MB` knobs, growable on demand within a
 //!   larger reservation.
-//!
-//! On hosts with more than one NUMA node each shard's backing is pinned
-//! (best-effort `mbind`) to node `i % nodes`, and a thread's home shard
-//! is chosen among the shards of the node it is running on — node-local
-//! allocation with the same ticket-based spreading within the node.
 //!
 //! # Examples
 //!
@@ -72,7 +67,6 @@ pub use stats::{ArenaStats, Counters, CountersSnapshot};
 use crate::config::{
     default_arena_count, default_heap_capacity, default_large_capacity, HermesConfig,
 };
-use crate::platform::platform;
 use crate::policy::thresholds::{per_shard_min_rsv, PeakWindow, ThresholdTracker};
 use manager::ManagerHandle;
 use std::alloc::Layout;
@@ -194,18 +188,10 @@ pub(crate) struct Shard {
     /// Lock-free inbox of cross-shard frees destined for this shard
     /// (heap path only; see [`remote`]).
     pub remote: remote::RemoteInbox,
-    /// NUMA node this shard's backings prefer (0 on single-node hosts).
-    pub node: usize,
 }
 
 impl Shard {
-    fn new(
-        heap_arena: Arena,
-        large_arena: Arena,
-        cfg: &HermesConfig,
-        shards: usize,
-        node: usize,
-    ) -> Self {
+    fn new(heap_arena: Arena, large_arena: Arena, cfg: &HermesConfig, shards: usize) -> Self {
         let heap_tracker = ThresholdTracker::new(
             cfg.rsv_factor,
             per_shard_min_rsv(cfg.min_rsv, shards, PAGE),
@@ -235,7 +221,6 @@ impl Shard {
             }),
             counters: Counters::new(),
             remote: remote::RemoteInbox::new(),
-            node,
         }
     }
 }
@@ -264,9 +249,6 @@ pub(crate) struct Shared {
     /// bigger requests fail fast with [`AllocError::Oversized`] instead
     /// of sweeping every shard.
     pub max_request: usize,
-    /// NUMA nodes discovered at construction (>= 1). More than one
-    /// switches home-shard selection to node-local placement.
-    pub numa_nodes: usize,
     /// `true` while the management thread runs: cross-shard frees may
     /// then return their blocks straight to the owner's heap
     /// (`remote::free`); without it every one queues.
@@ -296,33 +278,21 @@ impl Shared {
         }
     }
 
-    /// The home shard for affinity `ticket` on the calling thread:
-    /// plain round-robin on single-node hosts, node-local round-robin
-    /// (among the shards pinned to the thread's current NUMA node) when
-    /// the host has several nodes.
-    pub(crate) fn home_shard_for(&self, ticket: usize) -> usize {
-        if self.numa_nodes <= 1 {
-            return ticket % self.shards.len();
-        }
-        node_local_home(ticket, thread_node(), self.shards.len(), self.numa_nodes)
+    /// The calling thread's home shard: its affinity ticket modulo the
+    /// shard count (see [`NEXT_THREAD_TICKET`]). A thread whose
+    /// thread-local is gone (TLS destruction during teardown) takes
+    /// ticket 0.
+    pub(crate) fn home_shard(&self) -> usize {
+        let ticket = THREAD_TICKET
+            .try_with(|c| {
+                if c.get() == usize::MAX {
+                    c.set(NEXT_THREAD_TICKET.fetch_add(1, Ordering::Relaxed));
+                }
+                c.get()
+            })
+            .unwrap_or(0);
+        ticket % self.shards.len()
     }
-}
-
-/// Pure node-local home-shard selection: shard `i` lives on node
-/// `i % nodes`, so the shards of node `d` are `{d, d+nodes, d+2*nodes,
-/// ...}` and the ticket round-robins within that subset.
-fn node_local_home(ticket: usize, node: usize, shards: usize, nodes: usize) -> usize {
-    if nodes <= 1 {
-        return ticket % shards;
-    }
-    let d = node % nodes;
-    if d >= shards {
-        // More nodes than shards and this node has none: fall back to
-        // the plain spread rather than cross-route every thread.
-        return ticket % shards;
-    }
-    let node_shards = (shards - d).div_ceil(nodes);
-    d + nodes * (ticket % node_shards)
 }
 
 /// Process-wide ticket dispenser for thread→arena affinity. Each thread
@@ -335,43 +305,6 @@ static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_TICKET: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// The NUMA node this thread first allocated on (getcpu, cached: a
-    /// thread migrating nodes keeps its original home for affinity
-    /// stability; the kernel's preferred-node policy still applies).
-    static THREAD_NODE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// This thread's cached NUMA node; 0 when TLS is unavailable.
-fn thread_node() -> usize {
-    THREAD_NODE
-        .try_with(|c| {
-            let v = c.get();
-            if v != usize::MAX {
-                v
-            } else {
-                let (_, node) = platform().current_cpu_node();
-                c.set(node);
-                node
-            }
-        })
-        .unwrap_or(0)
-}
-
-/// This thread's affinity ticket. Falls back to ticket 0 when the
-/// thread-local is unavailable (TLS destruction during thread teardown).
-fn thread_ticket() -> usize {
-    THREAD_TICKET
-        .try_with(|c| {
-            let v = c.get();
-            if v != usize::MAX {
-                v
-            } else {
-                let t = NEXT_THREAD_TICKET.fetch_add(1, Ordering::Relaxed);
-                c.set(t);
-                t
-            }
-        })
-        .unwrap_or(0)
 }
 
 /// A complete Hermes allocator instance.
@@ -401,9 +334,7 @@ impl HermesHeap {
     /// shard's `(heap, large)` pair reserves `reserve_factor`× its slice.
     ///
     /// Free-routing ranges span each arena's full *reservation*, so
-    /// pointers handed out after on-demand growth still route home. On
-    /// multi-node hosts each shard's backing is bound (best-effort) to
-    /// NUMA node `i % nodes`.
+    /// pointers handed out after on-demand growth still route home.
     ///
     /// # Errors
     ///
@@ -421,24 +352,18 @@ impl HermesHeap {
         let factor = cfg.reserve_factor.max(1);
         let heap_per = per_shard_capacity(cfg.heap_capacity, n);
         let large_per = per_shard_capacity(cfg.large_capacity, n);
-        let numa_nodes = platform().numa_nodes().max(1);
         let mut ranges: Vec<RouteRange> = Vec::with_capacity(n * 2);
         let mut max_request = 0usize;
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
             let h = Arena::map(heap_per, heap_per.saturating_mul(factor), false)?;
             let l = Arena::map(large_per, large_per.saturating_mul(factor), false)?;
-            let node = i % numa_nodes;
-            if numa_nodes > 1 {
-                h.bind_to_node(node);
-                l.bind_to_node(node);
-            }
             let hb = h.base().as_ptr() as usize;
             ranges.push((hb, hb + h.reserved(), i, false));
             let lb = l.base().as_ptr() as usize;
             ranges.push((lb, lb + l.reserved(), i, true));
             max_request = max_request.max(l.reserved());
-            shards.push(Shard::new(h, l, &cfg.hermes, n, node));
+            shards.push(Shard::new(h, l, &cfg.hermes, n));
         }
         ranges.sort_unstable_by_key(|&(base, ..)| base);
         let shared = Arc::new(Shared {
@@ -449,7 +374,6 @@ impl HermesHeap {
             id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
             tcaches: Mutex::new(Vec::new()),
             max_request,
-            numa_nodes,
             manager_live: AtomicBool::new(false),
         });
         Ok(HermesHeap {
@@ -463,11 +387,11 @@ impl HermesHeap {
         self.shared.shards.len()
     }
 
-    /// The calling thread's home arena index: round-robin by thread
-    /// ticket, restricted to the shards of the thread's NUMA node on
-    /// multi-node hosts.
+    /// The calling thread's home arena index: its process-wide thread
+    /// ticket modulo [`HermesHeap::arena_count`], so a thread has the
+    /// same home in every instance with the same arena count.
     pub fn home_arena(&self) -> usize {
-        self.shared.home_shard_for(thread_ticket())
+        self.shared.home_shard()
     }
 
     /// Index of the arena owning `ptr`, or `None` for foreign pointers.
@@ -513,16 +437,11 @@ impl HermesHeap {
     /// parked in magazines, or queued on an inbox.
     fn add_live(&self, c: &mut CountersSnapshot, shard: Option<usize>) -> (u64, u64) {
         let t = tcache::tallies(&self.shared, shard);
-        c.cached_bytes += t.bytes;
-        c.cached_blocks += t.blocks;
-        c.tcache_hits += t.hits;
-        c.alloc_count += t.alloc_ops;
-        c.free_count += t.free_ops;
-        c.fast_small += t.fast_ops;
+        c.accumulate(&t);
         let (rblocks, rbytes) = self.shared.remote_gauges(shard);
         c.remote_queued_blocks += rblocks;
         c.remote_queued_bytes += rbytes;
-        (t.blocks + rblocks, t.bytes + rbytes)
+        (t.cached_blocks + rblocks, t.cached_bytes + rbytes)
     }
 
     /// Merged counter snapshot across all arenas, including the gauges
@@ -548,9 +467,8 @@ impl HermesHeap {
         for s in self.shared.shards.iter() {
             total.accumulate(&lock(&s.heap).raw.stats());
         }
-        let t = tcache::tallies(&self.shared, None);
-        let (rblocks, rbytes) = self.shared.remote_gauges(None);
-        subtract_not_user_held(&mut total, t.blocks + rblocks, t.bytes + rbytes);
+        let (blocks, bytes) = self.add_live(&mut CountersSnapshot::default(), None);
+        subtract_not_user_held(&mut total, blocks, bytes);
         total
     }
 
@@ -579,7 +497,6 @@ impl HermesHeap {
             heap,
             large: lock(&s.large).pool.stats(),
             counters,
-            node: s.node,
         }
     }
 
@@ -597,7 +514,7 @@ impl HermesHeap {
 
     /// Bytes currently parked in thread caches across all arenas.
     pub fn cached_bytes(&self) -> usize {
-        tcache::tallies(&self.shared, None).bytes as usize
+        tcache::tallies(&self.shared, None).cached_bytes as usize
     }
 
     /// Flushes the calling thread's cache for this heap back to the
@@ -1100,11 +1017,19 @@ mod tests {
 
     #[test]
     fn threads_spread_across_arenas() {
-        let h = Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(4)).unwrap());
+        let heap =
+            |n| Arc::new(HermesHeap::new(HermesHeapConfig::small().with_arena_count(n)).unwrap());
+        let (h2, h4, h8) = (heap(2), heap(4), heap(8));
         let homes: Vec<usize> = (0..8)
             .map(|_| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || h.home_arena())
+                let (h2, h4, h8) = (Arc::clone(&h2), Arc::clone(&h4), Arc::clone(&h8));
+                std::thread::spawn(move || {
+                    // One ticket per thread, the same in every instance.
+                    let (home2, home4, home8) = (h2.home_arena(), h4.home_arena(), h8.home_arena());
+                    assert_eq!(home8 % 4, home4, "8 vs 4 arenas");
+                    assert_eq!(home4 % 2, home2, "4 vs 2 arenas");
+                    home4
+                })
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -1852,39 +1777,5 @@ mod tests {
             unsafe { h.deallocate(p, layout(chunk)) };
         }
         h.check_integrity().unwrap();
-    }
-
-    #[test]
-    fn stats_report_arena_numa_node() {
-        let h = HermesHeap::new(HermesHeapConfig::small().with_arena_count(2)).unwrap();
-        for i in 0..2 {
-            assert!(h.arena_stats(i).node < platform().numa_nodes().max(1));
-        }
-    }
-
-    #[test]
-    fn node_local_home_partitions_shards_by_node() {
-        // Single node: plain round-robin.
-        assert_eq!(node_local_home(5, 0, 4, 1), 1);
-        // 8 shards / 2 nodes: node 0 owns {0,2,4,6}, node 1 owns {1,3,5,7}.
-        let homes0: Vec<usize> = (0..4).map(|t| node_local_home(t, 0, 8, 2)).collect();
-        let homes1: Vec<usize> = (0..4).map(|t| node_local_home(t, 1, 8, 2)).collect();
-        assert_eq!(homes0, vec![0, 2, 4, 6]);
-        assert_eq!(homes1, vec![1, 3, 5, 7]);
-        // Uneven split: 5 shards / 2 nodes → node 0 {0,2,4}, node 1 {1,3}.
-        assert_eq!(node_local_home(2, 0, 5, 2), 4);
-        assert_eq!(node_local_home(2, 1, 5, 2), 1);
-        // More nodes than shards: a node with no shard falls back.
-        assert_eq!(node_local_home(3, 2, 2, 4), 1);
-        // Every result is in range.
-        for shards in 1..9 {
-            for nodes in 1..5 {
-                for node in 0..nodes {
-                    for t in 0..16 {
-                        assert!(node_local_home(t, node, shards, nodes) < shards);
-                    }
-                }
-            }
-        }
     }
 }

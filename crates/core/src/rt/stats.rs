@@ -141,8 +141,6 @@ counter_fields! {
 pub struct ArenaStats {
     /// Index of the arena within the runtime's shard set.
     pub index: usize,
-    /// NUMA node this arena's backing prefers (0 on single-node hosts).
-    pub node: usize,
     /// Main-heap statistics of this arena.
     pub heap: HeapStats,
     /// Large-path statistics of this arena.

@@ -65,7 +65,7 @@
 use super::error::misuse_abort;
 use super::heap::{RawHeap, ALIGN, HDR, MIN_CHUNK};
 use super::remote;
-use super::stats::Counters;
+use super::stats::{Counters, CountersSnapshot};
 use super::{lock, Shared};
 use std::alloc::Layout;
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -182,25 +182,6 @@ pub(crate) enum Freed {
     /// No cache slot is usable (TLS teardown or mid-registration
     /// re-entry); the caller must take the locked fallback.
     Unavailable,
-}
-
-/// Aggregated cache accounting for one shard (or the whole runtime).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheTallies {
-    /// Blocks currently parked in magazines.
-    pub blocks: u64,
-    /// Bytes currently parked in magazines (chunk granularity).
-    pub bytes: u64,
-    /// Warm hits accumulated in live caches (not yet folded into the
-    /// shard's atomic counter by a drain).
-    pub hits: u64,
-    /// Cache-served allocations pending fold into `alloc_count`.
-    pub alloc_ops: u64,
-    /// Cache-absorbed frees pending fold into `free_count`.
-    pub free_ops: u64,
-    /// Fault-free cache-served allocations pending fold into
-    /// `fast_small`.
-    pub fast_ops: u64,
 }
 
 /// One thread's cache for one `HermesHeap`: magazines over the thread's
@@ -482,7 +463,7 @@ fn register_and_run<R>(shared: &Arc<Shared>, f: impl FnOnce(&ThreadCache) -> R) 
     }
     let result = (|| {
         let cache = Arc::new(ThreadCache {
-            home: shared.home_shard_for(super::thread_ticket()),
+            home: shared.home_shard(),
             shared: Arc::downgrade(shared),
             mags: UnsafeCell::new(Magazines::new()),
             blocks: AtomicU64::new(0),
@@ -563,13 +544,16 @@ pub(crate) fn drain_current_thread(shared: &Arc<Shared>) {
 }
 
 /// Aggregates cache tallies over every registered cache of `shared`,
-/// restricted to one shard's caches when `shard` is given. This is the
+/// restricted to one shard's caches when `shard` is given, as a snapshot
+/// whose other fields are zero: the cache gauges (`cached_blocks`,
+/// `cached_bytes`) and the pending `tcache_hits`, `alloc_count`,
+/// `free_count` and `fast_small` not yet folded in by a drain. This is the
 /// read side of the owner-only accounting: stats calls pay an
 /// O(threads) registry walk over atomic tallies so the allocation path
 /// pays nothing. Iterates in place without allocating (the caller may
 /// *be* the process's global allocator).
-pub(crate) fn tallies(shared: &Shared, shard: Option<usize>) -> CacheTallies {
-    let mut total = CacheTallies::default();
+pub(crate) fn tallies(shared: &Shared, shard: Option<usize>) -> CountersSnapshot {
+    let mut total = CountersSnapshot::default();
     let mut reg = lock(&shared.tcaches);
     // Prune here as well as at registration: a burst of short-lived
     // threads would otherwise leave dead entries that every stats call
@@ -580,12 +564,12 @@ pub(crate) fn tallies(shared: &Shared, shard: Option<usize>) -> CacheTallies {
             if shard.is_some_and(|s| s != cache.home) {
                 continue;
             }
-            total.blocks += cache.blocks.load(Ordering::Relaxed);
-            total.bytes += cache.bytes.load(Ordering::Relaxed);
-            total.hits += cache.hits.load(Ordering::Relaxed);
-            total.alloc_ops += cache.alloc_ops.load(Ordering::Relaxed);
-            total.free_ops += cache.free_ops.load(Ordering::Relaxed);
-            total.fast_ops += cache.fast_ops.load(Ordering::Relaxed);
+            total.cached_blocks += cache.blocks.load(Ordering::Relaxed);
+            total.cached_bytes += cache.bytes.load(Ordering::Relaxed);
+            total.tcache_hits += cache.hits.load(Ordering::Relaxed);
+            total.alloc_count += cache.alloc_ops.load(Ordering::Relaxed);
+            total.free_count += cache.free_ops.load(Ordering::Relaxed);
+            total.fast_small += cache.fast_ops.load(Ordering::Relaxed);
         }
     }
     total
