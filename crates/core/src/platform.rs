@@ -35,7 +35,7 @@ pub const PAGE_SIZE: usize = 4096;
 
 /// Transparent-huge-page size on x86_64/aarch64 Linux (2 MiB). Mapped
 /// arena reservations are aligned to this so the kernel *can* back them
-/// with huge pages when [`Platform::huge_page_hint`] succeeds.
+/// with huge pages where [`Platform::huge_page_hint`] asks for them.
 pub const HUGE_PAGE_SIZE: usize = 2 << 20;
 
 /// Errors from the platform layer.
@@ -89,7 +89,9 @@ pub trait Platform: Send + Sync {
 
     /// Hints that `[base, base+len)` will be used soon (`MADV_WILLNEED`).
     /// Purely advisory: it builds no mapping. [`Platform::populate`] or a
-    /// write to each page does.
+    /// write to each page does. On anonymous memory it only schedules
+    /// swap-in readahead, so the runtime no longer calls it; the repo
+    /// benchmark still measures it (`platform.commit_us_per_mb`).
     ///
     /// # Safety
     ///
@@ -119,13 +121,15 @@ pub trait Platform: Send + Sync {
     unsafe fn decommit(&self, base: NonNull<u8>, len: usize) -> bool;
 
     /// Asks the kernel to back the range with transparent huge pages
-    /// (`MADV_HUGEPAGE`). Returns `false` when refused (THP disabled) —
-    /// callers proceed on small pages.
+    /// (`MADV_HUGEPAGE`), or, with `huge` false, never to
+    /// (`MADV_NOHUGEPAGE`, which holds even under THP `always`). Returns
+    /// `false` when refused (a kernel built without THP); callers proceed
+    /// on whatever pages the kernel gives.
     ///
     /// # Safety
     ///
     /// The range must lie inside a live reservation.
-    unsafe fn huge_page_hint(&self, base: NonNull<u8>, len: usize) -> bool;
+    unsafe fn huge_page_hint(&self, base: NonNull<u8>, len: usize, huge: bool) -> bool;
 
     /// Pins the calling thread to `cpu` (`sched_setaffinity(2)`), the
     /// SpeedMalloc dedicated-management-core model. Best-effort: returns
@@ -150,6 +154,15 @@ pub fn platform() -> &'static dyn Platform {
 /// Linux implementation over raw syscalls (no libc).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LinuxPlatform;
+
+/// Every [`LinuxPlatform`] call starts here. Debug builds check the
+/// runtime's rule that the management thread makes no page call while
+/// it holds an allocator lock (DESIGN.md §2).
+#[inline]
+fn on_call(_call: &'static str) {
+    #[cfg(debug_assertions)]
+    crate::rt::lockdep::check(_call);
+}
 
 mod linux {
     //! Raw syscall plumbing. Numbers and flag values are part of the
@@ -179,6 +192,7 @@ mod linux {
     pub const MADV_WILLNEED: usize = 3;
     pub const MADV_DONTNEED: usize = 4;
     pub const MADV_HUGEPAGE: usize = 14;
+    pub const MADV_NOHUGEPAGE: usize = 15;
     pub const MADV_POPULATE_WRITE: usize = 23;
     pub const EINVAL: isize = 22;
 
@@ -329,6 +343,7 @@ impl LinuxPlatform {
 
 impl Platform for LinuxPlatform {
     fn reserve(&self, len: usize, align: usize) -> Result<NonNull<u8>, PlatformError> {
+        on_call("reserve");
         check_request(len, align)?;
         if align <= PAGE_SIZE {
             return self.mmap(len).ok_or(PlatformError::ReserveFailed);
@@ -351,16 +366,19 @@ impl Platform for LinuxPlatform {
     }
 
     unsafe fn release(&self, base: NonNull<u8>, len: usize, _align: usize) {
+        on_call("release");
         // SAFETY: forwarded from the caller's `reserve` contract.
         unsafe { self.munmap(base.as_ptr() as usize, len) };
     }
 
     unsafe fn commit(&self, base: NonNull<u8>, len: usize) {
+        on_call("commit");
         // SAFETY: forwarded caller contract.
         let _ = unsafe { self.madvise(base, len, linux::MADV_WILLNEED) };
     }
 
     unsafe fn populate(&self, base: NonNull<u8>, len: usize) -> bool {
+        on_call("populate");
         use core::sync::atomic::Ordering::Relaxed;
         if linux::POPULATE_UNSUPPORTED.load(Relaxed) {
             return false;
@@ -379,17 +397,25 @@ impl Platform for LinuxPlatform {
     }
 
     unsafe fn decommit(&self, base: NonNull<u8>, len: usize) -> bool {
+        on_call("decommit");
         // SAFETY: forwarded caller contract; DONTNEED on an anonymous
         // private mapping drops the pages and keeps the range reserved.
         unsafe { self.madvise(base, len, linux::MADV_DONTNEED) }.is_ok()
     }
 
-    unsafe fn huge_page_hint(&self, base: NonNull<u8>, len: usize) -> bool {
+    unsafe fn huge_page_hint(&self, base: NonNull<u8>, len: usize, huge: bool) -> bool {
+        on_call("huge_page_hint");
+        let advice = if huge {
+            linux::MADV_HUGEPAGE
+        } else {
+            linux::MADV_NOHUGEPAGE
+        };
         // SAFETY: forwarded caller contract.
-        unsafe { self.madvise(base, len, linux::MADV_HUGEPAGE) }.is_ok()
+        unsafe { self.madvise(base, len, advice) }.is_ok()
     }
 
     fn pin_thread_to_cpu(&self, cpu: usize) -> bool {
+        on_call("pin_thread_to_cpu");
         // A fixed 1024-cpu mask (128 bytes) covers every mainstream host;
         // refusing larger indices keeps the mask on the stack.
         if cpu >= 1024 {
@@ -474,9 +500,12 @@ mod tests {
         let len = 2 * HUGE_PAGE_SIZE;
         let base = p.reserve(len, HUGE_PAGE_SIZE).expect("reserve");
         unsafe {
-            let _ = p.huge_page_hint(base, len);
+            let _ = p.huge_page_hint(base, HUGE_PAGE_SIZE, false);
+            let _ = p.huge_page_hint(base.add(HUGE_PAGE_SIZE), HUGE_PAGE_SIZE, true);
             std::ptr::write_volatile(base.as_ptr(), 0x11);
+            std::ptr::write_volatile(base.as_ptr().add(len - 1), 0x22);
             assert_eq!(std::ptr::read_volatile(base.as_ptr()), 0x11);
+            assert_eq!(std::ptr::read_volatile(base.as_ptr().add(len - 1)), 0x22);
             p.release(base, len, HUGE_PAGE_SIZE);
         }
     }

@@ -18,6 +18,11 @@
 //! writes to each page itself only where the kernel refuses that (the
 //! substitution is recorded in DESIGN.md §1).
 //!
+//! A *huge* arena (the runtime's heaps) is backed by 4 KiB pages below
+//! [`THP_FLOOR`] and by transparent huge pages above it, and keeps its
+//! capacity a whole number of huge pages there, so the heap can book
+//! what it commits in the units the kernel backs (DESIGN.md §8).
+//!
 //! [`Platform::populate`]: crate::platform::Platform::populate
 
 use crate::platform::{platform, HUGE_PAGE_SIZE};
@@ -26,6 +31,12 @@ use std::ptr::NonNull;
 
 /// Page size assumed by the allocator (4 KiB).
 pub const PAGE: usize = 4096;
+
+/// Offset below which a huge arena stays on 4 KiB pages: four huge
+/// pages. Below it, rounding each commit up to a huge page would book a
+/// small heap up to 2 MiB more than it uses; above it, huge pages widen
+/// the TLB's reach over a large heap (DESIGN.md §8).
+pub const THP_FLOOR: usize = 4 * HUGE_PAGE_SIZE;
 
 /// Errors from arena management.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +71,7 @@ pub struct Arena {
     capacity: usize,
     reserved: usize,
     align: usize,
+    huge: bool,
 }
 
 // SAFETY: the arena exclusively owns its region; all access goes through
@@ -89,9 +101,10 @@ impl Arena {
     /// `capacity <= reserved`). [`Arena::grow`] extends the exposed
     /// prefix up to `reserved` without moving the base.
     ///
-    /// Reservations of at least one huge page are aligned to 2 MiB; when
-    /// `huge` is set the kernel is additionally hinted (best-effort) to
-    /// back the range with transparent huge pages.
+    /// Reservations of at least one huge page are aligned to 2 MiB. When
+    /// `huge` is set, `[0, THP_FLOOR)` is hinted `MADV_NOHUGEPAGE` and
+    /// `[THP_FLOOR, reserved)` `MADV_HUGEPAGE` (best-effort), and a
+    /// capacity above the floor is rounded up to whole huge pages.
     ///
     /// # Errors
     ///
@@ -112,15 +125,27 @@ impl Arena {
             .reserve(reserved, align)
             .map_err(|_| ArenaError::ReserveFailed)?;
         if huge {
-            // SAFETY: the freshly reserved range is live and unaliased.
-            unsafe { p.huge_page_hint(base, reserved) };
+            let floor = THP_FLOOR.min(reserved);
+            // SAFETY: both ranges lie in the freshly reserved, unaliased
+            // range.
+            unsafe {
+                p.huge_page_hint(base, floor, false);
+                p.huge_page_hint(
+                    NonNull::new_unchecked(base.as_ptr().add(floor)),
+                    reserved - floor,
+                    true,
+                );
+            }
         }
-        Ok(Arena {
+        let mut arena = Arena {
             base,
             capacity,
             reserved,
             align,
-        })
+            huge,
+        };
+        arena.capacity = arena.backed_end(capacity).min(reserved);
+        Ok(arena)
     }
 
     /// Base pointer of the region.
@@ -142,9 +167,11 @@ impl Arena {
     }
 
     /// Extends the usable capacity by `extra` bytes (positive page
-    /// multiple) within the existing reservation. The base pointer and
-    /// all previously handed-out offsets remain valid; new pages remain
-    /// virtual until touched. Returns the new capacity.
+    /// multiple) within the existing reservation, and above
+    /// [`THP_FLOOR`] of a huge arena on to the next huge-page boundary.
+    /// The base pointer and all previously handed-out offsets remain
+    /// valid; new pages remain virtual until touched, and no page call
+    /// is made. Returns the new capacity.
     ///
     /// # Errors
     ///
@@ -162,15 +189,19 @@ impl Arena {
         if new_cap > self.reserved {
             return Err(ArenaError::ReservationExhausted);
         }
-        // SAFETY: the grown range lies inside the live reservation.
-        unsafe {
-            platform().commit(
-                NonNull::new_unchecked(self.base.as_ptr().add(self.capacity)),
-                extra,
-            )
-        };
-        self.capacity = new_cap;
-        Ok(new_cap)
+        self.capacity = self.backed_end(new_cap).min(self.reserved);
+        Ok(self.capacity)
+    }
+
+    /// `end` rounded up to the end of the page the kernel backs byte
+    /// `end - 1` with: a huge page above [`THP_FLOOR`] of a huge arena,
+    /// a 4 KiB page elsewhere. Not clamped to the capacity.
+    pub(crate) fn backed_end(&self, end: usize) -> usize {
+        if self.huge && end > THP_FLOOR {
+            end.div_ceil(HUGE_PAGE_SIZE) * HUGE_PAGE_SIZE
+        } else {
+            end.div_ceil(PAGE) * PAGE
+        }
     }
 
     /// Returns the physical pages of `[offset, offset+len)` to the
@@ -275,9 +306,20 @@ impl Arena {
 /// be page aligned, and no other thread may write to it meanwhile.
 pub(crate) unsafe fn populate(start: NonNull<u8>, len: usize) {
     // SAFETY: forwarded caller contract.
-    if unsafe { platform().populate(start, len) } {
-        return;
+    if !unsafe { platform().populate(start, len) } {
+        // SAFETY: forwarded caller contract.
+        unsafe { write_back(start, len) };
     }
+}
+
+/// The fallback of [`populate`]: faults in each page of the page-aligned
+/// `[start, start+len)` by writing it back to itself, with no page call.
+///
+/// # Safety
+///
+/// As [`populate`]: unlike `MADV_POPULATE_WRITE`, the read-then-write
+/// would lose a concurrent store.
+pub(crate) unsafe fn write_back(start: NonNull<u8>, len: usize) {
     let mut page = 0;
     while page < len {
         // SAFETY: the page is inside the range; volatile prevents the
@@ -296,6 +338,7 @@ impl fmt::Debug for Arena {
             .field("base", &self.base.as_ptr())
             .field("capacity", &self.capacity)
             .field("reserved", &self.reserved)
+            .field("huge", &self.huge)
             .finish()
     }
 }
@@ -410,6 +453,64 @@ mod tests {
         let a = Arena::map(PAGE * 16, HUGE_PAGE_SIZE * 2, true).unwrap();
         assert_eq!(a.base().as_ptr() as usize % HUGE_PAGE_SIZE, 0);
         a.touch(0, PAGE * 16);
+    }
+
+    /// A huge arena's capacity above the floor is whole huge pages.
+    #[test]
+    fn huge_arena_capacity_rounds_above_the_floor() {
+        use crate::platform::HUGE_PAGE_SIZE;
+        let mut a = Arena::map(THP_FLOOR + PAGE, 2 * THP_FLOOR, true).unwrap();
+        assert_eq!(a.capacity(), THP_FLOOR + HUGE_PAGE_SIZE);
+        assert_eq!(a.grow(PAGE), Ok(THP_FLOOR + 2 * HUGE_PAGE_SIZE));
+        assert_eq!(a.backed_end(THP_FLOOR), THP_FLOOR);
+        assert_eq!(a.backed_end(PAGE + 1), 2 * PAGE);
+        let small = Arena::map(PAGE * 3, THP_FLOOR * 2, false).unwrap();
+        assert_eq!(small.capacity(), PAGE * 3);
+        assert_eq!(small.backed_end(THP_FLOOR + 1), THP_FLOOR + PAGE);
+    }
+
+    /// The kernel sees the floor: `/proc/self/smaps` reports the range
+    /// below it ineligible for huge pages, the range above it eligible.
+    #[test]
+    fn huge_arena_is_thp_eligible_above_the_floor_only() {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .unwrap_or_default();
+        if !thp.contains("[always]") && !thp.contains("[madvise]") {
+            eprintln!("skipped: transparent huge pages are off on this host ({thp:?})");
+            return;
+        }
+        let a = Arena::map(PAGE * 16, 2 * THP_FLOOR, true).unwrap();
+        let base = a.base().as_ptr() as usize;
+        // Hold the smaps text in one read, so the lookups see one state.
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let eligible = |addr: usize| -> Option<bool> {
+            let mut inside = false;
+            for line in smaps.lines() {
+                let head = line.split_whitespace().next().unwrap_or("");
+                if let Some((lo, hi)) = head.split_once('-') {
+                    if let (Ok(lo), Ok(hi)) =
+                        (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                    {
+                        inside = lo <= addr && addr < hi;
+                        continue;
+                    }
+                }
+                if inside {
+                    if let Some(v) = line.strip_prefix("THPeligible:") {
+                        return Some(v.trim() == "1");
+                    }
+                }
+            }
+            None
+        };
+        let (Some(below), Some(above)) = (eligible(base), eligible(base + THP_FLOOR)) else {
+            eprintln!("skipped: this kernel's smaps has no THPeligible field");
+            return;
+        };
+        assert!(!below, "below the floor: 4 KiB pages");
+        assert!(above, "above the floor: huge pages");
+        assert_eq!(eligible(base + THP_FLOOR - PAGE), Some(false));
+        assert_eq!(eligible(base + 2 * THP_FLOOR - PAGE), Some(true));
     }
 
     #[test]

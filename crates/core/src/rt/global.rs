@@ -28,7 +28,7 @@
 //! on-demand growth), so the bootstrap never calls the (self-referential)
 //! system allocator.
 
-use super::{HermesHeap, HermesHeapConfig};
+use super::{lockdep, HermesHeap, HermesHeapConfig};
 use crate::config::{default_arena_count, default_heap_capacity};
 use std::alloc::{GlobalAlloc, Layout};
 use std::cell::UnsafeCell;
@@ -164,21 +164,23 @@ impl Hermes {
 // layouts are honoured by the underlying allocators.
 unsafe impl GlobalAlloc for Hermes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if let Some(h) = global() {
-            return h
-                .allocate(layout)
-                .map(NonNull::as_ptr)
-                .unwrap_or(ptr::null_mut());
-        }
-        try_init();
-        match global() {
-            Some(h) => h
-                .allocate(layout)
-                .map(NonNull::as_ptr)
-                .unwrap_or(ptr::null_mut()),
-            // Another thread is mid-initialisation: bootstrap serves us.
-            None => boot_alloc(layout),
-        }
+        lockdep::as_owner(|| {
+            if let Some(h) = global() {
+                return h
+                    .allocate(layout)
+                    .map(NonNull::as_ptr)
+                    .unwrap_or(ptr::null_mut());
+            }
+            try_init();
+            match global() {
+                Some(h) => h
+                    .allocate(layout)
+                    .map(NonNull::as_ptr)
+                    .unwrap_or(ptr::null_mut()),
+                // Another thread is mid-initialisation: bootstrap serves us.
+                None => boot_alloc(layout),
+            }
+        })
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -189,7 +191,7 @@ unsafe impl GlobalAlloc for Hermes {
         }
         if let Some(h) = global() {
             // SAFETY: non-bootstrap pointers were produced by `h.allocate`.
-            unsafe { h.deallocate(NonNull::new_unchecked(ptr), layout) };
+            lockdep::as_owner(|| unsafe { h.deallocate(NonNull::new_unchecked(ptr), layout) });
         }
     }
 }

@@ -8,8 +8,11 @@
 //! chunk runs out the break is extended (`sbrk`). What makes expansion
 //! slow in practice is constructing virtual-physical mappings for fresh
 //! pages — modelled here by really touching never-before-touched arena
-//! pages — and Hermes' management thread calls [`RawHeap::sbrk_commit`]
-//! ahead of demand so allocations stay on the fast path.
+//! pages — and Hermes' management thread extends and commits the break
+//! ahead of demand so allocations stay on the fast path: one
+//! [`RawHeap::sbrk_commit`], split into a begin, a populate that needs no
+//! lock, and an end (DESIGN.md §2, *The heap's reserve, built off the
+//! lock*).
 //!
 //! Chunk format (16-byte header, 16-byte granularity):
 //!
@@ -30,8 +33,9 @@
 //! trailing-zero count: the time spent under the shard lock does not grow
 //! with the number of free chunks.
 
-use super::arena::{Arena, PAGE};
+use super::arena::{write_back, Arena, PAGE};
 use super::error::{misuse_abort, IntegrityError, IntegrityViolation};
+use crate::platform::platform;
 use std::fmt;
 use std::ptr::NonNull;
 
@@ -120,6 +124,39 @@ impl fmt::Display for HeapError {
 
 impl std::error::Error for HeapError {}
 
+/// A reservation step in flight ([`RawHeap::begin_commit`]): the pages
+/// to populate, and the break and watermark the step ends at.
+#[derive(Debug)]
+#[must_use = "a step stays open until `RawHeap::end_commit`"]
+pub(crate) struct CommitStep {
+    start: NonNull<u8>,
+    len: usize,
+    end: usize,
+    brk: usize,
+    populated: bool,
+}
+
+// SAFETY: the step names a range of its heap's arena; `populate`'s
+// contract keeps that arena alive.
+unsafe impl Send for CommitStep {}
+
+impl CommitStep {
+    /// Builds the step's mappings with one `MADV_POPULATE_WRITE`, under
+    /// no lock: a page a concurrent carve committed and wrote meanwhile
+    /// keeps its contents. Where the kernel refuses the call, this does
+    /// nothing and [`RawHeap::end_commit`] faults the pages in.
+    ///
+    /// # Safety
+    ///
+    /// The heap that opened the step must be alive and the step not yet
+    /// ended.
+    pub(crate) unsafe fn populate(&mut self) {
+        // SAFETY: the range is page aligned and inside the live arena's
+        // capacity, which never shrinks.
+        self.populated = unsafe { platform().populate(self.start, self.len) };
+    }
+}
+
 /// The raw (unsynchronised) heap. Embedders wrap it in a lock; the heap
 /// lock serialisation is precisely what the paper's gradual reservation
 /// is designed around.
@@ -130,7 +167,10 @@ pub struct RawHeap {
     /// Logical program break: end of the heap segment.
     brk_off: usize,
     /// Touched watermark: bytes `[0, committed_off)` have mappings.
+    /// Rounded to the pages the kernel backs ([`Arena::backed_end`]).
     committed_off: usize,
+    /// The commit end of the reservation step in flight, 0 when none.
+    step_end: usize,
     bins: [usize; NBINS],
     /// Bit `b` set ⇔ small bin `b` is non-empty.
     small_map: u64,
@@ -209,6 +249,7 @@ impl RawHeap {
             top_off: 0,
             brk_off: 0,
             committed_off: 0,
+            step_end: 0,
             bins: [NIL; NBINS],
             small_map: 0,
             level_map: 0,
@@ -435,7 +476,7 @@ impl RawHeap {
         if new_off <= self.committed_off {
             return;
         }
-        let target = round_up(new_off, PAGE).min(self.arena.capacity());
+        let target = self.arena.backed_end(new_off).min(self.arena.capacity());
         self.arena
             .touch(self.committed_off, target - self.committed_off);
         self.committed_off = target;
@@ -463,35 +504,89 @@ impl RawHeap {
     }
 
     /// Extends the program break by `bytes` **and** constructs the
-    /// mappings (the management thread's reservation step; Algorithm 1
-    /// lines 11–15 run this under the heap lock). Mapped arenas grow
+    /// mappings (Algorithm 1 lines 11–15): the begin, populate and end
+    /// of one reservation step in one call, for a caller that holds the
+    /// heap alone. The management thread runs the three parts itself,
+    /// with the heap's lock dropped for the populate. Mapped arenas grow
     /// their exposed capacity on demand, up to the reservation.
     ///
     /// # Errors
     ///
     /// [`HeapError::OutOfSpace`] when the arena cannot grow that far.
     pub fn sbrk_commit(&mut self, bytes: usize) -> Result<(), HeapError> {
-        let new_brk = round_up(self.brk_off + bytes, PAGE);
+        let mut step = self.begin_commit(bytes)?;
+        // SAFETY: the heap is alive and the step still open.
+        unsafe { step.populate() };
+        self.end_commit(step);
+        Ok(())
+    }
+
+    /// Opens a reservation step of `bytes`: grows the arena's capacity
+    /// for it and returns the range to populate, moving neither the break
+    /// nor the committed watermark. The management thread populates the
+    /// step with the heap's lock dropped, then closes it with
+    /// [`RawHeap::end_commit`]. One step is open at a time.
+    ///
+    /// # Errors
+    ///
+    /// [`HeapError::OutOfSpace`] when the arena cannot grow that far.
+    pub(crate) fn begin_commit(&mut self, bytes: usize) -> Result<CommitStep, HeapError> {
+        debug_assert_eq!(self.step_end, 0, "one reservation step at a time");
+        let brk = round_up(self.brk_off + bytes, PAGE);
         // One tail page stays in reserve for the top-position prev_size stamp.
-        if !self.ensure_capacity(new_brk) {
+        if !self.ensure_capacity(brk) {
             return Err(HeapError::OutOfSpace);
         }
-        self.brk_off = new_brk;
-        self.commit_to(new_brk);
-        Ok(())
+        let end = self.arena.backed_end(brk).min(self.arena.capacity());
+        let start = self.committed_off.min(end);
+        self.step_end = end;
+        Ok(CommitStep {
+            start: NonNull::new(self.arena.at(start)).expect("arena base is non-null"),
+            len: end - start,
+            end,
+            brk,
+            populated: false,
+        })
+    }
+
+    /// Closes `step`: advances the break and the committed watermark to
+    /// the step's, unless a carve took either further meanwhile. Where the
+    /// kernel refused the step's populate, the pages still above the
+    /// watermark are faulted in here, under the caller's lock.
+    pub(crate) fn end_commit(&mut self, step: CommitStep) {
+        debug_assert_eq!(self.step_end, step.end, "not this heap's open step");
+        self.step_end = 0;
+        if step.end > self.committed_off {
+            if !step.populated {
+                // SAFETY: `[committed_off, end)` is inside the capacity
+                // and above every chunk and stamp, and a carve that
+                // would write there commits first, under the same lock.
+                unsafe {
+                    write_back(
+                        NonNull::new_unchecked(self.arena.at(self.committed_off)),
+                        step.end - self.committed_off,
+                    )
+                };
+            }
+            self.committed_off = step.end;
+        }
+        self.brk_off = self.brk_off.max(step.brk);
     }
 
     /// Returns the committed pages above the (already trimmed) program
     /// break to the kernel, where the platform supports decommit. The
-    /// page holding the top-position prev_size stamp is kept. Returns the
-    /// bytes decommitted; the manager calls this after [`RawHeap::trim`]
-    /// so the paper's `sbrk(-extra)` release becomes a real
-    /// `madvise(DONTNEED)` instead of an accounting fiction.
+    /// page holding the top-position prev_size stamp is kept, and above
+    /// [`THP_FLOOR`](super::arena::THP_FLOOR) only whole huge pages are
+    /// returned. Returns the bytes decommitted; the manager calls this
+    /// after [`RawHeap::trim`] so the paper's `sbrk(-extra)` release
+    /// becomes a real `madvise(DONTNEED)` instead of an accounting
+    /// fiction.
     pub fn decommit_tail(&mut self) -> usize {
+        debug_assert_eq!(self.step_end, 0, "no decommit under an open step");
         // `+ HDR` keeps the 8-byte stamp at the top position (top_off <=
         // brk_off) out of the dropped range even when the break is
         // page-aligned.
-        let start = round_up(self.brk_off + HDR, PAGE);
+        let start = self.arena.backed_end(self.brk_off + HDR);
         if start >= self.committed_off {
             return 0;
         }
@@ -1455,6 +1550,88 @@ mod tests {
         }
         h.check_integrity().unwrap();
         assert!(h.decommit_tail() == 0 || h.stats().decommitted > freed as u64);
+    }
+
+    /// A carve that takes the break through an open reservation step,
+    /// and writes there before the step's populate runs: the populate
+    /// (or, where the kernel refuses it, the step's close) keeps every
+    /// byte, and the close moves neither the break nor the watermark
+    /// back below the carve's.
+    #[test]
+    fn carve_into_an_open_step_keeps_its_bytes() {
+        for populate in [true, false] {
+            let mut h = RawHeap::new(Arena::map(PAGE * 64, PAGE * 1024, false).unwrap());
+            let brk0 = h.stats().brk;
+            let mut step = h.begin_commit(PAGE * 32).unwrap();
+            assert_eq!(h.stats().brk, brk0, "opening a step moves no break");
+            assert_eq!(h.stats().committed, PAGE, "nor the watermark");
+            let len = PAGE * 40;
+            let p = h.malloc(len).unwrap();
+            assert!(h.stats().brk > PAGE * 32, "the carve went past the step");
+            // SAFETY: fresh allocation of `len` bytes.
+            unsafe { std::ptr::write_bytes(p.as_ptr(), 0xA5, len) };
+            if populate {
+                // SAFETY: the heap is alive and the step open.
+                unsafe { step.populate() };
+            }
+            let end = step.end;
+            h.end_commit(step);
+            // SAFETY: still live.
+            let bytes = unsafe { std::slice::from_raw_parts(p.as_ptr(), len) };
+            assert!(bytes.iter().all(|&b| b == 0xA5), "populate {populate}");
+            let s = h.stats();
+            assert!(s.committed >= end && s.committed > len && s.brk > len);
+            h.check_integrity().unwrap();
+            // SAFETY: live, freed once.
+            unsafe { h.free(p) };
+            h.check_integrity().unwrap();
+        }
+    }
+
+    /// Above the floor a huge arena's heap books whole huge pages, below
+    /// it whole 4 KiB pages; the break stays page-granular, and a trim
+    /// never decommits part of a huge page.
+    #[test]
+    fn huge_arena_books_whole_huge_pages_above_the_floor() {
+        use super::super::arena::THP_FLOOR;
+        use crate::platform::HUGE_PAGE_SIZE;
+        let mut h = RawHeap::new(Arena::map(THP_FLOOR / 2, 4 * THP_FLOOR, true).unwrap());
+        let booked = |h: &RawHeap| {
+            let c = h.stats().committed;
+            let unit = if c > THP_FLOOR { HUGE_PAGE_SIZE } else { PAGE };
+            assert_eq!(c % unit, 0, "committed {c:#x}");
+            c
+        };
+        let mut live = Vec::new();
+        for i in 0..40 {
+            let before = h.stats().brk;
+            h.sbrk_commit(PAGE * 97).unwrap();
+            assert_eq!(
+                h.stats().brk,
+                before + PAGE * 97,
+                "the break is never rounded"
+            );
+            assert!(booked(&h) >= h.stats().brk);
+            live.push(h.malloc(PAGE * (50 + i)).unwrap());
+            booked(&h);
+        }
+        assert!(h.stats().committed > THP_FLOOR + 2 * HUGE_PAGE_SIZE);
+        for p in live.drain(..).rev() {
+            // SAFETY: live, freed once.
+            unsafe { h.free(p) };
+        }
+        for keep in [THP_FLOOR + 3 * PAGE, THP_FLOOR - 5 * PAGE, 0] {
+            h.trim(keep);
+            let committed = h.stats().committed;
+            let freed = h.decommit_tail();
+            let start = booked(&h);
+            assert_eq!(start + freed, committed);
+            if freed > 0 && start > THP_FLOOR {
+                assert_eq!(start % HUGE_PAGE_SIZE, 0, "starts on a huge page");
+            }
+            assert!(start >= h.stats().brk + HDR, "the top stamp stays");
+            h.check_integrity().unwrap();
+        }
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //!
 //! * **heap side** (Algorithm 1) — if the shard's committed top-chunk
 //!   reserve is below `RSV_THR`, *gradually* extends and touches the break
-//!   in `MEM_CHUNK`-sized steps, taking that shard's heap lock per step so
-//!   concurrent `malloc`s interleave (Figure 6(b)); trims above `TRIM_THR`;
+//!   in `MEM_CHUNK`-sized steps (Figure 6(b)). Each step takes the shard's
+//!   heap lock to open it, populates its pages with the lock dropped, and
+//!   takes the lock again to close it, so a `malloc` never waits on the
+//!   step's page call (DESIGN.md §2, *The heap's reserve, built off the
+//!   lock*); trims above `TRIM_THR`;
 //! * **mmap side** (Algorithm 2) — reserves warm space for the largest
 //!   request the shard's pool missed in the last
 //!   [`TRIM_WINDOW_ROUNDS`](crate::policy::TRIM_WINDOW_ROUNDS) rounds,
@@ -43,7 +46,7 @@
 
 use super::large::Detached;
 use super::stats::Counters;
-use super::{lock, remote, Shard, Shared};
+use super::{lock, lockdep, remote, Shard, Shared};
 use crate::platform::platform;
 use crate::policy::ReservationPlan;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -90,13 +93,15 @@ fn manager_loop(shared: Arc<Shared>, stop_rx: Receiver<()>) {
 /// live thread.
 pub(crate) fn run_round(shared: &Shared) {
     let t0 = Instant::now();
-    for (i, shard) in shared.shards.iter().enumerate() {
-        // Retire queued remote frees before sizing the reserve, so the
-        // thresholds see the heap the application actually holds.
-        remote::drain(shared, i, usize::MAX);
-        heap_round(shard);
-        large_round(shard);
-    }
+    lockdep::as_manager(|| {
+        for (i, shard) in shared.shards.iter().enumerate() {
+            // Retire queued remote frees before sizing the reserve, so the
+            // thresholds see the heap the application actually holds.
+            remote::drain(shared, i, usize::MAX);
+            heap_round(shard);
+            large_round(shard);
+        }
+    });
     Counters::add(&shared.counters.manager_rounds, 1);
     Counters::add(
         &shared.counters.manager_busy_ns,
@@ -112,22 +117,25 @@ fn heap_round(shard: &Shard) {
         (th, g.raw.reserve_ready(), g.raw.top_free())
     };
     if ready < th.rsv_thr {
-        // Gradual reservation: one lock acquisition per MEM_CHUNK step, so
-        // a burst of mallocs is blocked only for a single small step.
+        // Gradual reservation, one MEM_CHUNK step at a time. The lock is
+        // held to open and to close a step, never for its page call.
         for step in ReservationPlan::new(th.tgt_mem - ready, th.mem_chunk) {
-            let mut g = lock(&shard.heap);
-            if g.raw.sbrk_commit(step).is_err() {
+            let Ok(mut commit) = lock(&shard.heap).raw.begin_commit(step) else {
                 return; // arena exhausted: stop reserving
-            }
-            drop(g);
+            };
+            // SAFETY: the shard's heap outlives the round, and only this
+            // round ends the step.
+            unsafe { commit.populate() };
+            lock(&shard.heap).raw.end_commit(commit);
             Counters::add(&shard.counters.reserved_bytes, step as u64);
         }
     } else if top_free > th.trim_thr {
         let mut g = lock(&shard.heap);
         let released = g.raw.trim(th.tgt_mem);
         // The trim shrank the break; hand the now-unreachable committed
-        // tail back to the kernel.
-        let decommitted = g.raw.decommit_tail();
+        // tail back to the kernel, still under the lock: a grow must not
+        // re-extend over a range being decommitted (ROADMAP item 20).
+        let decommitted = lockdep::allowed(|| g.raw.decommit_tail());
         drop(g);
         Counters::add(&shard.counters.trimmed_bytes, released as u64);
         Counters::add(&shard.counters.decommitted_bytes, decommitted as u64);

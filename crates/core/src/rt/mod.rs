@@ -148,16 +148,129 @@ impl HermesHeapConfig {
 /// `parking_lot` allocates per-thread parking data through the *global*
 /// allocator on first contention, which would recurse into the very lock
 /// being taken when Hermes is installed as `#[global_allocator]`.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+pub(crate) fn lock<T>(m: &Mutex<T>) -> Locked<'_, T> {
+    Locked::new(m.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
 /// Non-blocking variant of [`lock`]: `None` only when the lock is held.
-pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<Locked<'_, T>> {
     match m.try_lock() {
-        Ok(g) => Some(g),
-        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Ok(g) => Some(Locked::new(g)),
+        Err(TryLockError::Poisoned(e)) => Some(Locked::new(e.into_inner())),
         Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// The guard [`lock`] and [`try_lock`] hand out: a mutex guard that
+/// debug builds count in [`lockdep`]'s per-thread lock depth.
+pub(crate) struct Locked<'a, T>(MutexGuard<'a, T>);
+
+impl<'a, T> Locked<'a, T> {
+    fn new(g: MutexGuard<'a, T>) -> Self {
+        #[cfg(debug_assertions)]
+        lockdep::DEPTH.with(|d| d.set(d.get() + 1));
+        Locked(g)
+    }
+}
+
+impl<T> std::ops::Deref for Locked<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Locked<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T> Drop for Locked<'_, T> {
+    fn drop(&mut self) {
+        lockdep::DEPTH.with(|d| d.set(d.get() - 1));
+    }
+}
+
+/// The management thread makes no page call while it holds an `rt`
+/// lock (DESIGN.md §2, *The heap's reserve, built off the lock*):
+/// every [`Platform`](crate::platform::Platform) call of
+/// [`LinuxPlatform`](crate::platform::LinuxPlatform) checks it in debug
+/// builds. Release builds keep no depth and no flags, so [`lock`] stays
+/// a bare mutex acquisition there.
+pub(crate) mod lockdep {
+    #[cfg(debug_assertions)]
+    use std::{cell::Cell, thread::LocalKey};
+
+    #[cfg(debug_assertions)]
+    thread_local! {
+        /// `rt` locks this thread holds.
+        pub(super) static DEPTH: Cell<u32> = const { Cell::new(0) };
+        /// Set while this thread runs a management round.
+        static MANAGER: Cell<bool> = const { Cell::new(false) };
+        /// Set while this thread runs an allow-listed locked page call.
+        static ALLOWED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Sets a thread flag until dropped, then restores its old value.
+    #[cfg(debug_assertions)]
+    struct Flag(&'static LocalKey<Cell<bool>>, bool);
+
+    #[cfg(debug_assertions)]
+    impl Flag {
+        fn set(key: &'static LocalKey<Cell<bool>>, on: bool) -> Flag {
+            Flag(key, key.with(|c| c.replace(on)))
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    impl Drop for Flag {
+        fn drop(&mut self) {
+            self.0.with(|c| c.set(self.1));
+        }
+    }
+
+    /// Runs `f` with its thread marked as the management thread.
+    pub(crate) fn as_manager<R>(f: impl FnOnce() -> R) -> R {
+        #[cfg(debug_assertions)]
+        let _flag = Flag::set(&MANAGER, true);
+        f()
+    }
+
+    /// Runs `f`, an allocation or free through the global allocator, as
+    /// an ordinary thread's. Where Hermes is the global allocator, a
+    /// round's own allocations (the large pool's map nodes, under
+    /// `large`) re-enter the allocation path, whose demand faults run
+    /// under a shard lock by design.
+    pub(crate) fn as_owner<R>(f: impl FnOnce() -> R) -> R {
+        #[cfg(debug_assertions)]
+        let _flag = Flag::set(&MANAGER, false);
+        f()
+    }
+
+    /// Runs `f`, whose page calls may run under a lock. The allow-list
+    /// has one entry, the heap trim's `RawHeap::decommit_tail`, which no
+    /// benchmark workload reaches (ROADMAP item 20).
+    pub(crate) fn allowed<R>(f: impl FnOnce() -> R) -> R {
+        #[cfg(debug_assertions)]
+        let _flag = Flag::set(&ALLOWED, true);
+        f()
+    }
+
+    /// Aborts when a page call named `call` breaks the rule. An abort,
+    /// not a panic: the panic would allocate, and with Hermes as the
+    /// global allocator that allocation can wait on the lock held here.
+    #[cfg(debug_assertions)]
+    pub(crate) fn check(call: &'static str) {
+        if DEPTH.with(Cell::get) > 0 && MANAGER.with(Cell::get) && !ALLOWED.with(Cell::get) {
+            use std::io::Write;
+            let mut err = std::io::stderr();
+            let _ = err.write_all(b"hermes: the management thread called `");
+            let _ = err.write_all(call.as_bytes());
+            let _ = err.write_all(b"` holding an rt lock\n");
+            std::process::abort();
+        }
     }
 }
 
@@ -356,7 +469,9 @@ impl HermesHeap {
         let mut max_request = 0usize;
         let mut shards = Vec::with_capacity(n);
         for i in 0..n {
-            let h = Arena::map(heap_per, heap_per.saturating_mul(factor), false)?;
+            // Huge pages above the floor for the heap (DESIGN.md §8); the
+            // large arena stays on 4 KiB pages.
+            let h = Arena::map(heap_per, heap_per.saturating_mul(factor), true)?;
             let l = Arena::map(large_per, large_per.saturating_mul(factor), false)?;
             let hb = h.base().as_ptr() as usize;
             ranges.push((hb, hb + h.reserved(), i, false));
